@@ -16,12 +16,15 @@ Exit codes: 0 success, 1 usage/parse error, 2 campaign failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
+from functools import partial
 from pathlib import Path
 from statistics import fmean
+from typing import Callable
 
 from flagtuner.analysis import (
     compare_to_baseline,
@@ -57,6 +60,7 @@ from flagtuner.oracle import (
     suite_constrained_optimum,
 )
 from flagtuner.search import (
+    AGGREGATES,
     BudgetedEvaluator,
     CampaignError,
     CampaignInterrupted,
@@ -229,34 +233,6 @@ def _check_resume(resume: str, command: str, cfg: CampaignConfig) -> None:
         raise ConfigError("checkpoint input files differ from the current config")
 
 
-def _interrupted(
-    camp: Campaign,
-    command: str,
-    trace: CampaignTrace,
-    trace_path: Path,
-    params: dict,
-    state: CEState | None,
-    progress: dict | None = None,
-) -> int:
-    write_trace(trace_path, trace)
-    write_checkpoint(
-        camp.out / "checkpoint.json",
-        command=command,
-        status="interrupted",
-        seed=camp.cfg.seed,
-        input_digests=input_digests(camp.cfg),
-        params=params,
-        state=state,
-        progress={"records": len(trace), **(progress or {})},
-    )
-    _log(camp.out, f"{command} interrupted after {len(trace)} trace records")
-    print(
-        f"{command}: interrupted; checkpoint written to {camp.out / 'checkpoint.json'}",
-        file=sys.stderr,
-    )
-    return EXIT_INTERRUPTED
-
-
 def _baseline_reference(trace: CampaignTrace) -> dict[str, float]:
     rec = trace.records[0]
     if rec.annotation != "baseline":
@@ -267,27 +243,87 @@ def _baseline_reference(trace: CampaignTrace) -> dict[str, float]:
     return refs
 
 
+def _load_config(args) -> tuple[CampaignConfig, Path]:
+    """The config with the command line's seed and threshold, and the out dir."""
+    cfg = load_campaign_config(args.config, args.seed)
+    if getattr(args, "threshold", None) is not None:
+        cfg.threshold_t = args.threshold
+    return cfg, Path(args.out) if args.out else (cfg.out_dir or Path("out"))
+
+
 # ---------------------------------------------------------------------------
-# Subcommands
+# Campaign commands: ric, ce, suite-ce, xval
 # ---------------------------------------------------------------------------
 
-def cmd_ric(args) -> int:
-    cfg = load_campaign_config(args.config, args.seed)
-    out = Path(args.out) if args.out else (cfg.out_dir or Path("out"))
-    camp = build_campaign(cfg, out, args.max_evals)
+@dataclass
+class _Run:
+    """What a campaign command has reached, for its checkpoint.
+
+    ``trace``, the trace being built, is written to ``trace_path`` when the
+    command ends, complete or interrupted, and its length leads the
+    checkpoint's progress.
+    """
+
+    params: dict = field(default_factory=dict)
+    trace: CampaignTrace | None = None
+    trace_path: Path | None = None
+    state: CEState | None = None
+    progress: dict = field(default_factory=dict)
+
+
+def _run_campaign(args, command: str, body: Callable[[Campaign, _Run], list[str]]) -> int:
+    """The lifecycle the campaign commands share.
+
+    ``--resume`` is validated before the out dir or the cache is touched.
+    ``body`` runs the search, writes the command's own artifacts, records in
+    its ``_Run`` what the checkpoint needs and returns the summary lines.
+    An interruption, Ctrl-C or a spent ``--max-evals`` budget, ends the
+    body early and leaves an interrupted checkpoint.
+    """
+    cfg, out = _load_config(args)
     if args.resume:
-        _check_resume(args.resume, "ric", cfg)
-    params = {"n_configs": cfg.n_configs}
-    trace = CampaignTrace()
-    trace_path = out / "ric.trace"
-    _log(out, f"ric start seed={cfg.seed} n_configs={cfg.n_configs}")
+        _check_resume(args.resume, command, cfg)
+    camp = build_campaign(cfg, out, args.max_evals)
+    run = _Run()
     try:
-        run_ric(camp.space, camp.benchmarks, camp.evaluator, cfg.n_configs, cfg.seed, trace=trace)
+        summary = body(camp, run)
     except (CampaignInterrupted, KeyboardInterrupt):
-        return _interrupted(camp, "ric", trace, trace_path, params, None)
+        summary = None
     finally:
         camp.cache.close()
-    write_trace(trace_path, trace)
+    if run.trace is not None:
+        write_trace(run.trace_path, run.trace)
+    progress = run.progress if run.trace is None else {"records": len(run.trace), **run.progress}
+    write_checkpoint(
+        out / "checkpoint.json",
+        command=command,
+        status="interrupted" if summary is None else "complete",
+        seed=cfg.seed,
+        input_digests=input_digests(cfg),
+        params=run.params,
+        state=run.state,
+        progress=progress,
+    )
+    if summary is None:
+        _log(out, f"{command} interrupted, progress {json.dumps(progress)}")
+        print(
+            f"{command}: interrupted; checkpoint written to {out / 'checkpoint.json'}",
+            file=sys.stderr,
+        )
+        return EXIT_INTERRUPTED
+    _write_summary(out, summary)
+    _log(out, f"{command} complete")
+    return EXIT_OK
+
+
+def _ric(camp: Campaign, run: _Run) -> list[str]:
+    cfg, out = camp.cfg, camp.out
+    run.params = {"n_configs": cfg.n_configs}
+    run.trace, run.trace_path = CampaignTrace(), out / "ric.trace"
+    _log(out, f"ric start seed={cfg.seed} n_configs={cfg.n_configs}")
+    trace = run_ric(
+        camp.space, camp.benchmarks, camp.evaluator, cfg.n_configs, cfg.seed, trace=run.trace
+    )
 
     best = {}
     for bench in camp.benchmarks:
@@ -303,144 +339,115 @@ def cmd_ric(args) -> int:
             "args": render_args(camp.space, rec.config),
         }
     (out / "ric.best.json").write_text(json.dumps(best, indent=2) + "\n", encoding="utf-8")
-    write_checkpoint(
-        out / "checkpoint.json",
-        command="ric",
-        status="complete",
-        seed=cfg.seed,
-        input_digests=input_digests(cfg),
-        params=params,
-        progress={"records": len(trace)},
-    )
     try:
         final = floored_best_so_far(trace, _baseline_reference(trace)).points[-1][1]
         ratio_text = f"{final:.6g}"
     except ValueError:
         ratio_text = "n/a"
-    _write_summary(
-        out,
-        [
-            f"ric: evaluations={camp.counters.executions} cache_hits={camp.counters.cache_hits} "
-            f"configs_tested={len(trace)} floored_best_ratio={ratio_text}"
-        ],
-    )
-    _log(out, "ric complete")
-    return EXIT_OK
+    return [
+        f"ric: evaluations={camp.counters.executions} cache_hits={camp.counters.cache_hits} "
+        f"configs_tested={len(trace)} floored_best_ratio={ratio_text}"
+    ]
 
 
-def cmd_ce(args) -> int:
-    cfg = load_campaign_config(args.config, args.seed)
-    out = Path(args.out) if args.out else (cfg.out_dir or Path("out"))
-    camp = build_campaign(cfg, out, args.max_evals)
-    if args.resume:
-        _check_resume(args.resume, "ce", cfg)
-    targets = [cfg.benchmark] if cfg.benchmark else camp.benchmarks
+def _ce(camp: Campaign, run: _Run) -> list[str]:
+    targets = [camp.cfg.benchmark] if camp.cfg.benchmark else camp.benchmarks
     unknown = [b for b in targets if b not in camp.benchmarks]
     if unknown:
-        camp.cache.close()
         raise ConfigError(f"unknown benchmark: {unknown}")
-    params = {"benchmarks": targets}
+    run.params = {"benchmarks": targets}
     summary = []
     completed: list[str] = []
-    _log(out, f"ce start targets={targets}")
-    try:
-        for bench in targets:
-            trace = CampaignTrace()
-            state = CEState()
-            trace_path = out / f"ce_{bench}.trace"
-            try:
-                config, _ = run_ce(camp.space, bench, camp.evaluator, trace=trace, state=state)
-            except (CampaignInterrupted, KeyboardInterrupt):
-                return _interrupted(
-                    camp, "ce", trace, trace_path, params, state,
-                    progress={"completed": completed, "current": bench},
-                )
-            write_trace(trace_path, trace)
-            write_final_config(out / f"ce_{bench}.config.json", camp.space, config)
-            base_time = trace.records[0].measurements[bench].time
-            final_time = best_known_record([trace], bench)[2].time
-            summary.append(
-                f"ce {bench}: configs_tested={len(trace)} final_ratio={final_time / base_time:.6g}"
-            )
-            completed.append(bench)
-    finally:
-        camp.cache.close()
-    write_checkpoint(
-        out / "checkpoint.json",
-        command="ce",
-        status="complete",
-        seed=cfg.seed,
-        input_digests=input_digests(cfg),
-        params=params,
-        progress={"completed": completed},
-    )
+    _log(camp.out, f"ce start targets={targets}")
+    for bench in targets:
+        run.trace, run.state = CampaignTrace(), CEState()
+        run.trace_path = camp.out / f"ce_{bench}.trace"
+        run.progress = {"completed": completed, "current": bench}
+        config, trace = run_ce(camp.space, bench, camp.evaluator, trace=run.trace, state=run.state)
+        write_trace(run.trace_path, trace)
+        write_final_config(camp.out / f"ce_{bench}.config.json", camp.space, config)
+        base_time = trace.records[0].measurements[bench].time
+        final_time = best_known_record([trace], bench)[2].time
+        summary.append(
+            f"ce {bench}: configs_tested={len(trace)} final_ratio={final_time / base_time:.6g}"
+        )
+        completed.append(bench)
+    run.trace = run.state = None
+    run.progress = {"completed": completed}
     summary.append(
         f"ce: evaluations={camp.counters.executions} cache_hits={camp.counters.cache_hits}"
     )
-    _write_summary(out, summary)
-    _log(out, "ce complete")
-    return EXIT_OK
+    return summary
 
 
-def cmd_suite_ce(args) -> int:
-    cfg = load_campaign_config(args.config, args.seed)
-    out = Path(args.out) if args.out else (cfg.out_dir or Path("out"))
-    camp = build_campaign(cfg, out, args.max_evals)
-    if args.resume:
-        _check_resume(args.resume, "suite-ce", cfg)
-    threshold = cfg.threshold_t if args.threshold is None else args.threshold
-    params = {"threshold_t": threshold, "aggregate": cfg.aggregate}
-    suite_params = SuiteCEParams(threshold_t=threshold, aggregate=cfg.aggregate)
-    trace = CampaignTrace()
-    state = CEState()
-    trace_path = out / "suite_ce.trace"
-    _log(out, f"suite-ce start t={threshold}")
-    try:
-        config, _ = run_suite_ce(
-            camp.space, camp.benchmarks, camp.evaluator, suite_params, trace=trace, state=state
-        )
-    except (CampaignInterrupted, KeyboardInterrupt):
-        return _interrupted(camp, "suite-ce", trace, trace_path, params, state)
-    finally:
-        camp.cache.close()
-    write_trace(trace_path, trace)
-    write_final_config(out / "suite_ce.config.json", camp.space, config)
-    write_checkpoint(
-        out / "checkpoint.json",
-        command="suite-ce",
-        status="complete",
-        seed=cfg.seed,
-        input_digests=input_digests(cfg),
-        params=params,
-        state=state,
-        progress={"records": len(trace)},
+def _suite_ce(camp: Campaign, run: _Run) -> list[str]:
+    cfg = camp.cfg
+    run.params = {"threshold_t": cfg.threshold_t, "aggregate": cfg.aggregate}
+    run.trace, run.state = CampaignTrace(), CEState()
+    run.trace_path = camp.out / "suite_ce.trace"
+    _log(camp.out, f"suite-ce start t={cfg.threshold_t}")
+    config, trace = run_suite_ce(
+        camp.space, camp.benchmarks, camp.evaluator,
+        SuiteCEParams(threshold_t=cfg.threshold_t, aggregate=cfg.aggregate),
+        trace=run.trace, state=run.state,
     )
+    write_final_config(camp.out / "suite_ce.config.json", camp.space, config)
+    # The final configuration is measured once, fully: it is the baseline or
+    # the last accepted toggle.
+    final = next(rec for rec in trace if rec.config == config)
     refs = _baseline_reference(trace)
-    final_times = None
-    for rec in reversed(trace.records):
-        if rec.config == config and all(
-            b in rec.measurements and rec.measurements[b].ok for b in camp.benchmarks
-        ):
-            final_times = {b: rec.measurements[b].time for b in camp.benchmarks}
-            break
-    if final_times is None:
-        raise CampaignError("final configuration has no full measurement record")
-    aggregate = fmean(final_times[b] / refs[b] for b in camp.benchmarks)
-    _write_summary(
-        out,
-        [
-            f"suite-ce: evaluations={camp.counters.executions} "
-            f"cache_hits={camp.counters.cache_hits} configs_tested={len(trace)} "
-            f"final_aggregate={aggregate:.6g}"
-        ],
+    aggregate = AGGREGATES[cfg.aggregate](
+        [final.measurements[b].time / refs[b] for b in camp.benchmarks]
     )
-    _log(out, "suite-ce complete")
-    return EXIT_OK
+    return [
+        f"suite-ce: evaluations={camp.counters.executions} "
+        f"cache_hits={camp.counters.cache_hits} configs_tested={len(trace)} "
+        f"final_aggregate={aggregate:.6g}"
+    ]
 
+
+def _xval(camp: Campaign, run: _Run) -> list[str]:
+    cfg, out = camp.cfg, camp.out
+    run.params = {"k": cfg.k, "threshold_t": cfg.threshold_t, "aggregate": cfg.aggregate}
+    plan = make_folds(camp.benchmarks, cfg.k, cfg.seed)
+    (out / "folds.json").write_text(
+        json.dumps({"k": plan.k, "seed": cfg.seed, "assignment": plan.assignment}, indent=2)
+        + "\n",
+        encoding="utf-8",
+    )
+    _log(out, f"xval start k={cfg.k} t={cfg.threshold_t}")
+    suite_params = SuiteCEParams(threshold_t=cfg.threshold_t, aggregate=cfg.aggregate)
+    results = run_xval(camp.space, camp.benchmarks, camp.evaluator, suite_params, plan)
+
+    all_ratios = []
+    with open(out / "xval_report.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["program", "fold", "ratio", "error"])
+        for res in results:
+            if res.error is not None:
+                writer.writerow(["", res.fold, "", res.error])
+                continue
+            write_trace(out / f"fold_{res.fold}.trace", res.trace)
+            write_final_config(out / f"fold_{res.fold}.config.json", camp.space, res.config)
+            for program, ratio in res.test_ratios.items():
+                writer.writerow([program, res.fold, repr(ratio), ""])
+                all_ratios.append(ratio)
+        if all_ratios:
+            writer.writerow(["overall_mean", "", repr(fmean(all_ratios)), ""])
+    run.progress = {"folds": plan.k}
+    mean_text = f"{fmean(all_ratios):.6g}" if all_ratios else "n/a"
+    return [
+        f"xval: folds={plan.k} evaluations={camp.counters.executions} "
+        f"cache_hits={camp.counters.cache_hits} mean_test_ratio={mean_text}"
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Other commands
+# ---------------------------------------------------------------------------
 
 def cmd_oracle(args) -> int:
-    cfg = load_campaign_config(args.config, args.seed)
-    out = Path(args.out) if args.out else (cfg.out_dir or Path("out"))
+    cfg, out = _load_config(args)
     if cfg.mode != "synthetic":
         raise ConfigError("oracle requires a synthetic-mode config")
     out.mkdir(parents=True, exist_ok=True)
@@ -457,10 +464,8 @@ def cmd_oracle(args) -> int:
     stock = space.stock_config()
     reference = {b: model.time_for(space, stock, b) for b in benchmarks}
 
-    import csv as _csv
-
     with open(out / "oracle_per_benchmark.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["benchmark", "best_time", "ref_time", "ratio", "base_level", "bitstring"])
         for b in benchmarks:
             t, config = per_benchmark_optimum(space, model, b, max_flags=args.max_flags)
@@ -470,14 +475,14 @@ def cmd_oracle(args) -> int:
             )
 
     constrained = suite_constrained_optimum(
-        space, model, benchmarks, cfg.threshold_t if args.threshold is None else args.threshold,
-        reference, base_level=stock.base_level, max_flags=args.max_flags,
+        space, model, benchmarks, cfg.threshold_t, reference,
+        base_level=stock.base_level, max_flags=args.max_flags,
     )
     if constrained is None:
         raise CampaignError("no feasible configuration under the threshold")
     agg, config = constrained
     data = {
-        "threshold_t": cfg.threshold_t if args.threshold is None else args.threshold,
+        "threshold_t": cfg.threshold_t,
         "aggregate_ratio": agg,
         "base_level": config.base_level,
         "bitstring": config.bitstring,
@@ -522,76 +527,6 @@ def cmd_report(args) -> int:
             f"mean_ratio_floored={table.mean_ratio_floored:.6g}"
         ],
     )
-    return EXIT_OK
-
-
-def cmd_xval(args) -> int:
-    cfg = load_campaign_config(args.config, args.seed)
-    out = Path(args.out) if args.out else (cfg.out_dir or Path("out"))
-    camp = build_campaign(cfg, out, args.max_evals)
-    if args.resume:
-        _check_resume(args.resume, "xval", cfg)
-    threshold = cfg.threshold_t if args.threshold is None else args.threshold
-    params = {"k": cfg.k, "threshold_t": threshold, "aggregate": cfg.aggregate}
-    suite_params = SuiteCEParams(threshold_t=threshold, aggregate=cfg.aggregate)
-    plan = make_folds(camp.benchmarks, cfg.k, cfg.seed)
-    (out / "folds.json").write_text(
-        json.dumps({"k": plan.k, "seed": cfg.seed, "assignment": plan.assignment}, indent=2)
-        + "\n",
-        encoding="utf-8",
-    )
-    _log(out, f"xval start k={cfg.k} t={threshold}")
-    try:
-        results = run_xval(camp.space, camp.benchmarks, camp.evaluator, suite_params, plan)
-    except (CampaignInterrupted, KeyboardInterrupt):
-        write_checkpoint(
-            out / "checkpoint.json",
-            command="xval",
-            status="interrupted",
-            seed=cfg.seed,
-            input_digests=input_digests(cfg),
-            params=params,
-        )
-        print("xval: interrupted; checkpoint written", file=sys.stderr)
-        return EXIT_INTERRUPTED
-    finally:
-        camp.cache.close()
-
-    import csv as _csv
-
-    all_ratios = []
-    with open(out / "xval_report.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(["program", "fold", "ratio", "error"])
-        for res in results:
-            if res.error is not None:
-                writer.writerow(["", res.fold, "", res.error])
-                continue
-            write_trace(out / f"fold_{res.fold}.trace", res.trace)
-            write_final_config(out / f"fold_{res.fold}.config.json", camp.space, res.config)
-            for program, ratio in res.test_ratios.items():
-                writer.writerow([program, res.fold, repr(ratio), ""])
-                all_ratios.append(ratio)
-        if all_ratios:
-            writer.writerow(["overall_mean", "", repr(fmean(all_ratios)), ""])
-    write_checkpoint(
-        out / "checkpoint.json",
-        command="xval",
-        status="complete",
-        seed=cfg.seed,
-        input_digests=input_digests(cfg),
-        params=params,
-        progress={"folds": plan.k},
-    )
-    mean_text = f"{fmean(all_ratios):.6g}" if all_ratios else "n/a"
-    _write_summary(
-        out,
-        [
-            f"xval: folds={plan.k} evaluations={camp.counters.executions} "
-            f"cache_hits={camp.counters.cache_hits} mean_test_ratio={mean_text}"
-        ],
-    )
-    _log(out, "xval complete")
     return EXIT_OK
 
 
@@ -651,14 +586,14 @@ def build_parser() -> _Parser:
     )
 
     p = sub.add_parser("ric", parents=[campaign_opts], help="random iterative compilation")
-    p.set_defaults(handler=cmd_ric)
+    p.set_defaults(handler=partial(_run_campaign, command="ric", body=_ric))
 
     p = sub.add_parser("ce", parents=[campaign_opts], help="per-benchmark combined elimination")
-    p.set_defaults(handler=cmd_ce)
+    p.set_defaults(handler=partial(_run_campaign, command="ce", body=_ce))
 
     p = sub.add_parser("suite-ce", parents=[campaign_opts], help="suite-wide combined elimination")
     p.add_argument("--threshold", type=float, default=None, help="override threshold t percent")
-    p.set_defaults(handler=cmd_suite_ce)
+    p.set_defaults(handler=partial(_run_campaign, command="suite-ce", body=_suite_ce))
 
     p = sub.add_parser("oracle", parents=[campaign_opts], help="brute-force optimum (synthetic only)")
     p.add_argument("--max-flags", type=int, default=DEFAULT_MAX_FLAGS)
@@ -674,7 +609,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("xval", parents=[campaign_opts], help="k-fold cross-validation of suite-ce")
     p.add_argument("--threshold", type=float, default=None, help="override threshold t percent")
-    p.set_defaults(handler=cmd_xval)
+    p.set_defaults(handler=partial(_run_campaign, command="xval", body=_xval))
 
     p = sub.add_parser("predict-1nn", help="nearest-neighbor configuration prediction")
     p.add_argument("features", help="feature table CSV")

@@ -4,13 +4,15 @@ Three campaign styles:
 
 * random iterative compilation (``run_ric``): evaluate many randomly
   sampled configurations;
-* combined elimination (``run_ce``): start from all flags enabled and
-  greedily disable the flag with the most negative relative improvement
-  percentage, re-probing survivors against the updated baseline;
 * suite-wide combined elimination (``run_suite_ce``): tune one
   configuration against a whole benchmark suite, toggling flags in either
   direction from a stock baseline, under a per-benchmark degradation
-  threshold with early skipping of doomed candidates.
+  threshold with early skipping of doomed candidates;
+* per-benchmark combined elimination (``run_ce``): the same elimination
+  core on a one-benchmark suite, from all flags enabled and with no
+  threshold, greedily disabling the flag with the most negative relative
+  improvement percentage and re-probing survivors against the updated
+  baseline.
 
 Every tested configuration is logged to a CampaignTrace, the input to all
 downstream analysis.
@@ -22,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from statistics import fmean
-from typing import Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 from flagtuner.evaluator import Measurement
 from flagtuner.flagspace import Configuration, FlagSpace, _check_member, toggle
@@ -189,56 +191,13 @@ def run_ce(
 ) -> tuple[Configuration, CampaignTrace]:
     """Combined elimination against a single benchmark.
 
-    Starts with every flag enabled, probes each remaining flag against the
-    current baseline, then repeatedly disables the flag with the most
-    negative RIP, re-probing the other negative candidates against the
-    updated baseline before the next full round. Equal RIPs are resolved in
-    favor of the lowest flag index.
+    This is the suite core on a one-benchmark suite, with no threshold:
+    it starts with every flag enabled and disables, one at a time, the flag
+    with the most negative RIP against the current baseline.
     """
-    trace = trace if trace is not None else CampaignTrace()
-    B = space.all_enabled()
-    base_meas = evaluator.evaluate(B, benchmark)
-    trace.append(B, {benchmark: base_meas}, "baseline")
-    if not base_meas.ok:
-        raise CampaignError(
-            f"baseline configuration failed on {benchmark}: {base_meas.status}"
-        )
-    S = list(range(len(space)))
-    if state is not None:
-        state.capture(S, B, [])
-
-    while True:
-        probes: dict[int, tuple[float, Measurement, TraceRecord]] = {}
-        for i in S:
-            cand = toggle(B, i)
-            meas = evaluator.evaluate(cand, benchmark)
-            rec = trace.append(cand, {benchmark: meas}, f"probe {space.flags[i].name}")
-            probes[i] = (rip_of(meas, base_meas), meas, rec)
-        X = [i for _, i in sorted((r, i) for i, (r, _, _) in probes.items() if r < 0)]
-        if state is not None:
-            state.capture(S, B, X)
-        if not X:
-            break
-
-        first = X[0]
-        _, meas, rec = probes[first]
-        B = toggle(B, first)
-        base_meas = meas
-        rec.annotation = f"accepted toggle {space.flags[first].name}"
-        S.remove(first)
-        for i in X[1:]:
-            cand = toggle(B, i)
-            meas = evaluator.evaluate(cand, benchmark)
-            rec = trace.append(cand, {benchmark: meas}, f"probe {space.flags[i].name}")
-            if rip_of(meas, base_meas) < 0:
-                B = cand
-                base_meas = meas
-                rec.annotation = f"accepted toggle {space.flags[i].name}"
-                S.remove(i)
-        if state is not None:
-            state.capture(S, B, [])
-
-    return B, trace
+    return _eliminate(
+        space, [benchmark], evaluator, space.all_enabled(), fmean, None, trace, state
+    )
 
 
 def run_suite_ce(
@@ -252,77 +211,92 @@ def run_suite_ce(
 ) -> tuple[Configuration, CampaignTrace]:
     """Suite-wide combined elimination building a platform optimization level.
 
-    Each round toggles every remaining flag away from its current state and
-    evaluates the candidate across the suite in order, aborting it the
-    moment any benchmark exceeds (1 + t/100) x its stock-baseline time.
-    Candidates that survive the whole suite compete on aggregate RIP; the
-    rest stay in the search space for later rounds. The returned
+    Flags are toggled in either direction from the stock baseline (or
+    ``params.baseline``), and a candidate is aborted the moment any
+    benchmark exceeds (1 + t/100) x its baseline time. The returned
     configuration satisfies the threshold bound on every benchmark.
     """
-    benches = _as_bench_list(benchmarks)
-    trace = trace if trace is not None else CampaignTrace()
-    agg_fn = AGGREGATES[params.aggregate]
+    base = params.baseline if params.baseline is not None else space.stock_config()
+    return _eliminate(
+        space, _as_bench_list(benchmarks), evaluator, base,
+        AGGREGATES[params.aggregate], params.threshold_t, trace, state,
+    )
 
-    B = params.baseline if params.baseline is not None else space.stock_config()
+
+def _eliminate(
+    space: FlagSpace,
+    benches: list[str],
+    evaluator: Evaluator,
+    B: Configuration,
+    aggregate: Callable[[list[float]], float],
+    threshold_t: float | None,
+    trace: CampaignTrace | None,
+    state: CEState | None,
+) -> tuple[Configuration, CampaignTrace]:
+    """Combined elimination (Pan & Eigenmann, CGO 2006) over a suite.
+
+    A candidate's score is ``aggregate`` over its per-benchmark time ratios
+    to the baseline ``B``'s times. Each round toggles every remaining flag
+    away from the current configuration and evaluates the candidate across
+    the suite in order, stopping at its first failed benchmark or, with a
+    threshold, at the first one over (1 + t/100) x its baseline time; only
+    with a threshold is such a probe annotated ``(skipped at ...)``.
+    Candidates that lower the score are ranked by it (equal scores go to the
+    lowest flag index): the best is accepted, and the others are re-probed
+    against the updated configuration and accepted if they still lower the
+    score. The rest stay in the search space for later rounds.
+    """
+    trace = trace if trace is not None else CampaignTrace()
+    state = state if state is not None else CEState()
     _check_member(space, B)
     ref_meas = {b: evaluator.evaluate(B, b) for b in benches}
     trace.append(B, ref_meas, "baseline")
-    failed = [b for b in benches if not ref_meas[b].ok]
+    failed = [f"{b} ({m.status})" for b, m in ref_meas.items() if not m.ok]
     if failed:
         raise CampaignError(f"baseline configuration failed on: {', '.join(failed)}")
     t_ref = {b: ref_meas[b].time for b in benches}
-    bound = {b: (1.0 + params.threshold_t / 100.0) * t_ref[b] for b in benches}
-    agg_b = agg_fn([ref_meas[b].time / t_ref[b] for b in benches])
+    slack = math.inf if threshold_t is None else 1.0 + threshold_t / 100.0
+    bound = {b: slack * t_ref[b] for b in benches}
+    score_b = 1.0  # every ratio of the baseline to itself is 1
 
-    def probe(cand: Configuration, flag_name: str) -> tuple[float | None, TraceRecord]:
+    def probe(cand: Configuration, flag_name: str) -> tuple[float, TraceRecord]:
         measurements: dict[str, Measurement] = {}
-        aborted_at = None
         for b in benches:
-            m = evaluator.evaluate(cand, b)
-            measurements[b] = m
+            m = measurements[b] = evaluator.evaluate(cand, b)
             if not m.ok or m.time > bound[b]:
-                aborted_at = b
-                break
-        if aborted_at is not None:
-            rec = trace.append(
-                cand, measurements, f"probe {flag_name} (skipped at {aborted_at})"
-            )
-            return None, rec
+                note = "" if threshold_t is None else f" (skipped at {b})"
+                return math.inf, trace.append(cand, measurements, f"probe {flag_name}{note}")
         rec = trace.append(cand, measurements, f"probe {flag_name}")
-        return agg_fn([measurements[b].time / t_ref[b] for b in benches]), rec
+        return aggregate([measurements[b].time / t_ref[b] for b in benches]), rec
 
     S = list(range(len(space)))
-    if state is not None:
-        state.capture(S, B, [])
+    state.capture(S, B, [])
 
     while True:
         candidates: dict[int, tuple[float, TraceRecord]] = {}
         for i in S:
-            cand = toggle(B, i)
-            agg_c, rec = probe(cand, space.flags[i].name)
-            if agg_c is not None and (agg_c - agg_b) / agg_b * 100.0 < 0:
-                candidates[i] = (agg_c, rec)
-        X = [i for _, i in sorted((agg, i) for i, (agg, _) in candidates.items())]
-        if state is not None:
-            state.capture(S, B, X)
+            score, rec = probe(toggle(B, i), space.flags[i].name)
+            if score < score_b:
+                candidates[i] = (score, rec)
+        X = [i for _, i in sorted((score, i) for i, (score, _) in candidates.items())]
+        state.capture(S, B, X)
         if not X:
             break
 
         first = X[0]
-        agg_b, rec = candidates[first]
+        score_b, rec = candidates[first]
         B = toggle(B, first)
         rec.annotation = f"accepted toggle {space.flags[first].name}"
         S.remove(first)
         for i in X[1:]:
             cand = toggle(B, i)
-            agg_c, rec = probe(cand, space.flags[i].name)
-            if agg_c is not None and agg_c < agg_b:
+            score, rec = probe(cand, space.flags[i].name)
+            if score < score_b:
                 B = cand
-                agg_b = agg_c
+                score_b = score
                 rec.annotation = f"accepted toggle {space.flags[i].name}"
                 S.remove(i)
-        if state is not None:
-            state.capture(S, B, [])
+        state.capture(S, B, [])
 
     return B, trace
 

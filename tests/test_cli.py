@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from statistics import fmean, geometric_mean
 
 import pytest
 
@@ -140,6 +141,29 @@ def test_suite_ce_twobench_accepted_at_t8(tmp_path, demo_config):
     assert config.bitstring == "0"
 
 
+def test_suite_ce_summary_uses_configured_aggregate(tmp_path, demo_dir, tradeoff_space,
+                                                   tradeoff_model):
+    config = write_config(
+        tmp_path / "c.json",
+        flag_space=str(demo_dir / "tradeoff_space.json"),
+        model=str(demo_dir / "tradeoff_model.json"),
+        threshold_t=5.0,
+        aggregate="geomean",
+    )
+    out = tmp_path / "o"
+    assert main(["suite-ce", "--config", str(config), "--out", str(out)]) == 0
+    final = read_final_config(out / "suite_ce.config.json")
+    stock = tradeoff_space.stock_config()
+    ratios = [
+        tradeoff_model.time_for(tradeoff_space, final, b)
+        / tradeoff_model.time_for(tradeoff_space, stock, b)
+        for b in tradeoff_model.benchmark_names
+    ]
+    summary = (out / "summary.txt").read_text(encoding="utf-8")
+    assert f"final_aggregate={geometric_mean(ratios):.6g}" in summary
+    assert f"final_aggregate={fmean(ratios):.6g}" not in summary
+
+
 def test_suite_ce_tradeoff_t5(tmp_path, demo_config):
     out = tmp_path / "o"
     assert main(["suite-ce", "--config", demo_config("tradeoff"), "--out", str(out)]) == 0
@@ -250,6 +274,24 @@ def test_resume_rejects_other_command(tmp_path, demo_config):
         ]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "command, extra", [("ce", []), ("ric", ["--seed", "99"])], ids=["command", "seed"]
+)
+def test_rejected_resume_creates_nothing(tmp_path, demo_config, command, extra):
+    first = tmp_path / "first"
+    assert main(
+        ["ric", "--config", demo_config("tradeoff"), "--out", str(first), "--max-evals", "5"]
+    ) == 3
+    fresh = tmp_path / "fresh"
+    code = main(
+        [command, "--config", demo_config("tradeoff"), "--out", str(fresh),
+         "--resume", str(first / "checkpoint.json"), *extra]
+    )
+    assert code == 1
+    assert not (fresh / "cache.jsonl").exists()
+    assert not fresh.exists()
 
 
 # ---------------------------------------------------------------------------

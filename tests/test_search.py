@@ -3,6 +3,7 @@ import random
 from statistics import fmean
 
 import pytest
+from hypothesis import given, strategies as st
 
 from flagtuner.evaluator import Measurement, SyntheticEvaluator
 from flagtuner.flagspace import Configuration
@@ -370,6 +371,33 @@ def test_suite_ce_threshold_guarantee_random_instances(seed, t):
             aggs.append(fmean(rec.measurements[b].time / refs[b] for b in benches))
     assert all(b < a for a, b in zip(aggs, aggs[1:]))
     assert all(a <= 1.0 for a in aggs)
+
+
+_delta = st.one_of(st.floats(-5.0, 5.0), st.sampled_from([-2.0, -1.0, -0.5, 0.0, 1.0]))
+
+
+@given(st.data())
+def test_ce_is_suite_ce_on_one_benchmark(data):
+    """Per-benchmark CE is suite CE on one benchmark, from all flags enabled,
+    with no threshold; without failures, no probe is annotated differently."""
+    n = data.draw(st.integers(1, 8))
+    deltas = {f"f{i}": data.draw(_delta) for i in range(n)}
+    pairs = []
+    for _ in range(data.draw(st.integers(0, 3)) if n >= 2 else 0):
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        pairs.append((f"f{i}", f"f{j}", data.draw(st.booleans()), data.draw(st.booleans()),
+                      data.draw(_delta)))
+    base = 100.0 + sum(abs(d) for d in deltas.values()) + sum(abs(p[4]) for p in pairs)
+    space = space_of(n)
+    model = model_of({"b": {"base": base, "deltas": deltas, "pairs": pairs}})
+
+    config, trace = run_ce(space, "b", SyntheticEvaluator(space, model))
+    params = SuiteCEParams(threshold_t=math.inf, baseline=space.all_enabled())
+    suite_config, suite_trace = run_suite_ce(
+        space, ["b"], SyntheticEvaluator(space, model), params
+    )
+    assert config == suite_config
+    assert trace_fingerprint(trace) == trace_fingerprint(suite_trace)
 
 
 def test_suite_ce_reproducible(tradeoff_space, tradeoff_model):
