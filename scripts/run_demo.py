@@ -93,7 +93,7 @@ def main() -> None:
     manifest = out / "training_manifest.json"
     manifest.write_text(
         json.dumps(
-            [{"program": p, "trace": str(out / "ce_all" / f"ce_{p}.trace")} for p in programs],
+            [{"program": p, "trace": f"ce_all/ce_{p}.trace"} for p in programs],
             indent=2,
         )
     )

@@ -53,7 +53,7 @@ from flagtuner.evaluator import (
     load_suite,
     load_synthetic_model,
 )
-from flagtuner.flagspace import FlagSpaceError, load_flag_space, render_args
+from flagtuner.flagspace import FlagSpace, FlagSpaceError, load_flag_space, render_args
 from flagtuner.oracle import (
     DEFAULT_MAX_FLAGS,
     per_benchmark_optimum,
@@ -171,41 +171,45 @@ class Campaign:
     cache: EvalCache
 
 
-def build_campaign(cfg: CampaignConfig, out: Path, max_evals: int | None = None) -> Campaign:
-    out.mkdir(parents=True, exist_ok=True)
+def _load_space(cfg: CampaignConfig) -> FlagSpace:
     try:
-        space = load_flag_space(cfg.flag_space)
+        return load_flag_space(cfg.flag_space)
     except (FlagSpaceError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{cfg.flag_space}: {exc}") from exc
+
+
+def _select_benchmarks(cfg: CampaignConfig, available: list[str]) -> list[str]:
+    """The config's ``benchmarks`` (default: all available) and its ``ce``
+    target, checked against the benchmarks the model or suite provides."""
+    benchmarks = available if cfg.benchmarks is None else list(cfg.benchmarks)
+    missing = [b for b in benchmarks if b not in available]
+    if missing:
+        raise ConfigError(f"unknown benchmarks in config: {missing}")
+    if cfg.benchmark and cfg.benchmark not in benchmarks:
+        raise ConfigError(f"unknown benchmark: {[cfg.benchmark]}")
+    return benchmarks
+
+
+def build_campaign(cfg: CampaignConfig, out: Path, max_evals: int | None = None) -> Campaign:
+    """Check every input, then create the out dir and open the cache, so a
+    rejected config leaves nothing behind."""
+    space = _load_space(cfg)
+    source = cfg.model if cfg.mode == "synthetic" else cfg.suite
+    try:
+        if cfg.mode == "synthetic":
+            evaluator = SyntheticEvaluator(space, load_synthetic_model(cfg.model))
+        else:
+            evaluator = CommandEvaluator(
+                space, load_suite(cfg.suite), workdir=cfg.suite.parent, build_dir=out / "build"
+            )
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
+    benchmarks = _select_benchmarks(cfg, evaluator.benchmarks)
+    out.mkdir(parents=True, exist_ok=True)
     cache_path = Path(cfg.cache)
     if not cache_path.is_absolute():
         cache_path = out / cache_path
-    cache = EvalCache(cache_path)
-    if cfg.mode == "synthetic":
-        try:
-            model = load_synthetic_model(cfg.model)
-            evaluator = SyntheticEvaluator(space, model, cache)
-        except (ValueError, KeyError) as exc:
-            cache.close()
-            raise ConfigError(f"{cfg.model}: {exc}") from exc
-        available = evaluator.benchmarks
-    else:
-        try:
-            suite = load_suite(cfg.suite)
-        except (ValueError, KeyError) as exc:
-            cache.close()
-            raise ConfigError(f"{cfg.suite}: {exc}") from exc
-        evaluator = CommandEvaluator(
-            space, suite, cache, workdir=cfg.suite.parent, build_dir=out / "build"
-        )
-        available = evaluator.benchmarks
-    benchmarks = available
-    if cfg.benchmarks is not None:
-        missing = [b for b in cfg.benchmarks if b not in available]
-        if missing:
-            cache.close()
-            raise ConfigError(f"unknown benchmarks in config: {missing}")
-        benchmarks = list(cfg.benchmarks)
+    evaluator.cache = cache = EvalCache(cache_path)
     counters = evaluator
     if max_evals is not None:
         evaluator = BudgetedEvaluator(evaluator, max_evals)
@@ -352,9 +356,6 @@ def _ric(camp: Campaign, run: _Run) -> list[str]:
 
 def _ce(camp: Campaign, run: _Run) -> list[str]:
     targets = [camp.cfg.benchmark] if camp.cfg.benchmark else camp.benchmarks
-    unknown = [b for b in targets if b not in camp.benchmarks]
-    if unknown:
-        raise ConfigError(f"unknown benchmark: {unknown}")
     run.params = {"benchmarks": targets}
     summary = []
     completed: list[str] = []
@@ -450,17 +451,20 @@ def cmd_oracle(args) -> int:
     cfg, out = _load_config(args)
     if cfg.mode != "synthetic":
         raise ConfigError("oracle requires a synthetic-mode config")
-    out.mkdir(parents=True, exist_ok=True)
+    space = _load_space(cfg)
     try:
-        space = load_flag_space(cfg.flag_space)
         model = load_synthetic_model(cfg.model)
-    except (FlagSpaceError, ValueError, KeyError) as exc:
-        raise ConfigError(str(exc)) from exc
+        model.validate(space)
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"{cfg.model}: {exc}") from exc
     if len(space) > args.max_flags:
         raise ConfigError(
             f"flag space has {len(space)} flags, above --max-flags {args.max_flags}"
         )
-    benchmarks = cfg.benchmarks or model.benchmark_names
+    if cfg.aggregate not in AGGREGATES:
+        raise ConfigError(f"unknown aggregate {cfg.aggregate!r}")
+    benchmarks = _select_benchmarks(cfg, model.benchmark_names)
+    out.mkdir(parents=True, exist_ok=True)
     stock = space.stock_config()
     reference = {b: model.time_for(space, stock, b) for b in benchmarks}
 
@@ -476,7 +480,8 @@ def cmd_oracle(args) -> int:
 
     constrained = suite_constrained_optimum(
         space, model, benchmarks, cfg.threshold_t, reference,
-        base_level=stock.base_level, max_flags=args.max_flags,
+        base_level=stock.base_level, aggregate_fn=AGGREGATES[cfg.aggregate],
+        max_flags=args.max_flags,
     )
     if constrained is None:
         raise CampaignError("no feasible configuration under the threshold")

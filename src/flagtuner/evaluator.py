@@ -82,7 +82,6 @@ class Measurement:
     status: str
     time: float | None = None
     digest: str | None = None
-    digest_algo: str = "md5"
     cached: bool = False
     detail: str = ""
 
@@ -100,8 +99,8 @@ class Measurement:
         return self.status == STATUS_OK
 
 
-def _digest_bytes(data: bytes, algo: str = "md5") -> str:
-    return hashlib.new(algo, data).hexdigest()
+def _digest_bytes(data: bytes) -> str:
+    return hashlib.md5(data).hexdigest()
 
 
 _FAILURE_PREFIX = "cfg:"
@@ -117,41 +116,42 @@ class EvalCache:
     Ok measurements are keyed by (benchmark, binary digest); failed ones by
     (benchmark, configuration identity) so broken flag combinations are not
     retried. Every put is appended and flushed immediately, which makes the
-    cache kill-safe. When backed by a file, an exclusive advisory lock is
-    held so concurrent campaigns cannot share one cache file.
+    cache kill-safe: a final line without its newline is a torn append and
+    is dropped on load, while a bad line anywhere else still raises. When
+    backed by a file, an exclusive advisory lock is held, and taken before
+    the file is read, so concurrent campaigns cannot share one cache file.
     """
 
-    def __init__(self, path: str | Path | None = None, lock: bool = True):
+    def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self.entries: dict[tuple[str, str], Measurement] = {}
         self._handle = None
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            if self.path.exists():
-                self._load()
-            self._handle = open(self.path, "a", encoding="utf-8")
-            if lock:
+            self._handle = open(self.path, "a+b")
+            try:
                 try:
                     fcntl.flock(self._handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
                 except BlockingIOError as exc:
-                    self._handle.close()
-                    self._handle = None
                     raise CacheLockedError(f"cache file {self.path} is locked") from exc
+                self._load()
+            except BaseException:
+                self.close()
+                raise
 
     def _load(self) -> None:
-        with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                meas = Measurement(
-                    status=rec["status"],
-                    time=rec["time"],
-                    digest=rec["digest"],
-                    digest_algo=rec.get("digest_algo", "md5"),
-                )
-                self.entries[(rec["benchmark"], rec["key"])] = meas
+        self._handle.seek(0)
+        complete = 0
+        for line in self._handle:
+            if not line.endswith(b"\n"):
+                self._handle.truncate(complete)
+                break
+            complete += len(line)
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+            meas = Measurement(status=rec["status"], time=rec["time"], digest=rec["digest"])
+            self.entries[(rec["benchmark"], rec["key"])] = meas
 
     def _key_for(self, config: Configuration, measurement: Measurement) -> str:
         if measurement.ok:
@@ -173,14 +173,14 @@ class EvalCache:
             rec = {
                 "benchmark": benchmark,
                 "key": key,
-                "digest_algo": stored.digest_algo,
+                "digest_algo": "md5",
                 "digest": stored.digest,
                 "status": stored.status,
                 "time": stored.time,
                 "config_bitstring": config.bitstring,
                 "base_level": config.base_level,
             }
-            self._handle.write(json.dumps(rec) + "\n")
+            self._handle.write(json.dumps(rec).encode() + b"\n")
             self._handle.flush()
 
     def __len__(self) -> int:
@@ -202,7 +202,7 @@ class EvalCache:
 # External compile-and-run pipeline
 # ---------------------------------------------------------------------------
 
-def _run_command(cmd: str, timeout: float, cwd: Path | None):
+def _run_command(cmd: str, timeout: float, cwd: str | Path | None):
     return subprocess.run(
         shlex.split(cmd),
         capture_output=True,
@@ -222,103 +222,13 @@ def _parse_reported_time(stdout: str) -> float | None:
         return None
 
 
-def evaluate(
-    space: FlagSpace,
-    config: Configuration,
-    bench: Benchmark,
-    cache: EvalCache,
-    *,
-    workdir: str | Path | None = None,
-    build_dir: str | Path | None = None,
-    digest_algo: str = "md5",
-) -> Measurement:
-    """Compile, digest and (if the digest is unseen) run one configuration.
-
-    Cache hits return the stored measurement with ``cached=True`` and spawn
-    no run process. The measured time is the minimum over
-    ``bench.repeat_runs`` timed executions.
-    """
-    _check_member(space, config)
-    cwd = Path(workdir) if workdir is not None else None
-
-    hit = cache.get_failure(bench.name, config)
-    if hit is not None:
-        return replace(hit, cached=True)
-
-    if build_dir is None:
-        build_dir = Path(tempfile.mkdtemp(prefix="flagtuner-build-"))
-    else:
-        build_dir = Path(build_dir)
-        build_dir.mkdir(parents=True, exist_ok=True)
-    # commands may run with a different cwd, so the binary path must be absolute
-    build_dir = build_dir.resolve()
-    out_path = build_dir / f"{bench.name}-{config.base_level}-{config.bitstring}.bin"
-
-    flags = " ".join(render_args(space, config))
-    compile_cmd = bench.compile_command.format(flags=flags, out=out_path)
-    try:
-        proc = _run_command(compile_cmd, bench.timeout, cwd)
-    except subprocess.TimeoutExpired:
-        meas = Measurement(STATUS_COMPILE_ERROR, detail="compile timed out")
-        cache.put(bench.name, config, meas)
-        return meas
-    if proc.returncode != 0 or not out_path.exists():
-        detail = proc.stderr.strip().splitlines()[-1] if proc.stderr.strip() else "compile failed"
-        meas = Measurement(STATUS_COMPILE_ERROR, detail=detail)
-        cache.put(bench.name, config, meas)
-        return meas
-
-    digest = _digest_bytes(out_path.read_bytes(), digest_algo)
-    hit = cache.get(bench.name, digest)
-    if hit is not None:
-        return replace(hit, cached=True)
-
-    run_cmd = bench.run_command.format(bin=out_path)
-    times = []
-    for _ in range(bench.repeat_runs):
-        started = _time.perf_counter()
-        try:
-            proc = _run_command(run_cmd, bench.timeout, cwd)
-        except subprocess.TimeoutExpired:
-            meas = Measurement(STATUS_TIMEOUT, digest=digest, digest_algo=digest_algo)
-            cache.put(bench.name, config, meas)
-            return meas
-        elapsed = _time.perf_counter() - started
-        if proc.returncode != 0:
-            meas = Measurement(
-                STATUS_RUN_ERROR,
-                digest=digest,
-                digest_algo=digest_algo,
-                detail=f"exit status {proc.returncode}",
-            )
-            cache.put(bench.name, config, meas)
-            return meas
-        if bench.timing == TIMING_EXTERNAL:
-            times.append(elapsed)
-        else:
-            reported = _parse_reported_time(proc.stdout)
-            if reported is None or reported <= 0:
-                meas = Measurement(
-                    STATUS_RUN_ERROR,
-                    digest=digest,
-                    digest_algo=digest_algo,
-                    detail="run command did not report a positive time",
-                )
-                cache.put(bench.name, config, meas)
-                return meas
-            times.append(reported)
-
-    meas = Measurement(STATUS_OK, time=min(times), digest=digest, digest_algo=digest_algo)
-    cache.put(bench.name, config, meas)
-    return meas
-
-
 class CommandEvaluator:
     """Evaluator backed by external compile/run commands, with counters.
 
-    ``executions`` counts measurement events that actually ran the binary
-    (cache hits perform none); ``compilations`` counts compiler invocations.
-    Timed executions are strictly serialized in submission order.
+    ``compilations`` counts compiler invocations, ``executions`` the
+    evaluations that ran the binary at least once and ``cache_hits`` the
+    failure and digest hits, which run nothing. Timed executions are
+    strictly serialized in submission order.
     """
 
     def __init__(
@@ -341,7 +251,8 @@ class CommandEvaluator:
         if build_dir is None:
             self._tmp = tempfile.TemporaryDirectory(prefix="flagtuner-build-")
             build_dir = self._tmp.name
-        self.build_dir = Path(build_dir)
+        # commands may run with a different cwd, so the binary path must be absolute
+        self.build_dir = Path(build_dir).resolve()
         self.executions = 0
         self.compilations = 0
         self.cache_hits = 0
@@ -351,27 +262,73 @@ class CommandEvaluator:
         return list(self.suite)
 
     def evaluate(self, config: Configuration, bench_name: str) -> Measurement:
+        """Compile, digest and (if the digest is unseen) run one configuration.
+
+        Cache hits return the stored measurement with ``cached=True`` and spawn
+        no run process; every fresh outcome is put in the cache. The measured
+        time is the minimum over ``repeat_runs`` timed executions.
+        """
         if bench_name not in self.suite:
             raise ValueError(f"unknown benchmark {bench_name!r}")
-        bench = self.suite[bench_name]
-        meas = evaluate(
-            self.space,
-            config,
-            bench,
-            self.cache,
-            workdir=self.workdir,
-            build_dir=self.build_dir,
-        )
-        if meas.cached:
-            self.cache_hits += 1
-            if meas.ok:
-                # digest hit: this call still compiled to learn the digest
-                self.compilations += 1
-        else:
-            self.compilations += 1
-            if meas.status in (STATUS_OK, STATUS_RUN_ERROR, STATUS_TIMEOUT):
-                self.executions += 1
+        _check_member(self.space, config)
+        meas = self._measure(config, self.suite[bench_name])
+        if not meas.cached:
+            self.cache.put(bench_name, config, meas)
         return meas
+
+    def _measure(self, config: Configuration, bench: Benchmark) -> Measurement:
+        """A cache hit, marked ``cached``, or the fresh outcome of the pipeline."""
+        hit = self.cache.get_failure(bench.name, config)
+        if hit is not None:
+            self.cache_hits += 1
+            return replace(hit, cached=True)
+
+        self.build_dir.mkdir(parents=True, exist_ok=True)
+        out_path = self.build_dir / f"{bench.name}-{config.base_level}-{config.bitstring}.bin"
+        flags = " ".join(render_args(self.space, config))
+        compile_cmd = bench.compile_command.format(flags=flags, out=out_path)
+        self.compilations += 1
+        try:
+            proc = _run_command(compile_cmd, bench.timeout, self.workdir)
+        except subprocess.TimeoutExpired:
+            return Measurement(STATUS_COMPILE_ERROR, detail="compile timed out")
+        if proc.returncode != 0 or not out_path.exists():
+            stderr = proc.stderr.strip()
+            detail = stderr.splitlines()[-1] if stderr else "compile failed"
+            return Measurement(STATUS_COMPILE_ERROR, detail=detail)
+
+        digest = _digest_bytes(out_path.read_bytes())
+        hit = self.cache.get(bench.name, digest)
+        if hit is not None:
+            self.cache_hits += 1
+            return replace(hit, cached=True)
+
+        run_cmd = bench.run_command.format(bin=out_path)
+        self.executions += 1
+        times = []
+        for _ in range(bench.repeat_runs):
+            started = _time.perf_counter()
+            try:
+                proc = _run_command(run_cmd, bench.timeout, self.workdir)
+            except subprocess.TimeoutExpired:
+                return Measurement(STATUS_TIMEOUT, digest=digest)
+            elapsed = _time.perf_counter() - started
+            if proc.returncode != 0:
+                return Measurement(
+                    STATUS_RUN_ERROR, digest=digest, detail=f"exit status {proc.returncode}"
+                )
+            if bench.timing == TIMING_EXTERNAL:
+                times.append(elapsed)
+                continue
+            reported = _parse_reported_time(proc.stdout)
+            if reported is None or reported <= 0:
+                return Measurement(
+                    STATUS_RUN_ERROR,
+                    digest=digest,
+                    detail="run command did not report a positive time",
+                )
+            times.append(reported)
+        return Measurement(STATUS_OK, time=min(times), digest=digest)
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +352,6 @@ class BenchmarkModel:
     level_multiplier: dict[str, float] = field(default_factory=dict)
     flag_delta: dict[str, float] = field(default_factory=dict)
     pair_delta: tuple[PairDelta, ...] = ()
-
-    def flag_names(self) -> set[str]:
-        names = set(self.flag_delta)
-        for p in self.pair_delta:
-            names.add(p.flag_a)
-            names.add(p.flag_b)
-        return names
 
 
 @dataclass(frozen=True)
@@ -436,12 +386,24 @@ class SyntheticModel:
                 t += p.delta
         return t
 
-    def validate_positive(self, levels: Sequence[str]) -> None:
-        """Interval-bound check that no configuration can reach a time <= 0."""
+    def validate(self, space: FlagSpace) -> None:
+        """Reject a model that names a flag outside ``space`` or that some
+        configuration could drive to a time <= 0.
+
+        The time bound is an interval bound: base time x multiplier plus every
+        negative flag and pair delta, at each of the space's levels and at each
+        level the benchmark gives a multiplier for.
+        """
+        known = {f.name for f in space.flags}
         for name, bm in self.benchmarks.items():
+            unknown = set(bm.flag_delta).union(*((p.flag_a, p.flag_b) for p in bm.pair_delta))
+            unknown -= known
+            if unknown:
+                raise ValueError(f"{name}: model references flags not in the space: "
+                                 f"{sorted(unknown)}")
             worst_flags = sum(min(0.0, d) for d in bm.flag_delta.values())
             worst_pairs = sum(min(0.0, p.delta) for p in bm.pair_delta)
-            for level in levels:
+            for level in dict.fromkeys([*space.base_levels, *bm.level_multiplier]):
                 mult = bm.level_multiplier.get(level, 1.0)
                 if mult <= 0:
                     raise ValueError(f"{name}: multiplier for {level} must be > 0")
@@ -469,10 +431,7 @@ def load_synthetic_model(path: str | Path) -> SyntheticModel:
             flag_delta={k: float(v) for k, v in raw.get("flag_delta", {}).items()},
             pair_delta=tuple(pairs),
         )
-    model = SyntheticModel(benches)
-    for bm in benches.values():
-        model.validate_positive(list(bm.level_multiplier) or ["default"])
-    return model
+    return SyntheticModel(benches)
 
 
 def evaluate_synthetic(
@@ -498,13 +457,7 @@ class SyntheticEvaluator:
     """
 
     def __init__(self, space: FlagSpace, model: SyntheticModel, cache: EvalCache | None = None):
-        unknown = set()
-        space_names = {f.name for f in space.flags}
-        for bm in model.benchmarks.values():
-            unknown |= bm.flag_names() - space_names
-        if unknown:
-            raise ValueError(f"model references flags not in the space: {sorted(unknown)}")
-        model.validate_positive(space.base_levels)
+        model.validate(space)
         self.space = space
         self.model = model
         self.cache = cache if cache is not None else EvalCache()

@@ -10,6 +10,7 @@ from flagtuner.artifacts import read_checkpoint, read_final_config, read_trace
 from flagtuner.cli import main
 from flagtuner.evaluator import EvalCache
 from flagtuner.flagspace import load_flag_space
+from flagtuner.search import AGGREGATES
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -294,6 +295,51 @@ def test_rejected_resume_creates_nothing(tmp_path, demo_config, command, extra):
     assert not fresh.exists()
 
 
+def _pair_model(tmp_path, name, **changes):
+    demo = Path(__file__).resolve().parent.parent / "demo"
+    data = json.loads((demo / "pair_model.json").read_text())
+    data["benchmarks"]["cover"].update(changes)
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("ce", {"benchmark": "nope"}),
+        ("ric", {"benchmarks": ["nope"]}),
+        ("ric", {"model": "unknown_flag.json"}),
+        ("oracle", {"model": "unknown_flag.json"}),
+        ("oracle", {"model": "negative_at_O2.json"}),
+    ],
+    ids=["ce-benchmark", "ric-benchmarks", "ric-unknown-flag", "oracle-unknown-flag",
+         "oracle-non-positive"],
+)
+def test_rejected_config_creates_nothing(tmp_path, command, overrides):
+    _pair_model(tmp_path, "unknown_flag.json", flag_delta={"ivopts": -5.0, "zz": 1.0})
+    # multipliers only for O1 and O3, so O2 runs at 1.0: 20 - 5 - 5 - 20 < 0
+    _pair_model(tmp_path, "negative_at_O2.json", base_time=20.0,
+                level_multiplier={"O1": 2.0, "O3": 2.0})
+    if "model" in overrides:
+        overrides = {"model": str(tmp_path / overrides["model"])}
+    config = write_config(tmp_path / "c.json", **overrides)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_torn_cache_tail_is_dropped(tmp_path, demo_config):
+    full = tmp_path / "full"
+    assert main(["ric", "--config", demo_config("pair"), "--out", str(full)]) == 0
+    out = tmp_path / "o"
+    assert main(["ric", "--config", demo_config("pair"), "--out", str(out)]) == 0
+    cache = out / "cache.jsonl"
+    cache.write_bytes(cache.read_bytes()[:-20])
+    assert main(["ric", "--config", demo_config("pair"), "--out", str(out)]) == 0
+    assert (out / "ric.trace").read_bytes() == (full / "ric.trace").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
@@ -306,6 +352,28 @@ def test_oracle_pair_demo(tmp_path, demo_config):
     constrained = json.loads((out / "oracle_constrained.json").read_text())
     assert constrained["bitstring"] == "00"
     assert constrained["aggregate_ratio"] == 0.9
+
+
+def test_oracle_scores_with_configured_aggregate(tmp_path, demo_dir, tradeoff_space,
+                                                tradeoff_model):
+    config = write_config(
+        tmp_path / "c.json",
+        flag_space=str(demo_dir / "tradeoff_space.json"),
+        model=str(demo_dir / "tradeoff_model.json"),
+        threshold_t=3.0,
+        aggregate="geomean",
+    )
+    assert main(["suite-ce", "--config", str(config), "--out", str(tmp_path / "ce")]) == 0
+    assert main(["oracle", "--config", str(config), "--out", str(tmp_path / "oracle")]) == 0
+    found = read_final_config(tmp_path / "ce" / "suite_ce.config.json")
+    stock = tradeoff_space.stock_config()
+    found_aggregate = AGGREGATES["geomean"]([
+        tradeoff_model.time_for(tradeoff_space, found, b)
+        / tradeoff_model.time_for(tradeoff_space, stock, b)
+        for b in tradeoff_model.benchmark_names
+    ])
+    optimum = json.loads((tmp_path / "oracle" / "oracle_constrained.json").read_text())
+    assert optimum["aggregate_ratio"] <= found_aggregate
 
 
 def test_oracle_refuses_external_mode(tmp_path, demo_config):

@@ -82,6 +82,19 @@ def test_model_rejects_unknown_flags():
         SyntheticEvaluator(space, model)
 
 
+def test_model_check_covers_space_and_multiplier_levels():
+    space = space_of(1, levels=("O2", "O3"))
+    # O2 has no multiplier (1.0): 20 - 30 < 0 there, though O3 is positive
+    model = model_of({"b": {"base": 20.0, "deltas": {"f0": -30.0}, "multipliers": {"O3": 2.0}}})
+    with pytest.raises(ValueError, match="at O2"):
+        model.validate(space)
+    # a level the space lacks is still checked when the model names it
+    model = model_of({"b": {"base": 20.0, "multipliers": {"O0": -1.0}}})
+    with pytest.raises(ValueError, match="multiplier for O0"):
+        model.validate(space)
+    model_of({"b": {"base": 20.0, "multipliers": {"O0": 0.5}}}).validate(space)
+
+
 def test_load_synthetic_model(demo_dir):
     model = load_synthetic_model(demo_dir / "pair_model.json")
     assert model.benchmark_names == ["cover"]
@@ -150,6 +163,52 @@ def test_cache_lock_excludes_second_writer(tmp_path):
             EvalCache(path)
     # released on close
     EvalCache(path).close()
+
+
+def test_torn_tail_is_dropped_at_every_offset(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    config = Configuration("O3", (True, False))
+    with EvalCache(path) as cache:
+        cache.put("a", config, Measurement("ok", time=1.5, digest="d1"))
+        cache.put("a", toggle(config, 0), Measurement("compile_error"))
+        kept = dict(cache.entries)
+        prefix = path.read_bytes()
+        cache.put("b", config, Measurement("timeout", digest="d2"))
+    last = path.read_bytes()[len(prefix):]
+    for cut in range(1, len(last)):
+        path.write_bytes(prefix + last[:cut])
+        with EvalCache(path) as cache:
+            assert cache.entries == kept
+            assert path.read_bytes() == prefix
+            cache.put("b", config, Measurement("ok", time=2.0, digest="d3"))
+            entries = dict(cache.entries)
+        with EvalCache(path) as again:
+            assert again.entries == entries
+
+
+def test_corrupt_middle_line_still_raises(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    with EvalCache(path) as cache:
+        cache.put("a", Configuration("O3", (True,)), Measurement("ok", time=1.0, digest="d1"))
+    path.write_bytes(b"{ torn\n" + path.read_bytes())
+    with pytest.raises(ValueError):
+        EvalCache(path)
+    # the failed open released its lock
+    with pytest.raises(ValueError):
+        EvalCache(path)
+
+
+def test_locked_cache_is_neither_read_nor_truncated(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    with EvalCache(path) as cache:
+        cache.put("a", Configuration("O3", (True,)), Measurement("ok", time=1.0, digest="d1"))
+        # the holder is mid-append: its record lacks the newline so far
+        with open(path, "ab") as fh:
+            fh.write(b'{"benchmark": "a", "ke')
+        before = path.read_bytes()
+        with pytest.raises(CacheLockedError):
+            EvalCache(path)
+        assert path.read_bytes() == before
 
 
 def test_synthetic_evaluator_cache_contract():
@@ -232,6 +291,32 @@ def test_compile_error_is_cached_not_retried(demo_dir, tmp_path):
     second = ev.evaluate(config, "broken")
     assert second.cached and second.status == "compile_error"
     assert ev.compilations == 1
+
+
+def test_counters_on_mixed_outcomes(demo_dir, tmp_path):
+    space = load_flag_space(demo_dir / "stub_space.json")
+    stubcc = "python3 stub/stubcc.py {flags} --out {out}"
+    suite = load_suite(demo_dir / "stub_suite.json") + [
+        Benchmark("broken", "python3 -c 'import sys; sys.exit(1)'", "true", timeout=10.0),
+        Benchmark("crashy", stubcc, "python3 -c 'import sys; sys.exit(3)'", timeout=10.0),
+        Benchmark("slow", stubcc, "python3 -c 'import time; time.sleep(30)'", timeout=0.5),
+    ]
+    ev = CommandEvaluator(space, suite, workdir=demo_dir, build_dir=tmp_path)
+    stock = space.stock_config()
+    ignored = toggle(stock, space.index_of("prefetch-loop-arrays"))
+    steps = [
+        (stock, "alpha", "ok", False, (1, 1, 0)),  # fresh
+        (ignored, "alpha", "ok", True, (2, 1, 1)),  # digest hit: compiles, runs nothing
+        (stock, "alpha", "ok", True, (3, 1, 2)),  # repeat: a digest hit too
+        (stock, "broken", "compile_error", False, (4, 1, 2)),
+        (stock, "broken", "compile_error", True, (4, 1, 3)),  # failure hit: compiles nothing
+        (stock, "crashy", "run_error", False, (5, 2, 3)),
+        (stock, "slow", "timeout", False, (6, 3, 3)),
+    ]
+    for config, bench, status, cached, counters in steps:
+        meas = ev.evaluate(config, bench)
+        assert (meas.status, meas.cached) == (status, cached)
+        assert (ev.compilations, ev.executions, ev.cache_hits) == counters
 
 
 def test_run_error_status(demo_dir, tmp_path):

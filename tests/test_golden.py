@@ -2,8 +2,9 @@
 
 ``golden_demo.sha256`` pins every reproducible artifact that
 ``scripts/run_demo.py`` writes. Left out: ``run.log`` (timestamps), the
-``*.jsonl`` caches, the external-mode ``build/`` directory and
-``training_manifest.json``, which embeds absolute paths. A change that
+``*.jsonl`` caches and the external-mode ``build/`` directory. The demo
+runs from a scratch working directory with a relative ``--out``, so every
+path it writes must resolve without the caller's directory. A change that
 means to alter an artifact updates the digest file and names the artifact.
 """
 
@@ -14,7 +15,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 DEMO_SCRIPT = HERE.parent / "scripts" / "run_demo.py"
-EXCLUDED_NAMES = {"run.log", "training_manifest.json"}
+EXCLUDED_NAMES = {"run.log"}
 
 
 def artifact_digests(root: Path) -> dict[str, str]:
@@ -33,9 +34,10 @@ def artifact_digests(root: Path) -> dict[str, str]:
 
 
 def test_demo_artifacts_match_recorded_digests(tmp_path, monkeypatch):
-    out = tmp_path / "demo"
-    monkeypatch.setattr(sys, "argv", [str(DEMO_SCRIPT), "--out", str(out)])
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", [str(DEMO_SCRIPT), "--out", "demo"])
     runpy.run_path(str(DEMO_SCRIPT), run_name="__main__")
+    out = tmp_path / "demo"
     expected = {}
     for line in (HERE / "golden_demo.sha256").read_text(encoding="utf-8").splitlines():
         digest, name = line.split("  ", 1)
