@@ -505,7 +505,6 @@ def cmd_oracle(args) -> int:
 
 def cmd_report(args) -> int:
     out = Path(args.out) if args.out else Path("out")
-    out.mkdir(parents=True, exist_ok=True)
     try:
         space = load_flag_space(args.space)
     except FlagSpaceError as exc:
@@ -522,6 +521,7 @@ def cmd_report(args) -> int:
     reference = _baseline_reference(ref_trace)
 
     table = compare_to_baseline(named, reference)
+    out.mkdir(parents=True, exist_ok=True)
     write_compare(out / "compare.csv", table)
     for name, trace in named:
         write_series(out / f"{name}.series.csv", floored_best_so_far(trace, reference))
@@ -537,7 +537,6 @@ def cmd_report(args) -> int:
 
 def cmd_predict_1nn(args) -> int:
     out = Path(args.out) if args.out else Path("out")
-    out.mkdir(parents=True, exist_ok=True)
     try:
         space = load_flag_space(args.space)
     except FlagSpaceError as exc:
@@ -564,6 +563,7 @@ def cmd_predict_1nn(args) -> int:
         table = performance_table(trace, rec.get("benchmark", program))
         training.append((features[program], table))
     config = predict_1nn(features[args.query], training)
+    out.mkdir(parents=True, exist_ok=True)
     write_final_config(out / "predicted.config.json", space, config)
     _write_summary(
         out,

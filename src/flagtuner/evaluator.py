@@ -25,7 +25,15 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
-from flagtuner.flagspace import Configuration, FlagSpace, _check_member, render_args
+import numpy as np
+
+from flagtuner.flagspace import (
+    Configuration,
+    FlagSpace,
+    FlagSpaceError,
+    _check_member,
+    render_args,
+)
 
 STATUS_OK = "ok"
 STATUS_COMPILE_ERROR = "compile_error"
@@ -363,6 +371,12 @@ class SyntheticModel:
                  + sum of pair deltas whose joint state matches.
 
     Multipliers and deltas absent from the mappings default to 1.0 and 0.0.
+    Terms are added left to right in a fixed order: the base term, then the
+    delta of each enabled flag of the space in flag order, then each matching
+    pair term in model order (a pair naming a flag outside the space never
+    matches). ``time_for`` and ``times`` both keep this order, so they give
+    the same float for the same configuration, bit for bit; the oracle's
+    tie-breaks depend on that.
     """
 
     benchmarks: dict[str, BenchmarkModel]
@@ -372,6 +386,10 @@ class SyntheticModel:
         return list(self.benchmarks)
 
     def time_for(self, space: FlagSpace, config: Configuration, bench_name: str) -> float:
+        """Time of one configuration, in the term order of the class docstring.
+
+        The scalar reference for ``times``.
+        """
         if bench_name not in self.benchmarks:
             raise ValueError(f"benchmark {bench_name!r} not modeled")
         _check_member(space, config)
@@ -384,6 +402,30 @@ class SyntheticModel:
         for p in bm.pair_delta:
             if state.get(p.flag_a) == p.state_a and state.get(p.flag_b) == p.state_b:
                 t += p.delta
+        return t
+
+    def times(
+        self, space: FlagSpace, bench_name: str, level: str, masks: np.ndarray
+    ) -> np.ndarray:
+        """Times of many flag assignments at one base level, as float64.
+
+        ``masks`` is an int64 array in which bit j drives flag j. Each term is
+        added only where it is active, in the term order of the class
+        docstring, so element i equals ``time_for`` of mask i exactly.
+        """
+        if bench_name not in self.benchmarks:
+            raise ValueError(f"benchmark {bench_name!r} not modeled")
+        if level not in space.base_levels:
+            raise FlagSpaceError(f"unknown base level {level!r}")
+        bm = self.benchmarks[bench_name]
+        state = {f.name: ((masks >> j) & 1) == 1 for j, f in enumerate(space.flags)}
+        t = np.full(masks.shape, bm.base_time * bm.level_multiplier.get(level, 1.0))
+        for name, on in state.items():
+            np.add(t, bm.flag_delta.get(name, 0.0), out=t, where=on)
+        for p in bm.pair_delta:
+            if p.flag_a in state and p.flag_b in state:
+                on = (state[p.flag_a] == p.state_a) & (state[p.flag_b] == p.state_b)
+                np.add(t, p.delta, out=t, where=on)
         return t
 
     def validate(self, space: FlagSpace) -> None:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from flagtuner.evaluator import BenchmarkModel, PairDelta, SyntheticModel
-from flagtuner.flagspace import Flag, FlagSpace
+from flagtuner.flagspace import Configuration, Flag, FlagSpace
 
 
 def space_of(
@@ -99,3 +101,45 @@ def random_suite_instance(
             )
         benches[name] = {"base": 100.0, "deltas": deltas, "pairs": pairs}
     return space, model_of(benches), names
+
+
+def config_of(level: str, mask: int, n: int) -> Configuration:
+    """The configuration whose flag j is enabled when bit j of ``mask`` is set."""
+    return Configuration(level, tuple(bool((mask >> j) & 1) for j in range(n)))
+
+
+@st.composite
+def quantised_models(
+    draw, max_flags: int = 6, max_benches: int = 3
+) -> tuple[FlagSpace, SyntheticModel]:
+    """Space and model with positive times and deltas in steps of 0.1, so
+    sums tie often; the deltas are large next to the times, so the rounding
+    of a sum often depends on the order its terms are added in.
+
+    Some flags have no delta and some levels no multiplier; pairs may name
+    their flags in either order, the same flag twice, or a flag outside the
+    space.
+    """
+    n = draw(st.integers(0, max_flags))
+    levels = draw(st.sampled_from([("O3",), ("O1", "O3"), ("O1", "O2", "O3")]))
+    rng = draw(st.randoms(use_true_random=False))
+    names = [f"f{i}" for i in range(n + 1)]
+    benches = {}
+    for b in range(rng.randint(1, max_benches)):
+        deltas = {name: rng.randint(-30, 30) / 10 for name in names[:n] if rng.random() < 0.7}
+        pairs = [
+            (rng.choice(names), rng.choice(names), rng.random() < 0.5, rng.random() < 0.5,
+             rng.randint(-30, 30) / 10)
+            for _ in range(rng.randint(0, 4))
+        ]
+        worst = sum(min(0.0, d) for d in [*deltas.values(), *(p[4] for p in pairs)])
+        benches[f"b{b}"] = {
+            # multipliers are >= 1, so every time is at least the margin above 0
+            "base": rng.randint(1, 40) / 10 - worst,
+            "multipliers": {
+                level: rng.choice([1.1, 1.3, 2.0]) for level in levels if rng.random() < 0.5
+            },
+            "deltas": deltas,
+            "pairs": pairs,
+        }
+    return space_of(n, levels=levels), model_of(benches)

@@ -329,6 +329,20 @@ def test_rejected_config_creates_nothing(tmp_path, command, overrides):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["report", "predict-1nn"],
+                         ids=["report-missing-trace", "predict-1nn-missing-manifest"])
+def test_rejected_input_creates_nothing(tmp_path, demo_dir, command):
+    out = tmp_path / "o"
+    if command == "report":
+        argv = ["report", str(tmp_path / "missing.trace")]
+    else:
+        argv = ["predict-1nn", str(demo_dir / "features.csv"), str(tmp_path / "missing.json"),
+                "fir"]
+    space = str(demo_dir / "tradeoff_space.json")
+    assert main([*argv, "--space", space, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_torn_cache_tail_is_dropped(tmp_path, demo_config):
     full = tmp_path / "full"
     assert main(["ric", "--config", demo_config("pair"), "--out", str(full)]) == 0

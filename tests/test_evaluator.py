@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +16,7 @@ from flagtuner.evaluator import (
     load_synthetic_model,
 )
 from flagtuner.flagspace import Configuration, load_flag_space, toggle
-from helpers import model_of, pair_dependency_model, space_of
+from helpers import config_of, model_of, pair_dependency_model, quantised_models, space_of
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +94,17 @@ def test_model_check_covers_space_and_multiplier_levels():
     with pytest.raises(ValueError, match="multiplier for O0"):
         model.validate(space)
     model_of({"b": {"base": 20.0, "multipliers": {"O0": 0.5}}}).validate(space)
+
+
+@given(quantised_models(max_flags=10, max_benches=1))
+def test_batched_times_equal_time_for(instance):
+    space, model = instance
+    n = len(space)
+    masks = np.arange(2**n, dtype=np.int64)[::-1]
+    for level in space.base_levels:
+        got = model.times(space, "b0", level, masks).tolist()
+        want = [model.time_for(space, config_of(level, m, n), "b0") for m in masks.tolist()]
+        assert got == want
 
 
 def test_load_synthetic_model(demo_dir):

@@ -1,12 +1,45 @@
-import pytest
+from statistics import fmean, geometric_mean
 
+import pytest
+from hypothesis import given, strategies as st
+
+from flagtuner import oracle
 from flagtuner.flagspace import Configuration
 from flagtuner.oracle import (
     enumerate_configurations,
     per_benchmark_optimum,
     suite_constrained_optimum,
 )
-from helpers import model_of, pair_dependency_model, space_of
+from helpers import config_of, model_of, pair_dependency_model, quantised_models, space_of
+
+
+def scalar_per_benchmark(space, model, bench, base_level=None):
+    """The oracle's loop before blocks: ``time_for`` in enumeration order."""
+    best = None
+    for config in enumerate_configurations(space, base_level):
+        t = model.time_for(space, config, bench)
+        if best is None or t < best[0]:
+            best = (t, config)
+    return best
+
+
+def scalar_constrained(space, model, benches, threshold_t, reference, base_level, aggregate_fn):
+    """The constrained loop before blocks: a configuration stops at its first
+    benchmark over the bound."""
+    bound = {b: (1.0 + threshold_t / 100.0) * reference[b] for b in benches}
+    best = None
+    for config in enumerate_configurations(space, base_level):
+        times = {}
+        for b in benches:
+            t = model.time_for(space, config, b)
+            if t > bound[b]:
+                break
+            times[b] = t
+        else:
+            agg = aggregate_fn([times[b] / reference[b] for b in benches])
+            if best is None or agg < best[0]:
+                best = (agg, config)
+    return best
 
 
 def test_zero_flags_picks_best_base_level():
@@ -74,3 +107,72 @@ def test_constrained_equals_unconstrained_when_threshold_is_huge(
         )
         best = a if best is None else min(best, a)
     assert agg == best
+
+
+@given(
+    quantised_models(),
+    st.sampled_from([1, 3, 8, oracle.BLOCK_SIZE]),
+    st.sampled_from([None, "O1", "O3"]),
+    st.sampled_from([fmean, geometric_mean]),
+    st.sampled_from([0.0, 1.0, 5.0]),
+)
+def test_blocked_oracle_equals_scalar_brute_force(instance, block, base_level, agg_fn, t):
+    space, model = instance
+    if base_level not in (None, *space.base_levels):
+        base_level = None
+    benches = model.benchmark_names
+    stock = space.stock_config()
+    refs = {b: model.time_for(space, stock, b) for b in benches}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "BLOCK_SIZE", block)
+        for b in benches:
+            got = per_benchmark_optimum(space, model, b, base_level=base_level)
+            assert got == scalar_per_benchmark(space, model, b, base_level)
+        got = suite_constrained_optimum(
+            space, model, benches, t, refs, base_level=base_level, aggregate_fn=agg_fn
+        )
+    assert got == scalar_constrained(space, model, benches, t, refs, base_level, agg_fn)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, oracle.BLOCK_SIZE])
+def test_ties_go_to_the_first_configuration_enumerated(monkeypatch, block):
+    # f1 alone, f2 alone and both together all give 99.0; so does every level
+    space = space_of(3, levels=("O1", "O2", "O3"))
+    recipe = {"deltas": {"f0": 1.0, "f1": -1.0, "f2": -1.0},
+              "pairs": [("f1", "f2", True, True, 1.0)]}
+    model = model_of({"a": recipe, "b": recipe})
+    monkeypatch.setattr(oracle, "BLOCK_SIZE", block)
+    assert per_benchmark_optimum(space, model, "a") == (99.0, config_of("O1", 0b010, 3))
+    assert per_benchmark_optimum(space, model, "a", base_level="O3") == (
+        99.0, config_of("O3", 0b010, 3))
+    refs = {"a": 101.0, "b": 101.0}
+    for agg_fn in (fmean, geometric_mean):
+        agg, config = suite_constrained_optimum(space, model, ["a", "b"], 0.0, refs,
+                                                aggregate_fn=agg_fn)
+        assert config == config_of("O1", 0b010, 3)
+        assert agg == agg_fn([99.0 / 101.0] * 2)
+
+
+def test_infeasible_threshold_returns_none(monkeypatch):
+    space = space_of(4, levels=("O1", "O3"))
+    model = model_of({"b": {"multipliers": {"O1": 2.0}, "deltas": {"f0": -5.0, "f3": 5.0}}})
+    refs = {"b": model.time_for(space, space.stock_config(), "b")}
+    monkeypatch.setattr(oracle, "BLOCK_SIZE", 4)
+    assert suite_constrained_optimum(space, model, ["b"], 5.0, refs, base_level="O1") is None
+    assert suite_constrained_optimum(space, model, ["b"], 5.0, refs) is not None
+
+
+def _every_flag_helps(n):
+    return space_of(n), model_of({"b": {"deltas": {f"f{i}": -1.0 for i in range(n)}}})
+
+
+def test_default_cap_admits_17_flags_and_rejects_23():
+    space, model = _every_flag_helps(17)
+    assert per_benchmark_optimum(space, model, "b") == (83.0, space.all_enabled())
+    assert suite_constrained_optimum(space, model, ["b"], 0.0, {"b": 84.0}) == (
+        83.0 / 84.0, space.all_enabled())
+    space, model = _every_flag_helps(23)
+    with pytest.raises(ValueError, match="cap of 22"):
+        per_benchmark_optimum(space, model, "b")
+    with pytest.raises(ValueError, match="cap of 22"):
+        suite_constrained_optimum(space, model, ["b"], 0.0, {"b": 77.0})
