@@ -26,7 +26,6 @@ from flagtuner.evaluator import (
     Measurement,
     SyntheticEvaluator,
     SyntheticModel,
-    evaluate_synthetic,
     load_suite,
     load_synthetic_model,
 )

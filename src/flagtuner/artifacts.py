@@ -5,6 +5,11 @@ byte-identical files. Timestamps never appear in artifacts (they belong in
 the run log), so replaying a campaign against a warm cache rewrites the
 same bytes.
 
+Every artifact goes through ``write_text``, which writes it whole to a temp
+file in the same directory and renames that over the old file, so a killed
+process leaves the old file or the new one, never a torn one. As with the
+cache, nothing is fsynced: the promise does not cover a power loss.
+
 Trace files are CSV with one line per (tested configuration, benchmark)
 measurement: sequence, config bitstring, base level, benchmark, time,
 status, annotation.
@@ -14,8 +19,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
+import os
 from pathlib import Path
+from typing import Iterable
 
 from flagtuner.analysis import CompareTable, RelativeSeries
 from flagtuner.evaluator import Measurement
@@ -25,23 +33,41 @@ from flagtuner.search import CampaignTrace, CEState
 TRACE_COLUMNS = ["sequence", "bitstring", "base_level", "benchmark", "time", "status", "annotation"]
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text`` through a temp file that never outlives
+    the call, unless ``path`` holds those bytes already: a replay rewrites
+    every artifact unchanged, and a rename over an existing file costs far
+    more than reading it."""
+    path = Path(path)
+    data = text.encode("utf-8")
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        if not (path.exists() and path.read_bytes() == data):
+            tmp.write_bytes(data)
+            os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_json(path: str | Path, data) -> None:
+    write_text(path, json.dumps(data, indent=2) + "\n")
+
+
+def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_text(path, buf.getvalue())
+
+
 def write_trace(path: str | Path, trace: CampaignTrace) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        for rec in trace.records:
-            for bench, m in rec.measurements.items():
-                writer.writerow(
-                    [
-                        rec.seq,
-                        rec.config.bitstring,
-                        rec.config.base_level,
-                        bench,
-                        "" if m.time is None else repr(m.time),
-                        m.status,
-                        rec.annotation,
-                    ]
-                )
+    write_csv(path, TRACE_COLUMNS, (
+        [rec.seq, rec.config.bitstring, rec.config.base_level, bench,
+         "" if m.time is None else repr(m.time), m.status, rec.annotation]
+        for rec in trace.records
+        for bench, m in rec.measurements.items()
+    ))
 
 
 def read_trace(path: str | Path, space: FlagSpace) -> CampaignTrace:
@@ -90,7 +116,7 @@ def write_final_config(path: str | Path, space: FlagSpace, config: Configuration
         "flags": {f.name: on for f, on in zip(space.flags, config.assignment)},
         "args": render_args(space, config),
     }
-    Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    write_json(path, data)
 
 
 def read_final_config(path: str | Path) -> Configuration:
@@ -99,36 +125,20 @@ def read_final_config(path: str | Path) -> Configuration:
 
 
 def write_series(path: str | Path, series: RelativeSeries) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["configs_tested", "value"])
-        for n, value in series.points:
-            writer.writerow([n, repr(value)])
+    write_csv(path, ["configs_tested", "value"], ([n, repr(v)] for n, v in series.points))
 
 
 def write_compare(path: str | Path, table: CompareTable) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["benchmark", "best_time", "ref_time", "ratio", "method", "base_level", "bitstring", "seq"]
-        )
-        for r in table.rows:
-            writer.writerow(
-                [
-                    r.benchmark,
-                    repr(r.best_time),
-                    repr(r.ref_time),
-                    repr(r.ratio),
-                    r.method,
-                    r.config.base_level,
-                    r.config.bitstring,
-                    r.seq,
-                ]
-            )
-        writer.writerow(["suite_mean", "", "", repr(table.mean_ratio), "", "", "", ""])
-        writer.writerow(
-            ["suite_mean_floored", "", "", repr(table.mean_ratio_floored), "", "", "", ""]
-        )
+    rows = [
+        [r.benchmark, repr(r.best_time), repr(r.ref_time), repr(r.ratio), r.method,
+         r.config.base_level, r.config.bitstring, r.seq]
+        for r in table.rows
+    ]
+    rows.append(["suite_mean", "", "", repr(table.mean_ratio), "", "", "", ""])
+    rows.append(["suite_mean_floored", "", "", repr(table.mean_ratio_floored), "", "", "", ""])
+    header = ["benchmark", "best_time", "ref_time", "ratio", "method", "base_level", "bitstring",
+              "seq"]
+    write_csv(path, header, rows)
 
 
 def file_digest(path: str | Path) -> str:
@@ -161,7 +171,7 @@ def write_checkpoint(
             "B": {"base_level": state.B.base_level, "bitstring": state.B.bitstring},
             "X": state.X,
         }
-    Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    write_json(path, data)
 
 
 def read_checkpoint(path: str | Path) -> dict:

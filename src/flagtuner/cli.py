@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 usage/parse error, 2 campaign failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import dataclass, field
@@ -41,15 +40,20 @@ from flagtuner.artifacts import (
     read_trace,
     write_checkpoint,
     write_compare,
+    write_csv,
     write_final_config,
+    write_json,
     write_series,
+    write_text,
     write_trace,
 )
 from flagtuner.evaluator import (
+    Benchmark,
     CacheLockedError,
     CommandEvaluator,
     EvalCache,
     SyntheticEvaluator,
+    SyntheticModel,
     load_suite,
     load_synthetic_model,
 )
@@ -92,6 +96,7 @@ class _Parser(argparse.ArgumentParser):
 @dataclass
 class CampaignConfig:
     path: Path
+    command: str
     flag_space: Path
     mode: str
     model: Path | None
@@ -107,7 +112,15 @@ class CampaignConfig:
     benchmarks: list[str] | None
 
 
-def load_campaign_config(path: str | Path, seed_override: int | None = None) -> CampaignConfig:
+def load_campaign_config(
+    path: str | Path,
+    command: str,
+    seed_override: int | None = None,
+    threshold_override: float | None = None,
+) -> CampaignConfig:
+    """The config of ``path`` for ``command``, with the command line's seed
+    and threshold, checked field by field. What depends on the model or
+    suite is checked by ``_load_inputs``."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -135,6 +148,7 @@ def load_campaign_config(path: str | Path, seed_override: int | None = None) -> 
         raise ConfigError(f"{path}: mode must be 'synthetic' or 'external'")
     cfg = CampaignConfig(
         path=path,
+        command=command,
         flag_space=resolve("flag_space", required=True),
         mode=mode,
         model=resolve("model", required=(mode == "synthetic")),
@@ -143,12 +157,23 @@ def load_campaign_config(path: str | Path, seed_override: int | None = None) -> 
         out_dir=(base / data["out_dir"]) if "out_dir" in data else None,
         seed=int(data.get("seed", 0)) if seed_override is None else seed_override,
         n_configs=int(data.get("n_configs", 100)),
-        threshold_t=float(data.get("threshold_t", 0.0)),
+        threshold_t=(
+            float(data.get("threshold_t", 0.0)) if threshold_override is None
+            else threshold_override
+        ),
         aggregate=str(data.get("aggregate", "mean")),
         k=int(data.get("k", 10)),
         benchmark=data.get("benchmark"),
         benchmarks=list(data["benchmarks"]) if data.get("benchmarks") else None,
     )
+    if cfg.aggregate not in AGGREGATES:
+        raise ConfigError(f"{path}: unknown aggregate {cfg.aggregate!r}")
+    if not cfg.threshold_t >= 0:  # NaN as well
+        raise ConfigError(f"{path}: threshold_t must be >= 0, got {cfg.threshold_t}")
+    if cfg.n_configs < 1:
+        raise ConfigError(f"{path}: n_configs must be >= 1, got {cfg.n_configs}")
+    if cfg.k < 2:
+        raise ConfigError(f"{path}: k must be >= 2, got {cfg.k}")
     return cfg
 
 
@@ -171,40 +196,53 @@ class Campaign:
     cache: EvalCache
 
 
-def _load_space(cfg: CampaignConfig) -> FlagSpace:
+def _load_space(path: str | Path) -> FlagSpace:
     try:
-        return load_flag_space(cfg.flag_space)
+        return load_flag_space(path)
     except (FlagSpaceError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{cfg.flag_space}: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _select_benchmarks(cfg: CampaignConfig, available: list[str]) -> list[str]:
-    """The config's ``benchmarks`` (default: all available) and its ``ce``
-    target, checked against the benchmarks the model or suite provides."""
+def _load_inputs(
+    cfg: CampaignConfig,
+) -> tuple[FlagSpace, SyntheticModel | list[Benchmark], list[str]]:
+    """The flag space, the model (checked against the space) or suite, and
+    the benchmarks the config selects: its ``benchmarks`` (default: all
+    available), which must hold ``benchmark`` and, for ``xval``, at least
+    ``k`` names."""
+    space = _load_space(cfg.flag_space)
+    source = cfg.model if cfg.mode == "synthetic" else cfg.suite
+    try:
+        if cfg.mode == "synthetic":
+            model_or_suite = load_synthetic_model(source)
+            model_or_suite.validate(space)
+            available = model_or_suite.benchmark_names
+        else:
+            model_or_suite = load_suite(source)
+            available = [b.name for b in model_or_suite]
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
     benchmarks = available if cfg.benchmarks is None else list(cfg.benchmarks)
     missing = [b for b in benchmarks if b not in available]
     if missing:
         raise ConfigError(f"unknown benchmarks in config: {missing}")
     if cfg.benchmark and cfg.benchmark not in benchmarks:
         raise ConfigError(f"unknown benchmark: {[cfg.benchmark]}")
-    return benchmarks
+    if cfg.command == "xval" and cfg.k > len(benchmarks):
+        raise ConfigError(f"k={cfg.k} is above the {len(benchmarks)} selected benchmarks")
+    return space, model_or_suite, benchmarks
 
 
 def build_campaign(cfg: CampaignConfig, out: Path, max_evals: int | None = None) -> Campaign:
     """Check every input, then create the out dir and open the cache, so a
     rejected config leaves nothing behind."""
-    space = _load_space(cfg)
-    source = cfg.model if cfg.mode == "synthetic" else cfg.suite
-    try:
-        if cfg.mode == "synthetic":
-            evaluator = SyntheticEvaluator(space, load_synthetic_model(cfg.model))
-        else:
-            evaluator = CommandEvaluator(
-                space, load_suite(cfg.suite), workdir=cfg.suite.parent, build_dir=out / "build"
-            )
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
-    benchmarks = _select_benchmarks(cfg, evaluator.benchmarks)
+    space, model_or_suite, benchmarks = _load_inputs(cfg)
+    if cfg.mode == "synthetic":
+        evaluator = SyntheticEvaluator(space, model_or_suite)
+    else:
+        evaluator = CommandEvaluator(
+            space, model_or_suite, workdir=cfg.suite.parent, build_dir=out / "build"
+        )
     out.mkdir(parents=True, exist_ok=True)
     cache_path = Path(cfg.cache)
     if not cache_path.is_absolute():
@@ -222,15 +260,15 @@ def _log(out: Path, message: str) -> None:
 
 
 def _write_summary(out: Path, lines: list[str]) -> None:
-    (out / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(out / "summary.txt", "\n".join(lines) + "\n")
     for line in lines:
         print(line)
 
 
-def _check_resume(resume: str, command: str, cfg: CampaignConfig) -> None:
+def _check_resume(resume: str, cfg: CampaignConfig) -> None:
     ck = read_checkpoint(resume)
-    if ck.get("command") != command:
-        raise ConfigError(f"checkpoint is for {ck.get('command')!r}, not {command!r}")
+    if ck.get("command") != cfg.command:
+        raise ConfigError(f"checkpoint is for {ck.get('command')!r}, not {cfg.command!r}")
     if ck.get("seed") != cfg.seed:
         raise ConfigError(f"checkpoint seed {ck.get('seed')} != requested seed {cfg.seed}")
     if ck.get("inputs") != input_digests(cfg):
@@ -247,11 +285,10 @@ def _baseline_reference(trace: CampaignTrace) -> dict[str, float]:
     return refs
 
 
-def _load_config(args) -> tuple[CampaignConfig, Path]:
-    """The config with the command line's seed and threshold, and the out dir."""
-    cfg = load_campaign_config(args.config, args.seed)
-    if getattr(args, "threshold", None) is not None:
-        cfg.threshold_t = args.threshold
+def _load_config(args, command: str) -> tuple[CampaignConfig, Path]:
+    """The checked config with the command line's seed and threshold, and
+    the out dir."""
+    cfg = load_campaign_config(args.config, command, args.seed, getattr(args, "threshold", None))
     return cfg, Path(args.out) if args.out else (cfg.out_dir or Path("out"))
 
 
@@ -284,9 +321,9 @@ def _run_campaign(args, command: str, body: Callable[[Campaign, _Run], list[str]
     An interruption, Ctrl-C or a spent ``--max-evals`` budget, ends the
     body early and leaves an interrupted checkpoint.
     """
-    cfg, out = _load_config(args)
+    cfg, out = _load_config(args, command)
     if args.resume:
-        _check_resume(args.resume, command, cfg)
+        _check_resume(args.resume, cfg)
     camp = build_campaign(cfg, out, args.max_evals)
     run = _Run()
     try:
@@ -342,7 +379,7 @@ def _ric(camp: Campaign, run: _Run) -> list[str]:
             "time": meas.time,
             "args": render_args(camp.space, rec.config),
         }
-    (out / "ric.best.json").write_text(json.dumps(best, indent=2) + "\n", encoding="utf-8")
+    write_json(out / "ric.best.json", best)
     try:
         final = floored_best_so_far(trace, _baseline_reference(trace)).points[-1][1]
         ratio_text = f"{final:.6g}"
@@ -411,30 +448,24 @@ def _xval(camp: Campaign, run: _Run) -> list[str]:
     cfg, out = camp.cfg, camp.out
     run.params = {"k": cfg.k, "threshold_t": cfg.threshold_t, "aggregate": cfg.aggregate}
     plan = make_folds(camp.benchmarks, cfg.k, cfg.seed)
-    (out / "folds.json").write_text(
-        json.dumps({"k": plan.k, "seed": cfg.seed, "assignment": plan.assignment}, indent=2)
-        + "\n",
-        encoding="utf-8",
-    )
+    write_json(out / "folds.json", {"k": plan.k, "seed": cfg.seed, "assignment": plan.assignment})
     _log(out, f"xval start k={cfg.k} t={cfg.threshold_t}")
     suite_params = SuiteCEParams(threshold_t=cfg.threshold_t, aggregate=cfg.aggregate)
     results = run_xval(camp.space, camp.benchmarks, camp.evaluator, suite_params, plan)
 
-    all_ratios = []
-    with open(out / "xval_report.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["program", "fold", "ratio", "error"])
-        for res in results:
-            if res.error is not None:
-                writer.writerow(["", res.fold, "", res.error])
-                continue
-            write_trace(out / f"fold_{res.fold}.trace", res.trace)
-            write_final_config(out / f"fold_{res.fold}.config.json", camp.space, res.config)
-            for program, ratio in res.test_ratios.items():
-                writer.writerow([program, res.fold, repr(ratio), ""])
-                all_ratios.append(ratio)
-        if all_ratios:
-            writer.writerow(["overall_mean", "", repr(fmean(all_ratios)), ""])
+    all_ratios, rows = [], []
+    for res in results:
+        if res.error is not None:
+            rows.append(["", res.fold, "", res.error])
+            continue
+        write_trace(out / f"fold_{res.fold}.trace", res.trace)
+        write_final_config(out / f"fold_{res.fold}.config.json", camp.space, res.config)
+        for program, ratio in res.test_ratios.items():
+            rows.append([program, res.fold, repr(ratio), ""])
+            all_ratios.append(ratio)
+    if all_ratios:
+        rows.append(["overall_mean", "", repr(fmean(all_ratios)), ""])
+    write_csv(out / "xval_report.csv", ["program", "fold", "ratio", "error"], rows)
     run.progress = {"folds": plan.k}
     mean_text = f"{fmean(all_ratios):.6g}" if all_ratios else "n/a"
     return [
@@ -448,35 +479,25 @@ def _xval(camp: Campaign, run: _Run) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def cmd_oracle(args) -> int:
-    cfg, out = _load_config(args)
+    cfg, out = _load_config(args, "oracle")
     if cfg.mode != "synthetic":
         raise ConfigError("oracle requires a synthetic-mode config")
-    space = _load_space(cfg)
-    try:
-        model = load_synthetic_model(cfg.model)
-        model.validate(space)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"{cfg.model}: {exc}") from exc
+    space, model, benchmarks = _load_inputs(cfg)
     if len(space) > args.max_flags:
         raise ConfigError(
             f"flag space has {len(space)} flags, above --max-flags {args.max_flags}"
         )
-    if cfg.aggregate not in AGGREGATES:
-        raise ConfigError(f"unknown aggregate {cfg.aggregate!r}")
-    benchmarks = _select_benchmarks(cfg, model.benchmark_names)
     out.mkdir(parents=True, exist_ok=True)
     stock = space.stock_config()
     reference = {b: model.time_for(space, stock, b) for b in benchmarks}
 
-    with open(out / "oracle_per_benchmark.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["benchmark", "best_time", "ref_time", "ratio", "base_level", "bitstring"])
-        for b in benchmarks:
-            t, config = per_benchmark_optimum(space, model, b, max_flags=args.max_flags)
-            writer.writerow(
-                [b, repr(t), repr(reference[b]), repr(t / reference[b]),
-                 config.base_level, config.bitstring]
-            )
+    rows = []
+    for b in benchmarks:
+        t, config = per_benchmark_optimum(space, model, b, max_flags=args.max_flags)
+        rows.append([b, repr(t), repr(reference[b]), repr(t / reference[b]),
+                     config.base_level, config.bitstring])
+    header = ["benchmark", "best_time", "ref_time", "ratio", "base_level", "bitstring"]
+    write_csv(out / "oracle_per_benchmark.csv", header, rows)
 
     constrained = suite_constrained_optimum(
         space, model, benchmarks, cfg.threshold_t, reference,
@@ -493,9 +514,7 @@ def cmd_oracle(args) -> int:
         "bitstring": config.bitstring,
         "args": render_args(space, config),
     }
-    (out / "oracle_constrained.json").write_text(
-        json.dumps(data, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(out / "oracle_constrained.json", data)
     _write_summary(
         out,
         [f"oracle: benchmarks={len(benchmarks)} constrained_aggregate={agg:.6g}"],
@@ -505,10 +524,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_report(args) -> int:
     out = Path(args.out) if args.out else Path("out")
-    try:
-        space = load_flag_space(args.space)
-    except FlagSpaceError as exc:
-        raise ConfigError(str(exc)) from exc
+    space = _load_space(args.space)
     named = []
     for p in args.traces:
         path = Path(p)
@@ -537,10 +553,7 @@ def cmd_report(args) -> int:
 
 def cmd_predict_1nn(args) -> int:
     out = Path(args.out) if args.out else Path("out")
-    try:
-        space = load_flag_space(args.space)
-    except FlagSpaceError as exc:
-        raise ConfigError(str(exc)) from exc
+    space = _load_space(args.space)
     features = {fv.name: fv for fv in load_features(args.features)}
     if args.query not in features:
         raise ConfigError(f"query program {args.query!r} not in the feature table")
@@ -635,9 +648,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"flagtuner: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"flagtuner: {exc}", file=sys.stderr)
         return EXIT_USAGE

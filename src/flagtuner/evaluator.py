@@ -8,7 +8,9 @@ terms) that stands in for real hardware at desk scale.
 Results are cached by content digest of the compiled binary: if a future
 compilation hashes the same, the cached measurement is returned instead of
 re-executing the binary. Failed configurations are cached by configuration
-identity so they are never retried.
+identity so they are never retried. A synthetic measurement's digest covers
+the model as well as the configuration, as a binary's would cover what the
+compiler produced.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import json
 import math
 import shlex
 import subprocess
-import tempfile
 import time as _time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -236,7 +237,8 @@ class CommandEvaluator:
     ``compilations`` counts compiler invocations, ``executions`` the
     evaluations that ran the binary at least once and ``cache_hits`` the
     failure and digest hits, which run nothing. Timed executions are
-    strictly serialized in submission order.
+    strictly serialized in submission order. Each binary is deleted from
+    ``build_dir`` once it has been digested and run, or has failed.
     """
 
     def __init__(
@@ -246,7 +248,7 @@ class CommandEvaluator:
         cache: EvalCache | None = None,
         *,
         workdir: str | Path | None = None,
-        build_dir: str | Path | None = None,
+        build_dir: str | Path,
     ):
         names = [b.name for b in suite]
         if len(set(names)) != len(names):
@@ -255,19 +257,11 @@ class CommandEvaluator:
         self.suite = {b.name: b for b in suite}
         self.cache = cache if cache is not None else EvalCache()
         self.workdir = workdir
-        self._tmp = None
-        if build_dir is None:
-            self._tmp = tempfile.TemporaryDirectory(prefix="flagtuner-build-")
-            build_dir = self._tmp.name
         # commands may run with a different cwd, so the binary path must be absolute
         self.build_dir = Path(build_dir).resolve()
         self.executions = 0
         self.compilations = 0
         self.cache_hits = 0
-
-    @property
-    def benchmarks(self) -> list[str]:
-        return list(self.suite)
 
     def evaluate(self, config: Configuration, bench_name: str) -> Measurement:
         """Compile, digest and (if the digest is unseen) run one configuration.
@@ -279,20 +273,24 @@ class CommandEvaluator:
         if bench_name not in self.suite:
             raise ValueError(f"unknown benchmark {bench_name!r}")
         _check_member(self.space, config)
-        meas = self._measure(config, self.suite[bench_name])
+        out_path = self.build_dir / f"{bench_name}-{config.base_level}-{config.bitstring}.bin"
+        try:
+            meas = self._measure(config, self.suite[bench_name], out_path)
+        finally:
+            out_path.unlink(missing_ok=True)
         if not meas.cached:
             self.cache.put(bench_name, config, meas)
         return meas
 
-    def _measure(self, config: Configuration, bench: Benchmark) -> Measurement:
-        """A cache hit, marked ``cached``, or the fresh outcome of the pipeline."""
+    def _measure(self, config: Configuration, bench: Benchmark, out_path: Path) -> Measurement:
+        """A cache hit, marked ``cached``, or the fresh outcome of the pipeline,
+        which builds ``out_path``."""
         hit = self.cache.get_failure(bench.name, config)
         if hit is not None:
             self.cache_hits += 1
             return replace(hit, cached=True)
 
         self.build_dir.mkdir(parents=True, exist_ok=True)
-        out_path = self.build_dir / f"{bench.name}-{config.base_level}-{config.bitstring}.bin"
         flags = " ".join(render_args(self.space, config))
         compile_cmd = bench.compile_command.format(flags=flags, out=out_path)
         self.compilations += 1
@@ -476,26 +474,13 @@ def load_synthetic_model(path: str | Path) -> SyntheticModel:
     return SyntheticModel(benches)
 
 
-def evaluate_synthetic(
-    config: Configuration,
-    bench_name: str,
-    model: SyntheticModel,
-    space: FlagSpace,
-) -> Measurement:
-    """Deterministic model evaluation; the digest is that of the configuration."""
-    t = model.time_for(space, config, bench_name)
-    return Measurement(
-        STATUS_OK,
-        time=t,
-        digest=_digest_bytes(config.key().encode()),
-    )
-
-
 class SyntheticEvaluator:
     """Evaluator backed by a SyntheticModel, optionally cache-fronted.
 
     Model computations stand in for timed executions, so ``executions``
-    counts fresh model evaluations and cache replays count none.
+    counts fresh model evaluations and cache replays count none. The digest
+    of a measurement covers the flag names, the model and the configuration,
+    so a cache filled under another model or space never answers.
     """
 
     def __init__(self, space: FlagSpace, model: SyntheticModel, cache: EvalCache | None = None):
@@ -503,20 +488,18 @@ class SyntheticEvaluator:
         self.space = space
         self.model = model
         self.cache = cache if cache is not None else EvalCache()
+        self._fingerprint = _digest_bytes(repr(([f.name for f in space.flags], model)).encode())
         self.executions = 0
         self.cache_hits = 0
 
-    @property
-    def benchmarks(self) -> list[str]:
-        return self.model.benchmark_names
-
     def evaluate(self, config: Configuration, bench_name: str) -> Measurement:
-        digest = _digest_bytes(config.key().encode())
+        digest = _digest_bytes(f"{self._fingerprint}:{config.key()}".encode())
         hit = self.cache.get(bench_name, digest)
         if hit is not None:
             self.cache_hits += 1
             return replace(hit, cached=True)
-        meas = evaluate_synthetic(config, bench_name, self.model, self.space)
+        time = self.model.time_for(self.space, config, bench_name)
+        meas = Measurement(STATUS_OK, time=time, digest=digest)
         self.executions += 1
         self.cache.put(bench_name, config, meas)
         return meas

@@ -342,10 +342,6 @@ class BudgetedEvaluator:
         self.max_evals = max_evals
         self.used = 0
 
-    @property
-    def benchmarks(self):
-        return self.inner.benchmarks
-
     def evaluate(self, config: Configuration, bench_name: str) -> Measurement:
         if self.used >= self.max_evals:
             raise CampaignInterrupted(

@@ -2,12 +2,31 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from flagtuner.evaluator import BenchmarkModel, PairDelta, SyntheticModel
 from flagtuner.flagspace import Configuration, Flag, FlagSpace
+
+
+def artifact_digests(root: Path) -> dict[str, str]:
+    """sha256 of every reproducible artifact under ``root``: all files but
+    ``run.log``, the ``*.jsonl`` caches and anything under ``build/``."""
+    digests = {}
+    for path in sorted(root.rglob("*")):
+        rel = path.relative_to(root)
+        if (
+            not path.is_file()
+            or path.name == "run.log"
+            or path.suffix == ".jsonl"
+            or "build" in rel.parts[:-1]
+        ):
+            continue
+        digests[rel.as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
 
 
 def space_of(

@@ -1,6 +1,11 @@
 import json
+import os
+import random
+import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 from statistics import fmean, geometric_mean
 
@@ -11,6 +16,7 @@ from flagtuner.cli import main
 from flagtuner.evaluator import EvalCache
 from flagtuner.flagspace import load_flag_space
 from flagtuner.search import AGGREGATES
+from helpers import artifact_digests
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -304,28 +310,43 @@ def _pair_model(tmp_path, name, **changes):
     return str(path)
 
 
+DEMO = Path(__file__).resolve().parent.parent / "demo"
+TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
+            "model": str(DEMO / "tradeoff_model.json")}
+
+
 @pytest.mark.parametrize(
-    "command, overrides",
+    "command, overrides, extra",
     [
-        ("ce", {"benchmark": "nope"}),
-        ("ric", {"benchmarks": ["nope"]}),
-        ("ric", {"model": "unknown_flag.json"}),
-        ("oracle", {"model": "unknown_flag.json"}),
-        ("oracle", {"model": "negative_at_O2.json"}),
+        ("ce", {"benchmark": "nope"}, []),
+        ("ric", {"benchmarks": ["nope"]}, []),
+        ("ric", {"model": "unknown_flag.json"}, []),
+        ("oracle", {"model": "unknown_flag.json"}, []),
+        ("oracle", {"model": "negative_at_O2.json"}, []),
+        ("suite-ce", {"aggregate": "median"}, []),
+        ("suite-ce", {"threshold_t": -1}, []),
+        ("suite-ce", {}, ["--threshold", "-1"]),
+        ("ric", {"n_configs": 0}, []),
+        ("xval", {**TRADEOFF, "k": 1}, []),
+        ("xval", {**TRADEOFF, "k": 99}, []),
+        ("oracle", {}, ["--threshold", "-1"]),
     ],
     ids=["ce-benchmark", "ric-benchmarks", "ric-unknown-flag", "oracle-unknown-flag",
-         "oracle-non-positive"],
+         "oracle-non-positive", "suite-ce-aggregate", "suite-ce-negative-threshold",
+         "suite-ce-negative-threshold-option", "ric-no-configs", "xval-k-1",
+         "xval-k-above-benchmarks", "oracle-negative-threshold-option"],
 )
-def test_rejected_config_creates_nothing(tmp_path, command, overrides):
+def test_rejected_config_creates_nothing(tmp_path, command, overrides, extra):
     _pair_model(tmp_path, "unknown_flag.json", flag_delta={"ivopts": -5.0, "zz": 1.0})
     # multipliers only for O1 and O3, so O2 runs at 1.0: 20 - 5 - 5 - 20 < 0
     _pair_model(tmp_path, "negative_at_O2.json", base_time=20.0,
                 level_multiplier={"O1": 2.0, "O3": 2.0})
-    if "model" in overrides:
-        overrides = {"model": str(tmp_path / overrides["model"])}
+    model = overrides.get("model")
+    if model and not Path(model).is_absolute():  # one of the two models above
+        overrides = {**overrides, "model": str(tmp_path / model)}
     config = write_config(tmp_path / "c.json", **overrides)
     out = tmp_path / "o"
-    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    assert main([command, "--config", str(config), "--out", str(out), *extra]) == 1
     assert not out.exists()
 
 
@@ -352,6 +373,75 @@ def test_torn_cache_tail_is_dropped(tmp_path, demo_config):
     cache.write_bytes(cache.read_bytes()[:-20])
     assert main(["ric", "--config", demo_config("pair"), "--out", str(out)]) == 0
     assert (out / "ric.trace").read_bytes() == (full / "ric.trace").read_bytes()
+
+
+def test_changed_model_is_not_answered_from_the_cache(tmp_path):
+    model = tmp_path / "model.json"
+    data = json.loads((DEMO / "tradeoff_model.json").read_text())
+    model.write_text(json.dumps(data))
+    config = write_config(tmp_path / "c.json", **{**TRADEOFF, "model": str(model)}, n_configs=5)
+    out = tmp_path / "o"
+    assert main(["ric", "--config", str(config), "--out", str(out)]) == 0
+    for bench in data["benchmarks"].values():
+        bench["base_time"] *= 2
+    model.write_text(json.dumps(data))
+    assert main(["ric", "--config", str(config), "--out", str(out)]) == 0
+    fresh = tmp_path / "fresh"
+    assert main(["ric", "--config", str(config), "--out", str(fresh)]) == 0
+    for artifact in ("ric.trace", "ric.best.json", "checkpoint.json", "summary.txt"):
+        assert (out / artifact).read_bytes() == (fresh / artifact).read_bytes()
+
+
+def test_external_build_dir_is_emptied(tmp_path, demo_config):
+    out = tmp_path / "o"
+    assert main(["ric", "--config", demo_config("stub"), "--out", str(out)]) == 0
+    assert list((out / "build").iterdir()) == []
+    summary = (out / "summary.txt").read_text(encoding="utf-8")
+    assert summary.startswith("ric: evaluations=8 cache_hits=6 configs_tested=7 ")
+
+
+def _kill_when_cache_passes(argv: list[str], cache: Path, size: int) -> None:
+    """Run the CLI in a subprocess and SIGKILL it, its toolchain children
+    included, once ``cache`` holds at least ``size`` bytes."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.Popen([sys.executable, "-m", "flagtuner", *argv], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                            start_new_session=True)
+    deadline = time.monotonic() + 60
+    try:
+        while proc.poll() is None and time.monotonic() < deadline:
+            if cache.exists() and cache.stat().st_size >= size:
+                break
+            time.sleep(0.002)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=10)
+
+
+def _resumable_artifacts(out: Path) -> dict[str, str]:
+    """``artifact_digests`` with the summary's invocation counts masked:
+    they count the evaluations and cache hits of the last run alone, which
+    a warm cache changes."""
+    digests = artifact_digests(out)
+    summary = (out / "summary.txt").read_text(encoding="utf-8")
+    digests["summary.txt"] = re.sub(r"(evaluations|cache_hits)=\d+", r"\1=#", summary)
+    return digests
+
+
+def test_killed_campaign_resumes_byte_identical(tmp_path, demo_config):
+    argv = ["ce", "--config", demo_config("stub")]
+    full = tmp_path / "full"
+    assert main([*argv, "--out", str(full)]) == 0
+    size = (full / "cache.jsonl").stat().st_size
+    for i, kill_at in enumerate(random.Random(20261018).sample(range(1, size + 1), 3)):
+        out = tmp_path / f"killed_{i}"
+        _kill_when_cache_passes([*argv, "--out", str(out)], out / "cache.jsonl", kill_at)
+        assert main([*argv, "--out", str(out)]) == 0
+        assert _resumable_artifacts(out) == _resumable_artifacts(full)
+        assert not list(out.rglob("*.tmp"))
 
 
 # ---------------------------------------------------------------------------

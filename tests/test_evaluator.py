@@ -11,12 +11,16 @@ from flagtuner.evaluator import (
     EvalCache,
     Measurement,
     SyntheticEvaluator,
-    evaluate_synthetic,
     load_suite,
     load_synthetic_model,
 )
 from flagtuner.flagspace import Configuration, load_flag_space, toggle
 from helpers import config_of, model_of, pair_dependency_model, quantised_models, space_of
+
+
+def measure(config, bench_name, model, space):
+    """One fresh synthetic measurement."""
+    return SyntheticEvaluator(space, model).evaluate(config, bench_name)
 
 
 # ---------------------------------------------------------------------------
@@ -28,14 +32,14 @@ def test_synthetic_constant_model():
     model = model_of({"b": {"base": 100.0}})
     for bits in range(8):
         config = Configuration.from_bitstring("O3", format(bits, "03b"))
-        assert evaluate_synthetic(config, "b", model, space).time == 100.0
+        assert measure(config, "b", model, space).time == 100.0
 
 
 def test_synthetic_additive_deltas():
     space = space_of(2)
     model = model_of({"b": {"base": 100.0, "deltas": {"f0": 10.0, "f1": -5.0}}})
     both_on = Configuration("O3", (True, True))
-    assert evaluate_synthetic(both_on, "b", model, space).time == 105.0
+    assert measure(both_on, "b", model, space).time == 105.0
 
 
 def test_synthetic_pair_dependency():
@@ -43,22 +47,22 @@ def test_synthetic_pair_dependency():
     both_off = Configuration("O3", (False, False))
     one_off = Configuration("O3", (False, True))
     all_on = Configuration("O3", (True, True))
-    assert evaluate_synthetic(all_on, "cover", model, space).time == 100.0
-    assert evaluate_synthetic(one_off, "cover", model, space).time == 105.0
-    assert evaluate_synthetic(both_off, "cover", model, space).time == 90.0
+    assert measure(all_on, "cover", model, space).time == 100.0
+    assert measure(one_off, "cover", model, space).time == 105.0
+    assert measure(both_off, "cover", model, space).time == 90.0
 
 
 def test_synthetic_level_multiplier():
     space = space_of(0, levels=("O1", "O3"))
     model = model_of({"b": {"base": 100.0, "multipliers": {"O1": 1.5, "O3": 1.0}}})
-    assert evaluate_synthetic(Configuration("O1", ()), "b", model, space).time == 150.0
+    assert measure(Configuration("O1", ()), "b", model, space).time == 150.0
 
 
 def test_synthetic_is_deterministic():
     space, model = pair_dependency_model()
     config = Configuration("O2", (True, False))
-    a = evaluate_synthetic(config, "cover", model, space)
-    b = evaluate_synthetic(config, "cover", model, space)
+    a = measure(config, "cover", model, space)
+    b = measure(config, "cover", model, space)
     assert a == b
     assert a.digest == b.digest
 
@@ -66,7 +70,7 @@ def test_synthetic_is_deterministic():
 def test_synthetic_rejects_unmodeled_benchmark():
     space, model = pair_dependency_model()
     with pytest.raises(ValueError):
-        evaluate_synthetic(space.all_enabled(), "nope", model, space)
+        measure(space.all_enabled(), "nope", model, space)
 
 
 def test_model_positivity_validation():
@@ -279,7 +283,7 @@ def test_execution_count_matches_distinct_digests(stub):
         Configuration("O2", (True, False)),
     ]
     for config in configs:
-        for bench in ev.benchmarks:
+        for bench in ev.suite:
             ev.evaluate(config, bench)
     ok_digests = {
         (bench, key) for (bench, key), m in ev.cache.entries.items() if m.ok

@@ -8,29 +8,14 @@ path it writes must resolve without the caller's directory. A change that
 means to alter an artifact updates the digest file and names the artifact.
 """
 
-import hashlib
 import runpy
 import sys
 from pathlib import Path
 
+from helpers import artifact_digests
+
 HERE = Path(__file__).resolve().parent
 DEMO_SCRIPT = HERE.parent / "scripts" / "run_demo.py"
-EXCLUDED_NAMES = {"run.log"}
-
-
-def artifact_digests(root: Path) -> dict[str, str]:
-    digests = {}
-    for path in sorted(root.rglob("*")):
-        rel = path.relative_to(root)
-        if (
-            not path.is_file()
-            or path.name in EXCLUDED_NAMES
-            or path.suffix == ".jsonl"
-            or "build" in rel.parts[:-1]
-        ):
-            continue
-        digests[rel.as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return digests
 
 
 def test_demo_artifacts_match_recorded_digests(tmp_path, monkeypatch):
