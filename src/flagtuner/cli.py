@@ -128,6 +128,8 @@ def load_campaign_config(
         data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: a campaign config must be a JSON object")
     base = path.parent
 
     def resolve(key: str, required: bool) -> Path | None:
@@ -146,26 +148,29 @@ def load_campaign_config(
     mode = data.get("mode", "synthetic")
     if mode not in ("synthetic", "external"):
         raise ConfigError(f"{path}: mode must be 'synthetic' or 'external'")
-    cfg = CampaignConfig(
-        path=path,
-        command=command,
-        flag_space=resolve("flag_space", required=True),
-        mode=mode,
-        model=resolve("model", required=(mode == "synthetic")),
-        suite=resolve("suite", required=(mode == "external")),
-        cache=str(data.get("cache", "cache.jsonl")),
-        out_dir=(base / data["out_dir"]) if "out_dir" in data else None,
-        seed=int(data.get("seed", 0)) if seed_override is None else seed_override,
-        n_configs=int(data.get("n_configs", 100)),
-        threshold_t=(
-            float(data.get("threshold_t", 0.0)) if threshold_override is None
-            else threshold_override
-        ),
-        aggregate=str(data.get("aggregate", "mean")),
-        k=int(data.get("k", 10)),
-        benchmark=data.get("benchmark"),
-        benchmarks=list(data["benchmarks"]) if data.get("benchmarks") else None,
-    )
+    try:
+        cfg = CampaignConfig(
+            path=path,
+            command=command,
+            flag_space=resolve("flag_space", required=True),
+            mode=mode,
+            model=resolve("model", required=(mode == "synthetic")),
+            suite=resolve("suite", required=(mode == "external")),
+            cache=str(data.get("cache", "cache.jsonl")),
+            out_dir=(base / data["out_dir"]) if "out_dir" in data else None,
+            seed=int(data.get("seed", 0)) if seed_override is None else seed_override,
+            n_configs=int(data.get("n_configs", 100)),
+            threshold_t=(
+                float(data.get("threshold_t", 0.0)) if threshold_override is None
+                else threshold_override
+            ),
+            aggregate=str(data.get("aggregate", "mean")),
+            k=int(data.get("k", 10)),
+            benchmark=data.get("benchmark"),
+            benchmarks=list(data["benchmarks"]) if data.get("benchmarks") else None,
+        )
+    except TypeError as exc:  # a field of the wrong JSON type
+        raise ConfigError(f"{path}: {exc}") from exc
     if cfg.aggregate not in AGGREGATES:
         raise ConfigError(f"{path}: unknown aggregate {cfg.aggregate!r}")
     if not cfg.threshold_t >= 0:  # NaN as well
@@ -206,10 +211,10 @@ def _load_space(path: str | Path) -> FlagSpace:
 def _load_inputs(
     cfg: CampaignConfig,
 ) -> tuple[FlagSpace, SyntheticModel | list[Benchmark], list[str]]:
-    """The flag space, the model (checked against the space) or suite, and
-    the benchmarks the config selects: its ``benchmarks`` (default: all
-    available), which must hold ``benchmark`` and, for ``xval``, at least
-    ``k`` names."""
+    """The flag space, the model (checked against the space) or suite, which
+    must hold a benchmark, and the benchmarks the config selects: its
+    ``benchmarks`` (default: all available), which must hold ``benchmark``
+    and, for ``xval``, at least ``k`` names."""
     space = _load_space(cfg.flag_space)
     source = cfg.model if cfg.mode == "synthetic" else cfg.suite
     try:
@@ -220,8 +225,10 @@ def _load_inputs(
         else:
             model_or_suite = load_suite(source)
             available = [b.name for b in model_or_suite]
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
+    if not available:
+        raise ConfigError(f"{source}: no benchmarks")
     benchmarks = available if cfg.benchmarks is None else list(cfg.benchmarks)
     missing = [b for b in benchmarks if b not in available]
     if missing:
@@ -593,10 +600,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="flagtuner", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    campaign_opts = _Parser(add_help=False)
-    campaign_opts.add_argument("--config", required=True, help="campaign config JSON")
-    campaign_opts.add_argument("--seed", type=int, default=None, help="override config seed")
-    campaign_opts.add_argument("--out", default=None, help="output directory")
+    config_opts = _Parser(add_help=False)
+    config_opts.add_argument("--config", required=True, help="campaign config JSON")
+    config_opts.add_argument("--seed", type=int, default=None, help="override config seed")
+    config_opts.add_argument("--out", default=None, help="output directory")
+
+    campaign_opts = _Parser(add_help=False, parents=[config_opts])
     campaign_opts.add_argument("--resume", default=None, help="resume from a checkpoint file")
     campaign_opts.add_argument(
         "--max-evals", type=int, default=None,
@@ -613,7 +622,7 @@ def build_parser() -> _Parser:
     p.add_argument("--threshold", type=float, default=None, help="override threshold t percent")
     p.set_defaults(handler=partial(_run_campaign, command="suite-ce", body=_suite_ce))
 
-    p = sub.add_parser("oracle", parents=[campaign_opts], help="brute-force optimum (synthetic only)")
+    p = sub.add_parser("oracle", parents=[config_opts], help="brute-force optimum (synthetic only)")
     p.add_argument("--max-flags", type=int, default=DEFAULT_MAX_FLAGS)
     p.add_argument("--threshold", type=float, default=None, help="override threshold t percent")
     p.set_defaults(handler=cmd_oracle)

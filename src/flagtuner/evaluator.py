@@ -5,12 +5,14 @@ compile-and-run pipeline driven by command templates, and a deterministic
 synthetic cost model (base time + per-flag deltas + pairwise interaction
 terms) that stands in for real hardware at desk scale.
 
-Results are cached by content digest of the compiled binary: if a future
-compilation hashes the same, the cached measurement is returned instead of
-re-executing the binary. Failed configurations are cached by configuration
-identity so they are never retried. A synthetic measurement's digest covers
-the model as well as the configuration, as a binary's would cover what the
-compiler produced.
+Results are cached by digest: if a future compilation hashes the same, the
+cached measurement is returned instead of re-executing the binary. An
+external digest covers the benchmark's toolchain fingerprint as well as the
+binary, and every external outcome is also cached by configuration under
+that fingerprint, so a configuration seen before is neither compiled nor run
+again. Failed configurations are cached by configuration identity so they
+are never retried. A synthetic measurement's digest covers the model as well
+as the configuration, as a binary's would cover what the compiler produced.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import fcntl
 import hashlib
 import json
 import math
+import os
 import shlex
+import shutil
 import subprocess
 import time as _time
 from dataclasses import dataclass, field, replace
@@ -112,19 +116,21 @@ def _digest_bytes(data: bytes) -> str:
     return hashlib.md5(data).hexdigest()
 
 
-_FAILURE_PREFIX = "cfg:"
-
-
-def _failure_key(config: Configuration) -> str:
-    return _FAILURE_PREFIX + config.key()
+def _config_key(config: Configuration, fingerprint: str = "") -> str:
+    """The key of an outcome filed under the configuration itself; a
+    fingerprint scopes it to one toolchain."""
+    return f"cfg:{fingerprint}:{config.key()}" if fingerprint else f"cfg:{config.key()}"
 
 
 class EvalCache:
-    """Digest-keyed measurement cache with an append-only backing file.
+    """Measurement cache keyed by (benchmark, key), with an append-only file.
 
-    Ok measurements are keyed by (benchmark, binary digest); failed ones by
-    (benchmark, configuration identity) so broken flag combinations are not
-    retried. Every put is appended and flushed immediately, which makes the
+    The caller chooses the key. By default an ok measurement is filed under
+    its digest and a failed one under its configuration's identity, so
+    broken flag combinations are not retried. A record under any other key
+    whose digest already has a record of its own is held in ``aliases`` as
+    a pointer to that record, so ``entries`` keeps one measurement per
+    binary. Every put is appended and flushed immediately, which makes the
     cache kill-safe: a final line without its newline is a torn append and
     is dropped on load, while a bad line anywhere else still raises. When
     backed by a file, an exclusive advisory lock is held, and taken before
@@ -134,6 +140,7 @@ class EvalCache:
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self.entries: dict[tuple[str, str], Measurement] = {}
+        self.aliases: dict[tuple[str, str], str] = {}
         self._handle = None
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -159,25 +166,38 @@ class EvalCache:
             if not line.strip():
                 continue
             rec = json.loads(line)
-            meas = Measurement(status=rec["status"], time=rec["time"], digest=rec["digest"])
-            self.entries[(rec["benchmark"], rec["key"])] = meas
+            meas = Measurement(status=rec["status"], time=rec["time"], digest=rec["digest"],
+                               detail=rec.get("detail", ""))
+            self._store(rec["benchmark"], rec["key"], meas)
 
-    def _key_for(self, config: Configuration, measurement: Measurement) -> str:
-        if measurement.ok:
-            assert measurement.digest is not None
-            return measurement.digest
-        return _failure_key(config)
+    def _store(self, benchmark: str, key: str, measurement: Measurement) -> None:
+        if key != measurement.digest and (benchmark, measurement.digest) in self.entries:
+            self.aliases[(benchmark, key)] = measurement.digest
+        else:
+            self.entries[(benchmark, key)] = measurement
 
-    def get(self, benchmark: str, digest: str) -> Measurement | None:
-        return self.entries.get((benchmark, digest))
+    def get(self, benchmark: str, key: str) -> Measurement | None:
+        key = self.aliases.get((benchmark, key), key)
+        return self.entries.get((benchmark, key))
 
     def get_failure(self, benchmark: str, config: Configuration) -> Measurement | None:
-        return self.entries.get((benchmark, _failure_key(config)))
+        """The outcome filed under the configuration's identity alone, where
+        ``put`` files a failure by default."""
+        return self.get(benchmark, _config_key(config))
 
-    def put(self, benchmark: str, config: Configuration, measurement: Measurement) -> None:
+    def put(
+        self,
+        benchmark: str,
+        config: Configuration,
+        measurement: Measurement,
+        key: str | None = None,
+    ) -> None:
+        """File ``measurement`` under ``key``, by default its digest if it is
+        ok and the configuration's identity if not."""
         stored = replace(measurement, cached=False)
-        key = self._key_for(config, measurement)
-        self.entries[(benchmark, key)] = stored
+        if key is None:
+            key = stored.digest if stored.ok else _config_key(config)
+        self._store(benchmark, key, stored)
         if self._handle is not None:
             rec = {
                 "benchmark": benchmark,
@@ -186,6 +206,7 @@ class EvalCache:
                 "digest": stored.digest,
                 "status": stored.status,
                 "time": stored.time,
+                "detail": stored.detail,
                 "config_bitstring": config.bitstring,
                 "base_level": config.base_level,
             }
@@ -231,14 +252,40 @@ def _parse_reported_time(stdout: str) -> float | None:
         return None
 
 
+def _toolchain_fingerprint(
+    bench: Benchmark, workdir: str | Path | None, file_digests: dict[str, str]
+) -> str:
+    """md5 of the entry's fields and of the content of every file its command
+    templates name: ``argv[0]`` as the ``PATH`` resolves a bare name, and any
+    token naming a file relative to ``workdir``. ``file_digests`` memoizes
+    the content digests by path."""
+    parts = [repr(bench)]
+    for template in (bench.compile_command, bench.run_command):
+        for i, token in enumerate(shlex.split(template)):
+            if i == 0 and os.sep not in token:
+                path = shutil.which(token)
+            else:
+                path = os.path.join(workdir or ".", token)
+            if path is None or not os.path.isfile(path):
+                continue
+            if path not in file_digests:
+                file_digests[path] = _digest_bytes(Path(path).read_bytes())
+            parts.append(file_digests[path])
+    return _digest_bytes(repr(parts).encode())
+
+
 class CommandEvaluator:
     """Evaluator backed by external compile/run commands, with counters.
 
-    ``compilations`` counts compiler invocations, ``executions`` the
-    evaluations that ran the binary at least once and ``cache_hits`` the
-    failure and digest hits, which run nothing. Timed executions are
-    strictly serialized in submission order. Each binary is deleted from
-    ``build_dir`` once it has been digested and run, or has failed.
+    Each suite entry gets a toolchain fingerprint once, at construction
+    (``_toolchain_fingerprint``); every cache key of the entry is taken
+    under it, so an edited command or toolchain file is not answered from
+    a stale cache. ``compilations`` counts compiler invocations,
+    ``executions`` the evaluations that ran the binary at least once and
+    ``cache_hits`` the configuration and digest hits, which run nothing.
+    Timed executions are strictly serialized in submission order. Each
+    binary is deleted from ``build_dir`` once it has been digested and run,
+    or has failed.
     """
 
     def __init__(
@@ -255,6 +302,10 @@ class CommandEvaluator:
             raise ValueError("benchmark names must be unique within a suite")
         self.space = space
         self.suite = {b.name: b for b in suite}
+        file_digests: dict[str, str] = {}
+        self._fingerprints = {
+            b.name: _toolchain_fingerprint(b, workdir, file_digests) for b in suite
+        }
         self.cache = cache if cache is not None else EvalCache()
         self.workdir = workdir
         # commands may run with a different cwd, so the binary path must be absolute
@@ -264,32 +315,40 @@ class CommandEvaluator:
         self.cache_hits = 0
 
     def evaluate(self, config: Configuration, bench_name: str) -> Measurement:
-        """Compile, digest and (if the digest is unseen) run one configuration.
+        """The recorded outcome of one configuration, or a fresh one.
 
-        Cache hits return the stored measurement with ``cached=True`` and spawn
-        no run process; every fresh outcome is put in the cache. The measured
-        time is the minimum over ``repeat_runs`` timed executions.
+        The configuration is looked up under the benchmark's fingerprint
+        before anything is compiled, and the binary's digest before it is
+        run; a hit returns the recorded measurement with ``cached=True``.
+        Every outcome is put under the configuration's key, and a fresh one
+        that carries a digest under the digest first, so a binary that
+        failed its run is not run again either. The measured time is the
+        minimum over ``repeat_runs`` timed executions.
         """
         if bench_name not in self.suite:
             raise ValueError(f"unknown benchmark {bench_name!r}")
         _check_member(self.space, config)
-        out_path = self.build_dir / f"{bench_name}-{config.base_level}-{config.bitstring}.bin"
-        try:
-            meas = self._measure(config, self.suite[bench_name], out_path)
-        finally:
-            out_path.unlink(missing_ok=True)
-        if not meas.cached:
-            self.cache.put(bench_name, config, meas)
-        return meas
-
-    def _measure(self, config: Configuration, bench: Benchmark, out_path: Path) -> Measurement:
-        """A cache hit, marked ``cached``, or the fresh outcome of the pipeline,
-        which builds ``out_path``."""
-        hit = self.cache.get_failure(bench.name, config)
+        fingerprint = self._fingerprints[bench_name]
+        key = _config_key(config, fingerprint)
+        hit = self.cache.get(bench_name, key)
         if hit is not None:
             self.cache_hits += 1
             return replace(hit, cached=True)
+        out_path = self.build_dir / f"{bench_name}-{config.base_level}-{config.bitstring}.bin"
+        try:
+            meas = self._measure(config, self.suite[bench_name], fingerprint, out_path)
+        finally:
+            out_path.unlink(missing_ok=True)
+        if meas.digest is not None and not meas.cached:
+            self.cache.put(bench_name, config, meas, key=meas.digest)
+        self.cache.put(bench_name, config, meas, key=key)
+        return meas
 
+    def _measure(
+        self, config: Configuration, bench: Benchmark, fingerprint: str, out_path: Path
+    ) -> Measurement:
+        """The fresh outcome of the pipeline, which builds ``out_path``, or,
+        once the binary is built, a digest hit marked ``cached``."""
         self.build_dir.mkdir(parents=True, exist_ok=True)
         flags = " ".join(render_args(self.space, config))
         compile_cmd = bench.compile_command.format(flags=flags, out=out_path)
@@ -303,7 +362,7 @@ class CommandEvaluator:
             detail = stderr.splitlines()[-1] if stderr else "compile failed"
             return Measurement(STATUS_COMPILE_ERROR, detail=detail)
 
-        digest = _digest_bytes(out_path.read_bytes())
+        digest = _digest_bytes(fingerprint.encode() + out_path.read_bytes())
         hit = self.cache.get(bench.name, digest)
         if hit is not None:
             self.cache_hits += 1
@@ -317,7 +376,9 @@ class CommandEvaluator:
             try:
                 proc = _run_command(run_cmd, bench.timeout, self.workdir)
             except subprocess.TimeoutExpired:
-                return Measurement(STATUS_TIMEOUT, digest=digest)
+                return Measurement(
+                    STATUS_TIMEOUT, digest=digest, detail=f"run timed out after {bench.timeout} s"
+                )
             elapsed = _time.perf_counter() - started
             if proc.returncode != 0:
                 return Measurement(
@@ -456,21 +517,25 @@ class SyntheticModel:
 
 
 def load_synthetic_model(path: str | Path) -> SyntheticModel:
+    """The model in ``path``; a file of the wrong shape raises ``ValueError``."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     benches = {}
-    for name, raw in data["benchmarks"].items():
-        pairs = []
-        for rec in raw.get("pair_delta", []):
-            a, b = rec["flags"]
-            sa, sb = rec["when"]
-            pairs.append(PairDelta(str(a), str(b), bool(sa), bool(sb), float(rec["delta"])))
-        benches[name] = BenchmarkModel(
-            base_time=float(raw["base_time"]),
-            level_multiplier={k: float(v) for k, v in raw.get("level_multiplier", {}).items()},
-            flag_delta={k: float(v) for k, v in raw.get("flag_delta", {}).items()},
-            pair_delta=tuple(pairs),
-        )
+    try:
+        for name, raw in data["benchmarks"].items():
+            pairs = []
+            for rec in raw.get("pair_delta", []):
+                a, b = rec["flags"]
+                sa, sb = rec["when"]
+                pairs.append(PairDelta(str(a), str(b), bool(sa), bool(sb), float(rec["delta"])))
+            benches[name] = BenchmarkModel(
+                base_time=float(raw["base_time"]),
+                level_multiplier={k: float(v) for k, v in raw.get("level_multiplier", {}).items()},
+                flag_delta={k: float(v) for k, v in raw.get("flag_delta", {}).items()},
+                pair_delta=tuple(pairs),
+            )
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed model: {exc!r}") from exc
     return SyntheticModel(benches)
 
 
@@ -506,20 +571,24 @@ class SyntheticEvaluator:
 
 
 def load_suite(path: str | Path) -> list[Benchmark]:
+    """The suite in ``path``; a file of the wrong shape raises ``ValueError``."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     benches = []
-    for rec in data["benchmarks"]:
-        benches.append(
-            Benchmark(
-                name=str(rec["name"]),
-                compile_command=str(rec["compile_command"]),
-                run_command=str(rec["run_command"]),
-                timeout=float(rec.get("timeout", 60.0)),
-                repeat_runs=int(rec.get("repeat_runs", 1)),
-                timing=str(rec.get("timing", TIMING_REPORTED)),
+    try:
+        for rec in data["benchmarks"]:
+            benches.append(
+                Benchmark(
+                    name=str(rec["name"]),
+                    compile_command=str(rec["compile_command"]),
+                    run_command=str(rec["run_command"]),
+                    timeout=float(rec.get("timeout", 60.0)),
+                    repeat_runs=int(rec.get("repeat_runs", 1)),
+                    timing=str(rec.get("timing", TIMING_REPORTED)),
+                )
             )
-        )
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed suite: {exc!r}") from exc
     names = [b.name for b in benches]
     if len(set(names)) != len(names):
         raise ValueError("duplicate benchmark names in suite")

@@ -2,6 +2,7 @@ import json
 import os
 import random
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -66,6 +67,14 @@ def test_malformed_config_is_usage_error(tmp_path):
     config = tmp_path / "c.json"
     config.write_text("{ nope")
     assert main(["ric", "--config", str(config), "--out", str(tmp_path / 'o')]) == 1
+
+
+def test_config_that_is_not_an_object_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text("[1]")
+    assert main(["ric", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_subcommand_is_usage_error():
@@ -330,23 +339,34 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
         ("xval", {**TRADEOFF, "k": 1}, []),
         ("xval", {**TRADEOFF, "k": 99}, []),
         ("oracle", {}, ["--threshold", "-1"]),
+        ("ric", {"model": "benchmark_list.json"}, []),
+        ("ric", {"mode": "external", "model": None, "suite": "benchmark_list.json"}, []),
+        ("ric", {"mode": "external", "model": None, "suite": "string_entries.json"}, []),
+        ("ric", {"benchmarks": 5}, []),
+        ("ric", {"n_configs": [3]}, []),
     ],
     ids=["ce-benchmark", "ric-benchmarks", "ric-unknown-flag", "oracle-unknown-flag",
          "oracle-non-positive", "suite-ce-aggregate", "suite-ce-negative-threshold",
          "suite-ce-negative-threshold-option", "ric-no-configs", "xval-k-1",
-         "xval-k-above-benchmarks", "oracle-negative-threshold-option"],
+         "xval-k-above-benchmarks", "oracle-negative-threshold-option",
+         "ric-malformed-model", "ric-malformed-suite", "ric-malformed-suite-entry",
+         "ric-benchmarks-not-a-list", "ric-n-configs-not-a-number"],
 )
-def test_rejected_config_creates_nothing(tmp_path, command, overrides, extra):
+def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, extra):
     _pair_model(tmp_path, "unknown_flag.json", flag_delta={"ivopts": -5.0, "zz": 1.0})
     # multipliers only for O1 and O3, so O2 runs at 1.0: 20 - 5 - 5 - 20 < 0
     _pair_model(tmp_path, "negative_at_O2.json", base_time=20.0,
                 level_multiplier={"O1": 2.0, "O3": 2.0})
-    model = overrides.get("model")
-    if model and not Path(model).is_absolute():  # one of the two models above
-        overrides = {**overrides, "model": str(tmp_path / model)}
+    (tmp_path / "benchmark_list.json").write_text('{"benchmarks": []}')
+    (tmp_path / "string_entries.json").write_text('{"benchmarks": ["x"]}')
+    for field in ("model", "suite"):
+        name = overrides.get(field)
+        if name and not Path(name).is_absolute():  # one of the files above
+            overrides = {**overrides, field: str(tmp_path / name)}
     config = write_config(tmp_path / "c.json", **overrides)
     out = tmp_path / "o"
     assert main([command, "--config", str(config), "--out", str(out), *extra]) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
     assert not out.exists()
 
 
@@ -398,6 +418,77 @@ def test_external_build_dir_is_emptied(tmp_path, demo_config):
     assert list((out / "build").iterdir()) == []
     summary = (out / "summary.txt").read_text(encoding="utf-8")
     assert summary.startswith("ric: evaluations=8 cache_hits=6 configs_tested=7 ")
+
+
+@pytest.fixture
+def built_campaigns(monkeypatch):
+    """Every Campaign the cli builds, in order, to read its counters."""
+    import flagtuner.cli as cli
+
+    built = []
+    original = cli.build_campaign
+
+    def build_campaign(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_campaign", build_campaign)
+    return built
+
+
+@pytest.mark.parametrize("command", ["ric", "suite-ce"])
+def test_external_replay_compiles_nothing(tmp_path, demo_config, built_campaigns, command):
+    out = tmp_path / "o"
+    argv = [command, "--config", demo_config("stub"), "--out", str(out)]
+    assert main(argv) == 0
+    cold = _resumable_artifacts(out)
+    assert main([*argv, "--resume", str(out / "checkpoint.json")]) == 0
+    assert _resumable_artifacts(out) == cold
+    first, replay = (camp.counters for camp in built_campaigns)
+    assert first.compilations > 0
+    assert (replay.compilations, replay.executions) == (0, 0)
+    assert replay.cache_hits == first.cache_hits + first.executions
+
+
+def test_repeated_configuration_compiles_once(tmp_path, demo_config, built_campaigns):
+    out = tmp_path / "o"
+    assert main(["ric", "--config", demo_config("stub"), "--out", str(out)]) == 0
+    trace = read_trace(out / "ric.trace", load_flag_space(DEMO / "stub_space.json"))
+    pairs = [(rec.config.key(), bench) for rec in trace.records for bench in rec.measurements]
+    assert len(set(pairs)) < len(pairs)  # the config's seed draws one configuration twice
+    assert built_campaigns[0].counters.compilations == len(set(pairs))
+
+
+def _stub_copy(tmp_path: Path) -> Path:
+    """A config for the stub campaign whose suite and stub scripts are copies
+    in ``tmp_path``, free to edit."""
+    shutil.copytree(DEMO / "stub", tmp_path / "stub")
+    shutil.copy(DEMO / "stub_suite.json", tmp_path / "suite.json")
+    return write_config(tmp_path / "c.json", flag_space=str(DEMO / "stub_space.json"),
+                        mode="external", model=None, suite="suite.json", n_configs=6)
+
+
+def test_changed_run_command_runs_binaries_again(tmp_path, built_campaigns):
+    config = _stub_copy(tmp_path)
+    argv = ["ric", "--config", str(config), "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    suite = json.loads((tmp_path / "suite.json").read_text())
+    suite["benchmarks"][0]["run_command"] += "-board2"
+    (tmp_path / "suite.json").write_text(json.dumps(suite))
+    assert main(argv) == 0
+    first, second = (camp.counters for camp in built_campaigns)
+    assert 0 < second.executions < first.executions  # the unchanged entry stays cached
+
+
+def test_edited_compiler_script_recompiles(tmp_path, built_campaigns):
+    config = _stub_copy(tmp_path)
+    argv = ["ric", "--config", str(config), "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    with open(tmp_path / "stub" / "stubcc.py", "a", encoding="utf-8") as fh:
+        fh.write("# edited\n")
+    assert main(argv) == 0
+    first, second = (camp.counters for camp in built_campaigns)
+    assert (second.compilations, second.executions) == (first.compilations, first.executions)
 
 
 def _kill_when_cache_passes(argv: list[str], cache: Path, size: int) -> None:
@@ -482,6 +573,14 @@ def test_oracle_scores_with_configured_aggregate(tmp_path, demo_dir, tradeoff_sp
 
 def test_oracle_refuses_external_mode(tmp_path, demo_config):
     assert main(["oracle", "--config", demo_config("stub"), "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("extra", [["--resume", "nothing.json"], ["--max-evals", "1"]],
+                         ids=["resume", "max-evals"])
+def test_oracle_rejects_campaign_options(tmp_path, demo_config, extra):
+    out = tmp_path / "o"
+    assert main(["oracle", "--config", demo_config("pair"), "--out", str(out), *extra]) == 1
+    assert not out.exists()
 
 
 def test_oracle_enforces_flag_cap(tmp_path, demo_config):

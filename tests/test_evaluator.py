@@ -1,4 +1,8 @@
+import hashlib
+import json
 import math
+import shlex
+import subprocess
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from flagtuner.evaluator import (
     load_suite,
     load_synthetic_model,
 )
-from flagtuner.flagspace import Configuration, load_flag_space, toggle
+from flagtuner.flagspace import Configuration, load_flag_space, render_args, toggle
 from helpers import config_of, model_of, pair_dependency_model, quantised_models, space_of
 
 
@@ -323,16 +327,73 @@ def test_counters_on_mixed_outcomes(demo_dir, tmp_path):
     steps = [
         (stock, "alpha", "ok", False, (1, 1, 0)),  # fresh
         (ignored, "alpha", "ok", True, (2, 1, 1)),  # digest hit: compiles, runs nothing
-        (stock, "alpha", "ok", True, (3, 1, 2)),  # repeat: a digest hit too
-        (stock, "broken", "compile_error", False, (4, 1, 2)),
-        (stock, "broken", "compile_error", True, (4, 1, 3)),  # failure hit: compiles nothing
-        (stock, "crashy", "run_error", False, (5, 2, 3)),
-        (stock, "slow", "timeout", False, (6, 3, 3)),
+        (stock, "alpha", "ok", True, (2, 1, 2)),  # repeat: a configuration hit, compiles nothing
+        (stock, "broken", "compile_error", False, (3, 1, 2)),
+        (stock, "broken", "compile_error", True, (3, 1, 3)),  # failure hit: compiles nothing
+        (stock, "crashy", "run_error", False, (4, 2, 3)),
+        (stock, "slow", "timeout", False, (5, 3, 3)),
     ]
     for config, bench, status, cached, counters in steps:
         meas = ev.evaluate(config, bench)
         assert (meas.status, meas.cached) == (status, cached)
         assert (ev.compilations, ev.executions, ev.cache_hits) == counters
+
+
+def test_timeout_is_keyed_by_digest(demo_dir, tmp_path):
+    space = load_flag_space(demo_dir / "stub_space.json")
+    bench = Benchmark("slow", "python3 stub/stubcc.py {flags} --out {out}",
+                      "python3 -c 'import time; time.sleep(30)'", timeout=0.5)
+    ev = CommandEvaluator(space, [bench], workdir=demo_dir, build_dir=tmp_path)
+    stock = space.stock_config()
+    ignored = toggle(stock, space.index_of("prefetch-loop-arrays"))
+    assert ev.evaluate(stock, "slow").status == "timeout"
+    same_binary = ev.evaluate(ignored, "slow")
+    assert (same_binary.status, same_binary.cached) == ("timeout", True)
+    assert (ev.compilations, ev.executions) == (2, 1)
+
+
+def test_failure_detail_survives_reload(demo_dir, tmp_path):
+    space = load_flag_space(demo_dir / "stub_space.json")
+    bench = Benchmark("broken", "python3 -c 'import sys; sys.exit(\"no such target\")'", "true",
+                      timeout=10.0)
+    config = space.stock_config()
+    for expect_cached in (False, True):
+        with EvalCache(tmp_path / "cache.jsonl") as cache:
+            ev = CommandEvaluator(space, [bench], cache, build_dir=tmp_path / "build")
+            meas = ev.evaluate(config, "broken")
+        assert (meas.status, meas.cached, meas.detail) == (
+            "compile_error", expect_cached, "no such target")
+
+
+def test_records_without_fingerprint_load_but_do_not_answer(demo_dir, tmp_path):
+    space = load_flag_space(demo_dir / "stub_space.json")
+    suite = load_suite(demo_dir / "stub_suite.json")
+    stock = space.stock_config()
+    other = toggle(stock, 0)
+    binary = tmp_path / "stock.bin"
+    flags = " ".join(render_args(space, stock))
+    subprocess.run(shlex.split(f"python3 stub/stubcc.py {flags} --out {binary}"),
+                   cwd=demo_dir, check=True)
+    digest = hashlib.md5(binary.read_bytes()).hexdigest()
+    # records as written before toolchain fingerprints: no fingerprint in
+    # the keys and no detail field
+    records = [
+        {"benchmark": "alpha", "key": digest, "digest_algo": "md5", "digest": digest,
+         "status": "ok", "time": 9.0, "config_bitstring": stock.bitstring, "base_level": "O3"},
+        {"benchmark": "alpha", "key": f"cfg:{other.key()}", "digest_algo": "md5",
+         "digest": None, "status": "compile_error", "time": None,
+         "config_bitstring": other.bitstring, "base_level": "O3"},
+    ]
+    path = tmp_path / "cache.jsonl"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    with EvalCache(path) as cache:
+        assert cache.get("alpha", digest).time == 9.0
+        assert cache.get_failure("alpha", other).detail == ""
+        ev = CommandEvaluator(space, suite, cache, workdir=demo_dir, build_dir=tmp_path / "b")
+        fresh = [ev.evaluate(stock, "alpha"), ev.evaluate(other, "alpha")]
+    assert [(m.status, m.cached) for m in fresh] == [("ok", False), ("ok", False)]
+    assert fresh[0].time != 9.0
+    assert ev.executions == 2
 
 
 def test_run_error_status(demo_dir, tmp_path):
