@@ -22,6 +22,7 @@ from flagtuner.search import (
     CampaignTrace,
     SuiteCEParams,
     best_known_record,
+    evaluate_batch,
     run_suite_ce,
 )
 
@@ -195,9 +196,10 @@ def run_xval(
     if set(plan.assignment) != set(benches):
         raise ValueError("fold plan does not cover exactly the given benchmarks")
     baseline = params.baseline if params.baseline is not None else space.stock_config()
+    measured = dict(zip(benches, evaluate_batch(evaluator, [(baseline, b) for b in benches]),
+                        strict=True))
     reference = {}
-    for b in benches:
-        m = evaluator.evaluate(baseline, b)
+    for b, m in measured.items():
         if not m.ok:
             raise CampaignError(f"baseline configuration failed on {b}")
         reference[b] = m.time
@@ -211,10 +213,11 @@ def run_xval(
         except CampaignError as exc:
             results.append(FoldResult(fold, None, None, {}, error=str(exc)))
             continue
-        ratios = {}
-        for b in test:
-            m = evaluator.evaluate(config, b)
-            ratios[b] = m.time / reference[b] if m.ok else math.inf
+        ratios = {
+            b: m.time / reference[b] if m.ok else math.inf
+            for b, m in zip(test, evaluate_batch(evaluator, [(config, b) for b in test]),
+                            strict=True)
+        }
         results.append(FoldResult(fold, config, trace, ratios))
     return results
 

@@ -10,7 +10,8 @@ byte-reproducible for identical inputs and seed; timestamps go only to
 run.log.
 
 Exit codes: 0 success, 1 usage/parse error, 2 campaign failure,
-3 interrupted with a valid checkpoint.
+3 interrupted with a valid checkpoint. An OSError once a campaign is built
+interrupts it (3), or fails it (2) if the checkpoint cannot be written.
 """
 
 from __future__ import annotations
@@ -326,7 +327,10 @@ def _run_campaign(args, command: str, body: Callable[[Campaign, _Run], list[str]
     ``body`` runs the search, writes the command's own artifacts, records in
     its ``_Run`` what the checkpoint needs and returns the summary lines.
     An interruption, Ctrl-C or a spent ``--max-evals`` budget, ends the
-    body early and leaves an interrupted checkpoint.
+    body early and leaves an interrupted checkpoint. So does an ``OSError``
+    once the campaign is built (a full disk, a compiler that cannot be
+    started); when even the trace or the checkpoint cannot be written, the
+    campaign fails instead.
     """
     cfg, out = _load_config(args, command)
     if args.resume:
@@ -334,33 +338,43 @@ def _run_campaign(args, command: str, body: Callable[[Campaign, _Run], list[str]
     camp = build_campaign(cfg, out, args.max_evals)
     run = _Run()
     try:
-        summary = body(camp, run)
+        try:
+            summary = body(camp, run)
+        finally:
+            camp.cache.close()
     except (CampaignInterrupted, KeyboardInterrupt):
         summary = None
-    finally:
-        camp.cache.close()
-    if run.trace is not None:
-        write_trace(run.trace_path, run.trace)
+    except OSError as exc:
+        print(f"flagtuner: {exc}", file=sys.stderr)
+        summary = None
     progress = run.progress if run.trace is None else {"records": len(run.trace), **run.progress}
-    write_checkpoint(
-        out / "checkpoint.json",
-        command=command,
-        status="interrupted" if summary is None else "complete",
-        seed=cfg.seed,
-        input_digests=input_digests(cfg),
-        params=run.params,
-        state=run.state,
-        progress=progress,
-    )
+    try:
+        if run.trace is not None:
+            write_trace(run.trace_path, run.trace)
+        write_checkpoint(
+            out / "checkpoint.json",
+            command=command,
+            status="interrupted" if summary is None else "complete",
+            seed=cfg.seed,
+            input_digests=input_digests(cfg),
+            params=run.params,
+            state=run.state,
+            progress=progress,
+        )
+        if summary is None:
+            _log(out, f"{command} interrupted, progress {json.dumps(progress)}")
+        else:
+            _write_summary(out, summary)
+            _log(out, f"{command} complete")
+    except OSError as exc:
+        print(f"flagtuner: campaign failed: {exc}", file=sys.stderr)
+        return EXIT_CAMPAIGN
     if summary is None:
-        _log(out, f"{command} interrupted, progress {json.dumps(progress)}")
         print(
             f"{command}: interrupted; checkpoint written to {out / 'checkpoint.json'}",
             file=sys.stderr,
         )
         return EXIT_INTERRUPTED
-    _write_summary(out, summary)
-    _log(out, f"{command} complete")
     return EXIT_OK
 
 

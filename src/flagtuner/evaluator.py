@@ -28,7 +28,7 @@ import subprocess
 import time as _time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -39,6 +39,9 @@ from flagtuner.flagspace import (
     _check_member,
     render_args,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 STATUS_OK = "ok"
 STATUS_COMPILE_ERROR = "compile_error"
@@ -180,6 +183,11 @@ class EvalCache:
         key = self.aliases.get((benchmark, key), key)
         return self.entries.get((benchmark, key))
 
+    def __contains__(self, item: tuple[str, str]) -> bool:
+        """Whether ``get(*item)`` would answer, without serving a hit."""
+        benchmark, key = item
+        return (benchmark, self.aliases.get(item, key)) in self.entries
+
     def get_failure(self, benchmark: str, config: Configuration) -> Measurement | None:
         """The outcome filed under the configuration's identity alone, where
         ``put`` files a failure by default."""
@@ -283,9 +291,16 @@ class CommandEvaluator:
     a stale cache. ``compilations`` counts compiler invocations,
     ``executions`` the evaluations that ran the binary at least once and
     ``cache_hits`` the configuration and digest hits, which run nothing.
-    Timed executions are strictly serialized in submission order. Each
-    binary is deleted from ``build_dir`` once it has been digested and run,
-    or has failed.
+
+    ``evaluate_many`` compiles in parallel: it takes a batch of independent
+    pairs in chunks of at most one compile per CPU, compiles a chunk's
+    misses on a thread pool and joins the pool before the chunk's first
+    run. Digests and timed executions stay in the main thread, strictly
+    serialized in submission order, so a timed run never overlaps a compile
+    or another run that flagtuner started. Each binary is deleted from
+    ``build_dir`` once it has been digested and run, or has failed, and a
+    chunk that ends early deletes the binaries it built ahead, so
+    ``build_dir`` never holds more than one chunk of binaries.
     """
 
     def __init__(
@@ -313,6 +328,65 @@ class CommandEvaluator:
         self.executions = 0
         self.compilations = 0
         self.cache_hits = 0
+        # compiles started by evaluate_many, by (benchmark, configuration key)
+        self._prebuilt: dict[tuple[str, str], Future] = {}
+
+    def _key(self, config: Configuration, bench_name: str) -> str:
+        """The configuration key of a checked pair."""
+        if bench_name not in self.suite:
+            raise ValueError(f"unknown benchmark {bench_name!r}")
+        _check_member(self.space, config)
+        return _config_key(config, self._fingerprints[bench_name])
+
+    def _out_path(self, config: Configuration, bench_name: str) -> Path:
+        return self.build_dir / f"{bench_name}-{config.base_level}-{config.bitstring}.bin"
+
+    def evaluate_many(
+        self, pairs: Sequence[tuple[Configuration, str]]
+    ) -> Iterator[Measurement]:
+        """The measurements of independent ``pairs``, in order, each from
+        ``evaluate``.
+
+        Pairs go through in chunks holding at most one compile per CPU. A
+        chunk's compiles are the pairs whose configuration the cache does not
+        hold when the chunk starts, each distinct pair once; with two or more,
+        they run on a thread pool that is joined before the chunk's first
+        ``evaluate``, which then uses the prebuilt binary. As a pair is only
+        compiled when its configuration is missed, the compiles, runs and hits
+        are those of evaluating the pairs one by one.
+        """
+        width = len(os.sched_getaffinity(0))
+        start = 0
+        while start < len(pairs):
+            misses: dict[tuple[str, str], Configuration] = {}
+            end = start
+            while end < len(pairs):
+                config, bench_name = pairs[end]
+                key = (bench_name, self._key(config, bench_name))
+                if key not in misses and key not in self.cache:
+                    if len(misses) == width:
+                        break
+                    misses[key] = config
+                end += 1
+            try:
+                if len(misses) > 1:
+                    # imported here: it adds some 7 ms to every start-up otherwise
+                    from concurrent.futures import ThreadPoolExecutor
+
+                    with ThreadPoolExecutor(len(misses)) as pool:
+                        for key, config in misses.items():
+                            self.compilations += 1
+                            self._prebuilt[key] = pool.submit(
+                                self._compile, config, self.suite[key[0]],
+                                self._out_path(config, key[0]),
+                            )
+                for config, bench_name in pairs[start:end]:
+                    yield self.evaluate(config, bench_name)
+            finally:
+                for key, config in misses.items():
+                    self._prebuilt.pop(key, None)
+                    self._out_path(config, key[0]).unlink(missing_ok=True)
+            start = end
 
     def evaluate(self, config: Configuration, bench_name: str) -> Measurement:
         """The recorded outcome of one configuration, or a fresh one.
@@ -320,23 +394,28 @@ class CommandEvaluator:
         The configuration is looked up under the benchmark's fingerprint
         before anything is compiled, and the binary's digest before it is
         run; a hit returns the recorded measurement with ``cached=True``.
-        Every outcome is put under the configuration's key, and a fresh one
-        that carries a digest under the digest first, so a binary that
-        failed its run is not run again either. The measured time is the
-        minimum over ``repeat_runs`` timed executions.
+        A binary that ``evaluate_many`` built ahead is used, and an error its
+        compile raised is raised here. Every outcome is put under the
+        configuration's key, and a fresh one that carries a digest under the
+        digest first, so a binary that failed its run is not run again
+        either. The measured time is the minimum over ``repeat_runs`` timed
+        executions.
         """
-        if bench_name not in self.suite:
-            raise ValueError(f"unknown benchmark {bench_name!r}")
-        _check_member(self.space, config)
-        fingerprint = self._fingerprints[bench_name]
-        key = _config_key(config, fingerprint)
+        key = self._key(config, bench_name)
         hit = self.cache.get(bench_name, key)
         if hit is not None:
             self.cache_hits += 1
             return replace(hit, cached=True)
-        out_path = self.build_dir / f"{bench_name}-{config.base_level}-{config.bitstring}.bin"
+        bench = self.suite[bench_name]
+        out_path = self._out_path(config, bench_name)
         try:
-            meas = self._measure(config, self.suite[bench_name], fingerprint, out_path)
+            built = self._prebuilt.pop((bench_name, key), None)
+            if built is None:
+                self.compilations += 1
+                failed = self._compile(config, bench, out_path)
+            else:
+                failed = built.result()
+            meas = failed if failed is not None else self._run(bench, out_path)
         finally:
             out_path.unlink(missing_ok=True)
         if meas.digest is not None and not meas.cached:
@@ -344,15 +423,14 @@ class CommandEvaluator:
         self.cache.put(bench_name, config, meas, key=key)
         return meas
 
-    def _measure(
-        self, config: Configuration, bench: Benchmark, fingerprint: str, out_path: Path
-    ) -> Measurement:
-        """The fresh outcome of the pipeline, which builds ``out_path``, or,
-        once the binary is built, a digest hit marked ``cached``."""
+    def _compile(
+        self, config: Configuration, bench: Benchmark, out_path: Path
+    ) -> Measurement | None:
+        """Build ``out_path``: None once the binary exists, else the compile
+        error. Safe to call from a pool thread."""
         self.build_dir.mkdir(parents=True, exist_ok=True)
         flags = " ".join(render_args(self.space, config))
         compile_cmd = bench.compile_command.format(flags=flags, out=out_path)
-        self.compilations += 1
         try:
             proc = _run_command(compile_cmd, bench.timeout, self.workdir)
         except subprocess.TimeoutExpired:
@@ -361,8 +439,12 @@ class CommandEvaluator:
             stderr = proc.stderr.strip()
             detail = stderr.splitlines()[-1] if stderr else "compile failed"
             return Measurement(STATUS_COMPILE_ERROR, detail=detail)
+        return None
 
-        digest = _digest_bytes(fingerprint.encode() + out_path.read_bytes())
+    def _run(self, bench: Benchmark, out_path: Path) -> Measurement:
+        """The fresh outcome of running the built ``out_path``, or a digest
+        hit marked ``cached``."""
+        digest = _digest_bytes(self._fingerprints[bench.name].encode() + out_path.read_bytes())
         hit = self.cache.get(bench.name, digest)
         if hit is not None:
             self.cache_hits += 1

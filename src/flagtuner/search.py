@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import math
 import random
+from contextlib import closing
 from dataclasses import dataclass, field
 from statistics import fmean
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 from flagtuner.evaluator import Measurement
 from flagtuner.flagspace import Configuration, FlagSpace, _check_member, toggle
@@ -40,6 +41,19 @@ class CampaignInterrupted(RuntimeError):
 
 class Evaluator(Protocol):
     def evaluate(self, config: Configuration, bench_name: str) -> Measurement: ...
+
+
+def evaluate_batch(
+    evaluator: Evaluator, pairs: Sequence[tuple[Configuration, str]]
+) -> Iterator[Measurement]:
+    """The measurements of ``pairs``, which do not depend on each other, in
+    order: from the evaluator's ``evaluate_many`` if it has one, which may
+    work ahead (``CommandEvaluator`` compiles in parallel), else from
+    ``evaluate`` one pair at a time."""
+    many = getattr(evaluator, "evaluate_many", None)
+    if many is not None:
+        return many(pairs)
+    return (evaluator.evaluate(config, bench) for config, bench in pairs)
 
 
 @dataclass
@@ -173,11 +187,11 @@ def run_ric(
     trace = trace if trace is not None else CampaignTrace()
     base = baseline if baseline is not None else space.stock_config()
     _check_member(space, base)
-    trace.append(base, {b: evaluator.evaluate(base, b) for b in benches}, "baseline")
     rng = random.Random(seed)
-    for _ in range(n_configs):
-        cfg = sample_ric(space, rng)
-        trace.append(cfg, {b: evaluator.evaluate(cfg, b) for b in benches}, "sample")
+    configs = [base] + [sample_ric(space, rng) for _ in range(n_configs)]
+    results = evaluate_batch(evaluator, [(cfg, b) for cfg in configs for b in benches])
+    for n, cfg in enumerate(configs):
+        trace.append(cfg, dict(zip(benches, results)), "sample" if n else "baseline")
     return trace
 
 
@@ -245,11 +259,18 @@ def _eliminate(
     lowest flag index): the best is accepted, and the others are re-probed
     against the updated configuration and accepted if they still lower the
     score. The rest stay in the search space for later rounds.
+
+    A round's probes do not depend on each other, so they go to the
+    evaluator in stages, one batch per benchmark holding every candidate
+    still alive; the pairs of one benchmark keep the candidate order, and
+    the trace records are appended in flag order once the round's stages
+    are done.
     """
     trace = trace if trace is not None else CampaignTrace()
     state = state if state is not None else CEState()
     _check_member(space, B)
-    ref_meas = {b: evaluator.evaluate(B, b) for b in benches}
+    batch = evaluate_batch(evaluator, [(B, b) for b in benches])
+    ref_meas = dict(zip(benches, batch, strict=True))
     trace.append(B, ref_meas, "baseline")
     failed = [f"{b} ({m.status})" for b, m in ref_meas.items() if not m.ok]
     if failed:
@@ -259,25 +280,37 @@ def _eliminate(
     bound = {b: slack * t_ref[b] for b in benches}
     score_b = 1.0  # every ratio of the baseline to itself is 1
 
-    def probe(cand: Configuration, flag_name: str) -> tuple[float, TraceRecord]:
-        measurements: dict[str, Measurement] = {}
+    def probe(flags: list[int]) -> dict[int, tuple[float, TraceRecord]]:
+        """The score and trace record of toggling each of ``flags`` in
+        ``B``, appended in the order given."""
+        cands = {i: toggle(B, i) for i in flags}
+        measured: dict[int, dict[str, Measurement]] = {i: {} for i in flags}
+        alive = flags
         for b in benches:
-            m = measurements[b] = evaluator.evaluate(cand, b)
-            if not m.ok or m.time > bound[b]:
-                note = "" if threshold_t is None else f" (skipped at {b})"
-                return math.inf, trace.append(cand, measurements, f"probe {flag_name}{note}")
-        rec = trace.append(cand, measurements, f"probe {flag_name}")
-        return aggregate([measurements[b].time / t_ref[b] for b in benches]), rec
+            batch = evaluate_batch(evaluator, [(cands[i], b) for i in alive])
+            limit, survivors = bound[b], []
+            for i, m in zip(alive, batch, strict=True):
+                measured[i][b] = m
+                if m.ok and m.time <= limit:
+                    survivors.append(i)
+            alive = survivors
+        passed = set(alive)
+        scored = {}
+        for i in flags:
+            ms, name = measured[i], space.flags[i].name
+            if i in passed:
+                score = aggregate([ms[b].time / t_ref[b] for b in benches])
+                scored[i] = score, trace.append(cands[i], ms, f"probe {name}")
+            else:
+                note = "" if threshold_t is None else f" (skipped at {list(ms)[-1]})"
+                scored[i] = math.inf, trace.append(cands[i], ms, f"probe {name}{note}")
+        return scored
 
     S = list(range(len(space)))
     state.capture(S, B, [])
 
     while True:
-        candidates: dict[int, tuple[float, TraceRecord]] = {}
-        for i in S:
-            score, rec = probe(toggle(B, i), space.flags[i].name)
-            if score < score_b:
-                candidates[i] = (score, rec)
+        candidates = {i: sr for i, sr in probe(S).items() if sr[0] < score_b}
         X = [i for _, i in sorted((score, i) for i, (score, _) in candidates.items())]
         state.capture(S, B, X)
         if not X:
@@ -289,10 +322,9 @@ def _eliminate(
         rec.annotation = f"accepted toggle {space.flags[first].name}"
         S.remove(first)
         for i in X[1:]:
-            cand = toggle(B, i)
-            score, rec = probe(cand, space.flags[i].name)
+            score, rec = probe([i])[i]
             if score < score_b:
-                B = cand
+                B = rec.config
                 score_b = score
                 rec.annotation = f"accepted toggle {space.flags[i].name}"
                 S.remove(i)
@@ -331,8 +363,9 @@ class BudgetedEvaluator:
 
     Cache replays are free; only measurements that actually execute count
     against the budget. The interruption is raised at the start of the
-    first call after the budget is spent, so a campaign that finishes
-    exactly on budget completes normally.
+    first pair after the budget is spent, so a campaign that finishes
+    exactly on budget completes normally. A batch is passed on lazily, one
+    pair at a time, and closed when the budget interrupts it.
     """
 
     def __init__(self, inner: Evaluator, max_evals: int):
@@ -343,11 +376,18 @@ class BudgetedEvaluator:
         self.used = 0
 
     def evaluate(self, config: Configuration, bench_name: str) -> Measurement:
-        if self.used >= self.max_evals:
-            raise CampaignInterrupted(
-                f"evaluation budget of {self.max_evals} fresh measurements spent"
-            )
-        meas = self.inner.evaluate(config, bench_name)
-        if not meas.cached:
-            self.used += 1
-        return meas
+        return next(self.evaluate_many([(config, bench_name)]))
+
+    def evaluate_many(
+        self, pairs: Sequence[tuple[Configuration, str]]
+    ) -> Iterator[Measurement]:
+        with closing(evaluate_batch(self.inner, pairs)) as results:
+            for _ in pairs:
+                if self.used >= self.max_evals:
+                    raise CampaignInterrupted(
+                        f"evaluation budget of {self.max_evals} fresh measurements spent"
+                    )
+                meas = next(results)
+                if not meas.cached:
+                    self.used += 1
+                yield meas

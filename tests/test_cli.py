@@ -2,6 +2,7 @@ import json
 import os
 import random
 import re
+import resource
 import shutil
 import signal
 import subprocess
@@ -75,6 +76,64 @@ def test_config_that_is_not_an_object_is_usage_error(tmp_path, capsys):
     assert main(["ric", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
     assert len(capsys.readouterr().err.splitlines()) == 1
     assert not (tmp_path / "o").exists()
+
+
+def _child_env() -> dict[str, str]:
+    """The environment for a child ``python -m flagtuner`` on this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _run_with_file_limit(argv: list[str], limit: int) -> subprocess.CompletedProcess:
+    """Run the CLI in a child that may write no file past ``limit`` bytes, as
+    on a full disk: with SIGXFSZ ignored, such a write fails with EFBIG."""
+
+    def limit_files() -> None:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+
+    return subprocess.run([sys.executable, "-m", "flagtuner", *argv], env=_child_env(),
+                          capture_output=True, text=True, preexec_fn=limit_files, timeout=60)
+
+
+def test_full_disk_interrupts_with_checkpoint_then_resumes(tmp_path, demo_dir):
+    config = write_config(tmp_path / "c.json", flag_space=str(demo_dir / "tradeoff_space.json"),
+                          model=str(demo_dir / "tradeoff_model.json"))
+    out = tmp_path / "o"
+    argv = ["ric", "--config", str(config), "--out", str(out)]
+    proc = _run_with_file_limit(argv, 4000)
+    assert proc.returncode == 3, proc.stderr
+    assert "File too large" in proc.stderr
+    assert read_checkpoint(out / "checkpoint.json")["status"] == "interrupted"
+    assert (out / "ric.trace").exists()
+
+    full = tmp_path / "full"
+    assert main(["ric", "--config", str(config), "--out", str(full)]) == 0
+    assert main([*argv, "--resume", str(out / "checkpoint.json")]) == 0
+    assert _resumable_artifacts(out) == _resumable_artifacts(full)
+
+
+def test_full_disk_without_room_for_a_checkpoint_fails_the_campaign(tmp_path, demo_dir):
+    config = write_config(tmp_path / "c.json", flag_space=str(demo_dir / "tradeoff_space.json"),
+                          model=str(demo_dir / "tradeoff_model.json"))
+    out = tmp_path / "o"
+    proc = _run_with_file_limit(["ric", "--config", str(config), "--out", str(out)], 200)
+    assert proc.returncode == 2, proc.stderr
+    assert not (out / "checkpoint.json").exists()
+
+
+def test_missing_compiler_interrupts_with_checkpoint(tmp_path):
+    (tmp_path / "suite.json").write_text(json.dumps({"benchmarks": [
+        {"name": "b", "compile_command": "no-such-compiler-anywhere {flags} -o {out}",
+         "run_command": "{bin}"},
+    ]}))
+    config = write_config(tmp_path / "c.json", mode="external", suite="suite.json", model=None,
+                          flag_space=str(DEMO / "stub_space.json"), n_configs=3)
+    out = tmp_path / "o"
+    assert main(["ric", "--config", str(config), "--out", str(out)]) == 3
+    assert read_checkpoint(out / "checkpoint.json")["status"] == "interrupted"
+    assert not list((out / "build").iterdir())
 
 
 def test_unknown_subcommand_is_usage_error():
@@ -494,10 +553,7 @@ def test_edited_compiler_script_recompiles(tmp_path, built_campaigns):
 def _kill_when_cache_passes(argv: list[str], cache: Path, size: int) -> None:
     """Run the CLI in a subprocess and SIGKILL it, its toolchain children
     included, once ``cache`` holds at least ``size`` bytes."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.Popen([sys.executable, "-m", "flagtuner", *argv], env=env,
+    proc = subprocess.Popen([sys.executable, "-m", "flagtuner", *argv], env=_child_env(),
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                             start_new_session=True)
     deadline = time.monotonic() + 60

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from statistics import fmean
@@ -6,14 +7,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flagtuner.evaluator import Measurement, SyntheticEvaluator
-from flagtuner.flagspace import Configuration
+from flagtuner.flagspace import Configuration, _check_member, toggle
 from flagtuner.oracle import per_benchmark_optimum
 from flagtuner.search import (
+    AGGREGATES,
     BudgetedEvaluator,
     CampaignError,
     CampaignInterrupted,
     CampaignTrace,
+    CEState,
     SuiteCEParams,
+    _eliminate,
     best_known,
     best_known_record,
     rip,
@@ -482,3 +486,123 @@ def test_budget_allows_exact_fit():
     config, trace = run_ce(space, "cover", ev)  # needs exactly 3 evaluations
     assert len(trace) == 3
     assert config == space.all_enabled()
+
+
+# ---------------------------------------------------------------------------
+# staged elimination against the candidate-major loop
+# ---------------------------------------------------------------------------
+
+def candidate_major_eliminate(space, benches, evaluator, B, aggregate, threshold_t, trace,
+                              state):
+    """Combined elimination that evaluates each candidate across the whole
+    suite before the next one: ``_eliminate`` as it was before its probes
+    were staged benchmark by benchmark."""
+    _check_member(space, B)
+    ref_meas = {b: evaluator.evaluate(B, b) for b in benches}
+    trace.append(B, ref_meas, "baseline")
+    failed = [f"{b} ({m.status})" for b, m in ref_meas.items() if not m.ok]
+    if failed:
+        raise CampaignError(f"baseline configuration failed on: {', '.join(failed)}")
+    t_ref = {b: ref_meas[b].time for b in benches}
+    slack = math.inf if threshold_t is None else 1.0 + threshold_t / 100.0
+    bound = {b: slack * t_ref[b] for b in benches}
+    score_b = 1.0
+
+    def probe(cand, flag_name):
+        measurements = {}
+        for b in benches:
+            m = measurements[b] = evaluator.evaluate(cand, b)
+            if not m.ok or m.time > bound[b]:
+                note = "" if threshold_t is None else f" (skipped at {b})"
+                return math.inf, trace.append(cand, measurements, f"probe {flag_name}{note}")
+        rec = trace.append(cand, measurements, f"probe {flag_name}")
+        return aggregate([measurements[b].time / t_ref[b] for b in benches]), rec
+
+    S = list(range(len(space)))
+    state.capture(S, B, [])
+    while True:
+        candidates = {}
+        for i in S:
+            score, rec = probe(toggle(B, i), space.flags[i].name)
+            if score < score_b:
+                candidates[i] = (score, rec)
+        X = [i for _, i in sorted((score, i) for i, (score, _) in candidates.items())]
+        state.capture(S, B, X)
+        if not X:
+            break
+        first = X[0]
+        score_b, rec = candidates[first]
+        B = toggle(B, first)
+        rec.annotation = f"accepted toggle {space.flags[first].name}"
+        S.remove(first)
+        for i in X[1:]:
+            cand = toggle(B, i)
+            score, rec = probe(cand, space.flags[i].name)
+            if score < score_b:
+                B = cand
+                score_b = score
+                rec.annotation = f"accepted toggle {space.flags[i].name}"
+                S.remove(i)
+        state.capture(S, B, [])
+    return B, trace
+
+
+class RecordingState(CEState):
+    """A CEState that keeps every capture."""
+
+    def __init__(self):
+        super().__init__()
+        self.captures = []
+
+    def capture(self, S, B, X):
+        super().capture(S, B, X)
+        self.captures.append((self.S, self.B, self.X))
+
+
+class FailingEvaluator:
+    """A synthetic evaluator that fails a fixed share of pairs, chosen by a
+    hash of the pair, and logs the order it evaluated the pairs in. Pairs of
+    the configuration ``spared`` never fail."""
+
+    def __init__(self, inner, fail_pct, salt, spared=None):
+        self.inner, self.fail_pct, self.salt, self.spared = inner, fail_pct, salt, spared
+        self.log = []
+
+    def evaluate(self, config, bench):
+        self.log.append((config.key(), bench))
+        digest = hashlib.md5(f"{self.salt}:{config.key()}:{bench}".encode()).digest()
+        if config != self.spared and digest[0] * 100 < self.fail_pct * 256:
+            return Measurement("run_error")
+        return self.inner.evaluate(config, bench)
+
+
+def _outcome(run):
+    try:
+        return run(), None
+    except CampaignError as exc:
+        return None, type(exc)
+
+
+@given(
+    rng=st.randoms(use_true_random=False),
+    fail_pct=st.sampled_from([0, 10, 30]),
+    threshold_t=st.sampled_from([None, 0.0, 1.0, 5.0]),
+    aggregate=st.sampled_from(sorted(AGGREGATES)),
+    baseline_fails=st.booleans(),
+)
+def test_staged_elimination_equals_candidate_major(rng, fail_pct, threshold_t, aggregate,
+                                                   baseline_fails):
+    space, model, benches = random_suite_instance(rng)
+    B = space.stock_config() if threshold_t is not None else space.all_enabled()
+    salt, spared = rng.random(), None if baseline_fails else B
+    runs = []
+    for eliminate in (_eliminate, candidate_major_eliminate):
+        ev = FailingEvaluator(SyntheticEvaluator(space, model), fail_pct, salt, spared)
+        trace, state = CampaignTrace(), RecordingState()
+        result, error = _outcome(lambda: eliminate(
+            space, benches, ev, B, AGGREGATES[aggregate], threshold_t, trace, state
+        ))
+        per_bench = {b: [key for key, bench in ev.log if bench == b] for b in benches}
+        runs.append((result and result[0], error, trace_fingerprint(trace), state.captures,
+                     per_bench))
+    assert runs[0] == runs[1]
