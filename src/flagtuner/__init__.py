@@ -15,7 +15,6 @@ from flagtuner.flagspace import (
     load_flag_space,
     parse_flag_space,
     render_args,
-    serialize_flag_space,
     toggle,
 )
 from flagtuner.evaluator import (
@@ -40,7 +39,6 @@ from flagtuner.search import (
     best_known,
     best_known_record,
     rip,
-    rip_of,
     run_ce,
     run_ric,
     run_suite_ce,

@@ -32,7 +32,6 @@ class RelativeSeries:
     """Dimensionless progress series: (configurations tested, value) points."""
 
     points: tuple[tuple[int, float], ...]
-    reference: str = ""
 
 
 def floored_best_so_far(
@@ -62,7 +61,7 @@ def floored_best_so_far(
             min(1.0, best[b] / reference[b]) if b in best else 1.0 for b in benches
         )
         points.append((rec.seq, value))
-    return RelativeSeries(tuple(points), reference="floored best-so-far vs stock baseline")
+    return RelativeSeries(tuple(points))
 
 
 @dataclass(frozen=True)
@@ -138,9 +137,6 @@ class FoldPlan:
     def test_set(self, fold: int) -> list[str]:
         return [p for p, f in self.assignment.items() if f == fold]
 
-    def train_set(self, fold: int) -> list[str]:
-        return [p for p, f in self.assignment.items() if f != fold]
-
 
 def make_folds(programs: Sequence[str], k: int, seed: int) -> FoldPlan:
     """Uniform random partition into k folds, deterministic per seed."""
@@ -172,10 +168,6 @@ class FoldResult:
     trace: CampaignTrace | None
     test_ratios: dict[str, float] = field(default_factory=dict)
     error: str | None = None
-
-    @property
-    def mean_test_ratio(self) -> float:
-        return fmean(self.test_ratios.values())
 
 
 def run_xval(
@@ -247,21 +239,9 @@ def performance_table(trace: CampaignTrace, benchmark: str) -> PerformanceTable:
     return table
 
 
-def _best_of_table(table: PerformanceTable) -> Configuration:
-    best_config, best_time = None, None
-    for config, t in table:
-        if best_time is None or t < best_time:
-            best_config, best_time = config, t
-    if best_config is None:
-        raise ValueError("empty performance table for nearest neighbor")
-    return best_config
-
-
 def predict_1nn(
     query: FeatureVector,
     training: Sequence[tuple[FeatureVector, PerformanceTable]],
-    *,
-    normalize: bool = True,
 ) -> Configuration:
     """Copy the best configuration of the nearest training program.
 
@@ -280,18 +260,20 @@ def predict_1nn(
             )
     X = np.array([fv.values for fv, _ in training], dtype=float)
     q = np.array(query.values, dtype=float)
-    if normalize:
-        keep = X.max(axis=0) > X.min(axis=0)
-        X = X[:, keep]
-        q = q[keep]
-        if X.shape[1] > 0:
-            mean = X.mean(axis=0)
-            std = X.std(axis=0)
-            X = (X - mean) / std
-            q = (q - mean) / std
+    keep = X.max(axis=0) > X.min(axis=0)
+    X = X[:, keep]
+    q = q[keep]
+    if X.shape[1] > 0:
+        mean = X.mean(axis=0)
+        std = X.std(axis=0)
+        X = (X - mean) / std
+        q = (q - mean) / std
     d2 = ((X - q) ** 2).sum(axis=1)
     nearest = int(np.argmin(d2))
-    return _best_of_table(training[nearest][1])
+    table = training[nearest][1]
+    if not table:
+        raise ValueError("empty performance table for nearest neighbor")
+    return min(table, key=lambda row: row[1])[0]
 
 
 def load_features(path: str | Path) -> list[FeatureVector]:

@@ -93,6 +93,8 @@ def read_trace(path: str | Path, space: FlagSpace) -> CampaignTrace:
                     )
 
         for row in reader:
+            if len(row) != len(TRACE_COLUMNS):
+                raise ValueError(f"{path}: line {reader.line_num} is not a trace row")
             seq = int(row[0])
             if seq != current_seq:
                 flush()

@@ -96,7 +96,6 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class CampaignConfig:
-    path: Path
     command: str
     flag_space: Path
     mode: str
@@ -151,14 +150,13 @@ def load_campaign_config(
         raise ConfigError(f"{path}: mode must be 'synthetic' or 'external'")
     try:
         cfg = CampaignConfig(
-            path=path,
             command=command,
             flag_space=resolve("flag_space", required=True),
             mode=mode,
             model=resolve("model", required=(mode == "synthetic")),
             suite=resolve("suite", required=(mode == "external")),
-            cache=str(data.get("cache", "cache.jsonl")),
-            out_dir=(base / data["out_dir"]) if "out_dir" in data else None,
+            cache="cache.jsonl" if data.get("cache") is None else str(data["cache"]),
+            out_dir=None if data.get("out_dir") is None else base / data["out_dir"],
             seed=int(data.get("seed", 0)) if seed_override is None else seed_override,
             n_configs=int(data.get("n_configs", 100)),
             threshold_t=(
@@ -275,6 +273,8 @@ def _write_summary(out: Path, lines: list[str]) -> None:
 
 def _check_resume(resume: str, cfg: CampaignConfig) -> None:
     ck = read_checkpoint(resume)
+    if not isinstance(ck, dict):
+        raise ConfigError(f"{resume}: a checkpoint must be a JSON object")
     if ck.get("command") != cfg.command:
         raise ConfigError(f"checkpoint is for {ck.get('command')!r}, not {cfg.command!r}")
     if ck.get("seed") != cfg.seed:
@@ -284,6 +284,8 @@ def _check_resume(resume: str, cfg: CampaignConfig) -> None:
 
 
 def _baseline_reference(trace: CampaignTrace) -> dict[str, float]:
+    if not trace.records:
+        raise ValueError("trace has no records")
     rec = trace.records[0]
     if rec.annotation != "baseline":
         raise ValueError("trace does not start with a baseline record")
@@ -558,10 +560,11 @@ def cmd_report(args) -> int:
     reference = _baseline_reference(ref_trace)
 
     table = compare_to_baseline(named, reference)
+    series = [(name, floored_best_so_far(trace, reference)) for name, trace in named]
     out.mkdir(parents=True, exist_ok=True)
     write_compare(out / "compare.csv", table)
-    for name, trace in named:
-        write_series(out / f"{name}.series.csv", floored_best_so_far(trace, reference))
+    for name, points in series:
+        write_series(out / f"{name}.series.csv", points)
     _write_summary(
         out,
         [
@@ -583,8 +586,16 @@ def cmd_predict_1nn(args) -> int:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{manifest_path}: {exc}") from exc
+    if not isinstance(manifest, list):
+        raise ConfigError(f"{manifest_path}: a training manifest must be a JSON list")
     training = []
-    for rec in manifest:
+    for i, rec in enumerate(manifest):
+        if not isinstance(rec, dict) or not all(
+            isinstance(rec.get(k), str) for k in ("program", "trace")
+        ) or not isinstance(rec.get("benchmark", ""), str):
+            raise ConfigError(
+                f"{manifest_path}: record {i} needs string program, trace and optional benchmark"
+            )
         program = rec["program"]
         if program == args.query:
             continue

@@ -30,7 +30,6 @@ class Flag:
     on: str
     off: str
     stock: bool = True
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -63,26 +62,13 @@ class FlagSpace:
     def __len__(self) -> int:
         return len(self.flags)
 
-    def index_of(self, flag_name: str) -> int:
-        for i, f in enumerate(self.flags):
-            if f.name == flag_name:
-                return i
-        raise FlagSpaceError(f"unknown flag {flag_name!r}")
-
-    def level_arg(self, level: str) -> str:
-        if level not in self.base_levels:
-            raise FlagSpaceError(f"unknown base level {level!r}")
-        return f"-{level}"
-
-    def all_enabled(self, base_level: str | None = None) -> Configuration:
+    def all_enabled(self) -> Configuration:
         """Configuration with every flag on (the classic elimination start)."""
-        level = base_level if base_level is not None else self.default_baseline
-        return Configuration(level, (True,) * len(self.flags))
+        return Configuration(self.default_baseline, (True,) * len(self.flags))
 
-    def stock_config(self, base_level: str | None = None) -> Configuration:
+    def stock_config(self) -> Configuration:
         """Configuration matching what the stock baseline level enables."""
-        level = base_level if base_level is not None else self.default_baseline
-        return Configuration(level, tuple(f.stock for f in self.flags))
+        return Configuration(self.default_baseline, tuple(f.stock for f in self.flags))
 
 
 @dataclass(frozen=True)
@@ -101,12 +87,6 @@ class Configuration:
         if any(c not in "01" for c in bits):
             raise FlagSpaceError(f"bad bitstring {bits!r}")
         return cls(base_level, tuple(c == "1" for c in bits))
-
-    def belongs_to(self, space: FlagSpace) -> bool:
-        return (
-            len(self.assignment) == len(space.flags)
-            and self.base_level in space.base_levels
-        )
 
     def key(self) -> str:
         """Stable identity string (level + bitstring) used for cache keys."""
@@ -130,7 +110,7 @@ def render_args(space: FlagSpace, config: Configuration) -> list[str]:
     flag order, so distinct assignments never render identically.
     """
     _check_member(space, config)
-    args = [space.level_arg(config.base_level)]
+    args = [f"-{config.base_level}"]
     for flag, enabled in zip(space.flags, config.assignment):
         args.append(flag.on if enabled else flag.off)
     return args
@@ -154,7 +134,9 @@ def parse_flag_space(document: str) -> FlagSpace:
 
         {"base_levels": ["O1", "O2", "O3"],
          "default_baseline": "O3",
-         "flags": [{"name": ..., "on": ..., "off": ..., "stock": true, "note": ...}, ...]}
+         "flags": [{"name": ..., "on": ..., "off": ..., "stock": true}, ...]}
+
+    Other keys, such as a flag's ``note``, are ignored.
     """
     try:
         data = json.loads(document)
@@ -182,23 +164,9 @@ def parse_flag_space(document: str) -> FlagSpace:
                 on=str(rec["on"]),
                 off=str(rec["off"]),
                 stock=bool(rec.get("stock", True)),
-                note=str(rec.get("note", "")),
             )
         )
     return FlagSpace(tuple(flags), tuple(base_levels), str(default_baseline))
-
-
-def serialize_flag_space(space: FlagSpace) -> str:
-    """Inverse of parse_flag_space; round-trips flag order and names exactly."""
-    data = {
-        "base_levels": list(space.base_levels),
-        "default_baseline": space.default_baseline,
-        "flags": [
-            {"name": f.name, "on": f.on, "off": f.off, "stock": f.stock, "note": f.note}
-            for f in space.flags
-        ],
-    }
-    return json.dumps(data, indent=2) + "\n"
 
 
 def load_flag_space(path) -> FlagSpace:

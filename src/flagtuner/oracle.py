@@ -11,6 +11,7 @@ order, so every tie still goes to the first configuration enumerated.
 
 from __future__ import annotations
 
+from statistics import fmean
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -91,7 +92,7 @@ def suite_constrained_optimum(
     reference: dict[str, float],
     *,
     base_level: str | None = None,
-    aggregate_fn=None,
+    aggregate_fn=fmean,
     max_flags: int = DEFAULT_MAX_FLAGS,
 ) -> tuple[float, Configuration] | None:
     """Best aggregate ratio subject to the per-benchmark threshold bound.
@@ -104,10 +105,6 @@ def suite_constrained_optimum(
     is ``aggregate_fn`` over Python floats, in enumeration order.
     """
     _check_cap(space, max_flags)
-    if aggregate_fn is None:
-        from statistics import fmean
-
-        aggregate_fn = fmean
     bound = {b: (1.0 + threshold_t / 100.0) * reference[b] for b in benchmarks}
     best = None
     for level, masks in _blocks(space, base_level):

@@ -139,13 +139,6 @@ def rip(t_toggled: float, t_base: float) -> float:
     return (t_toggled - t_base) / t_base * 100.0
 
 
-def rip_of(toggled: Measurement, base: Measurement) -> float:
-    """RIP of two measurements; +inf when either side is not ok."""
-    if not toggled.ok or not base.ok:
-        return math.inf
-    return rip(toggled.time, base.time)
-
-
 def sample_ric(space: FlagSpace, rng: int | random.Random) -> Configuration:
     """Draw one random configuration: uniform base level, each flag on with p=1/2.
 
@@ -174,7 +167,6 @@ def run_ric(
     n_configs: int,
     seed: int,
     *,
-    baseline: Configuration | None = None,
     trace: CampaignTrace | None = None,
 ) -> CampaignTrace:
     """Random iterative compilation: the stock baseline plus n sampled configs.
@@ -185,10 +177,8 @@ def run_ric(
         raise ValueError("n_configs must be >= 1")
     benches = _as_bench_list(benchmarks)
     trace = trace if trace is not None else CampaignTrace()
-    base = baseline if baseline is not None else space.stock_config()
-    _check_member(space, base)
     rng = random.Random(seed)
-    configs = [base] + [sample_ric(space, rng) for _ in range(n_configs)]
+    configs = [space.stock_config()] + [sample_ric(space, rng) for _ in range(n_configs)]
     results = evaluate_batch(evaluator, [(cfg, b) for cfg in configs for b in benches])
     for n, cfg in enumerate(configs):
         trace.append(cfg, dict(zip(benches, results)), "sample" if n else "baseline")

@@ -328,7 +328,7 @@ def test_nearer_program_wins():
     t_near = _table(((True,), 1.0))
     t_far = _table(((False,), 1.0))
     query = FeatureVector("q", (0.0, 0.0))
-    got = predict_1nn(query, [(far, t_far), (near, t_near)], normalize=False)
+    got = predict_1nn(query, [(far, t_far), (near, t_near)])
     assert got == Configuration("O3", (True,))
 
 

@@ -13,7 +13,7 @@ from statistics import fmean, geometric_mean
 
 import pytest
 
-from flagtuner.artifacts import read_checkpoint, read_final_config, read_trace
+from flagtuner.artifacts import TRACE_COLUMNS, read_checkpoint, read_final_config, read_trace
 from flagtuner.cli import main
 from flagtuner.evaluator import EvalCache
 from flagtuner.flagspace import load_flag_space
@@ -352,19 +352,26 @@ def test_resume_rejects_other_command(tmp_path, demo_config):
 
 
 @pytest.mark.parametrize(
-    "command, extra", [("ce", []), ("ric", ["--seed", "99"])], ids=["command", "seed"]
+    "command, extra, checkpoint",
+    [("ce", [], None), ("ric", ["--seed", "99"], None), ("ric", [], "[1, 2]")],
+    ids=["command", "seed", "not-an-object"],
 )
-def test_rejected_resume_creates_nothing(tmp_path, demo_config, command, extra):
+def test_rejected_resume_creates_nothing(tmp_path, demo_config, capsys, command, extra,
+                                         checkpoint):
     first = tmp_path / "first"
     assert main(
         ["ric", "--config", demo_config("tradeoff"), "--out", str(first), "--max-evals", "5"]
     ) == 3
+    if checkpoint is not None:
+        (first / "checkpoint.json").write_text(checkpoint)
+    capsys.readouterr()
     fresh = tmp_path / "fresh"
     code = main(
         [command, "--config", demo_config("tradeoff"), "--out", str(fresh),
          "--resume", str(first / "checkpoint.json"), *extra]
     )
     assert code == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
     assert not (fresh / "cache.jsonl").exists()
     assert not fresh.exists()
 
@@ -429,18 +436,50 @@ def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, e
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["report", "predict-1nn"],
-                         ids=["report-missing-trace", "predict-1nn-missing-manifest"])
-def test_rejected_input_creates_nothing(tmp_path, demo_dir, command):
+HEADER = ",".join(TRACE_COLUMNS) + "\n"
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("report", None),
+        ("report", HEADER),
+        ("report", HEADER + "1,1000,O3\n"),
+        ("predict-1nn", None),
+        ("predict-1nn", '{"program": "crc32", "trace": "crc32.trace"}'),
+        ("predict-1nn", '["crc32"]'),
+        ("predict-1nn", '[{"trace": "crc32.trace"}]'),
+        ("predict-1nn", '[{"program": "crc32"}]'),
+        ("predict-1nn", '[{"program": "crc32", "trace": "crc32.trace", "benchmark": ["x"]}]'),
+    ],
+    ids=["report-missing-trace", "report-header-only-trace", "report-short-row",
+         "predict-1nn-missing-manifest", "predict-1nn-manifest-not-a-list",
+         "predict-1nn-record-not-an-object", "predict-1nn-record-without-program",
+         "predict-1nn-record-without-trace", "predict-1nn-benchmark-not-a-string"],
+)
+def test_rejected_input_creates_nothing(tmp_path, demo_dir, capsys, command, text):
+    """A missing or misshapen trace or training manifest is one line and exit
+    1, before the out dir exists."""
     out = tmp_path / "o"
+    path = tmp_path / ("input.trace" if command == "report" else "manifest.json")
+    if text is not None:
+        path.write_text(text)
     if command == "report":
-        argv = ["report", str(tmp_path / "missing.trace")]
+        argv = ["report", str(path)]
     else:
-        argv = ["predict-1nn", str(demo_dir / "features.csv"), str(tmp_path / "missing.json"),
-                "fir"]
+        argv = ["predict-1nn", str(demo_dir / "features.csv"), str(path), "fir"]
     space = str(demo_dir / "tradeoff_space.json")
     assert main([*argv, "--space", space, "--out", str(out)]) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_null_cache_and_out_dir_mean_absent(tmp_path, monkeypatch):
+    config = write_config(tmp_path / "c.json", cache=None, out_dir=None, n_configs=5)
+    monkeypatch.chdir(tmp_path)
+    assert main(["ric", "--config", str(config)]) == 0
+    assert (tmp_path / "out" / "cache.jsonl").exists()
+    assert not list(tmp_path.rglob("None"))
 
 
 def test_torn_cache_tail_is_dropped(tmp_path, demo_config):

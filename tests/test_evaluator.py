@@ -271,7 +271,8 @@ def test_ignored_flag_collapses_to_one_execution(stub):
     space, ev = stub
     stock = space.stock_config()
     a = ev.evaluate(stock, "alpha")
-    b = ev.evaluate(toggle(stock, space.index_of("prefetch-loop-arrays")), "alpha")
+    ignored = toggle(stock, [f.name for f in space.flags].index("prefetch-loop-arrays"))
+    b = ev.evaluate(ignored, "alpha")
     assert a.digest == b.digest
     assert b.cached
     assert ev.executions == 1
@@ -323,7 +324,7 @@ def test_counters_on_mixed_outcomes(demo_dir, tmp_path):
     ]
     ev = CommandEvaluator(space, suite, workdir=demo_dir, build_dir=tmp_path)
     stock = space.stock_config()
-    ignored = toggle(stock, space.index_of("prefetch-loop-arrays"))
+    ignored = toggle(stock, [f.name for f in space.flags].index("prefetch-loop-arrays"))
     steps = [
         (stock, "alpha", "ok", False, (1, 1, 0)),  # fresh
         (ignored, "alpha", "ok", True, (2, 1, 1)),  # digest hit: compiles, runs nothing
@@ -345,7 +346,7 @@ def test_timeout_is_keyed_by_digest(demo_dir, tmp_path):
                       "python3 -c 'import time; time.sleep(30)'", timeout=0.5)
     ev = CommandEvaluator(space, [bench], workdir=demo_dir, build_dir=tmp_path)
     stock = space.stock_config()
-    ignored = toggle(stock, space.index_of("prefetch-loop-arrays"))
+    ignored = toggle(stock, [f.name for f in space.flags].index("prefetch-loop-arrays"))
     assert ev.evaluate(stock, "slow").status == "timeout"
     same_binary = ev.evaluate(ignored, "slow")
     assert (same_binary.status, same_binary.cached) == ("timeout", True)

@@ -10,7 +10,6 @@ from flagtuner.flagspace import (
     FlagSpaceError,
     parse_flag_space,
     render_args,
-    serialize_flag_space,
     toggle,
 )
 from helpers import space_of
@@ -128,26 +127,6 @@ def test_parse_large_space():
         }
     )
     assert len(parse_flag_space(doc)) == 133
-
-
-_names = st.lists(
-    st.text(alphabet="abcdefgh-", min_size=1, max_size=8),
-    min_size=0,
-    max_size=8,
-    unique=True,
-)
-
-
-@given(_names, st.booleans())
-def test_parse_serialize_round_trip(names, stock):
-    space = FlagSpace(
-        tuple(Flag(n, f"-f{n}", f"-fno-{n}", stock=stock) for n in names),
-        ("O1", "O3"),
-        "O3",
-    )
-    again = parse_flag_space(serialize_flag_space(space))
-    assert [f.name for f in again.flags] == [f.name for f in space.flags]
-    assert again == space
 
 
 def test_bitstring_round_trip():
