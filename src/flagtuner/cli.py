@@ -145,6 +145,9 @@ def load_campaign_config(
             raise ConfigError(f"{path}: {key} file not found: {p}")
         return p
 
+    cache = data.get("cache")
+    if cache is not None and not isinstance(cache, str):
+        raise ConfigError(f"{path}: cache must be a file name, got {cache!r}")
     mode = data.get("mode", "synthetic")
     if mode not in ("synthetic", "external"):
         raise ConfigError(f"{path}: mode must be 'synthetic' or 'external'")
@@ -155,7 +158,7 @@ def load_campaign_config(
             mode=mode,
             model=resolve("model", required=(mode == "synthetic")),
             suite=resolve("suite", required=(mode == "external")),
-            cache="cache.jsonl" if data.get("cache") is None else str(data["cache"]),
+            cache="cache.jsonl" if cache is None else cache,
             out_dir=None if data.get("out_dir") is None else base / data["out_dir"],
             seed=int(data.get("seed", 0)) if seed_override is None else seed_override,
             n_configs=int(data.get("n_configs", 100)),

@@ -24,18 +24,16 @@ import math
 import os
 import shlex
 import shutil
+import signal
 import subprocess
 import time as _time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-import numpy as np
-
 from flagtuner.flagspace import (
     Configuration,
     FlagSpace,
-    FlagSpaceError,
     _check_member,
     render_args,
 )
@@ -241,13 +239,25 @@ class EvalCache:
 # ---------------------------------------------------------------------------
 
 def _run_command(cmd: str, timeout: float, cwd: str | Path | None):
-    return subprocess.run(
+    """Run ``cmd`` in a session of its own. On timeout the whole process
+    group is killed, so no background child outlives the command, and the
+    call waits only for the command itself, so a child that escaped the
+    group and holds the pipes cannot hang it."""
+    with subprocess.Popen(
         shlex.split(cmd),
-        capture_output=True,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
         text=True,
-        timeout=timeout,
         cwd=cwd,
-    )
+        start_new_session=True,
+    ) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            raise
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
 
 
 def _parse_reported_time(stdout: str) -> float | None:
@@ -515,9 +525,9 @@ class SyntheticModel:
     Terms are added left to right in a fixed order: the base term, then the
     delta of each enabled flag of the space in flag order, then each matching
     pair term in model order (a pair naming a flag outside the space never
-    matches). ``time_for`` and ``times`` both keep this order, so they give
-    the same float for the same configuration, bit for bit; the oracle's
-    tie-breaks depend on that.
+    matches). The oracle's block scorer keeps this order too, so it gives
+    the same float as ``time_for`` for the same configuration, bit for bit;
+    its tie-breaks depend on that.
     """
 
     benchmarks: dict[str, BenchmarkModel]
@@ -529,7 +539,7 @@ class SyntheticModel:
     def time_for(self, space: FlagSpace, config: Configuration, bench_name: str) -> float:
         """Time of one configuration, in the term order of the class docstring.
 
-        The scalar reference for ``times``.
+        The scalar reference for the oracle's block scorer.
         """
         if bench_name not in self.benchmarks:
             raise ValueError(f"benchmark {bench_name!r} not modeled")
@@ -543,30 +553,6 @@ class SyntheticModel:
         for p in bm.pair_delta:
             if state.get(p.flag_a) == p.state_a and state.get(p.flag_b) == p.state_b:
                 t += p.delta
-        return t
-
-    def times(
-        self, space: FlagSpace, bench_name: str, level: str, masks: np.ndarray
-    ) -> np.ndarray:
-        """Times of many flag assignments at one base level, as float64.
-
-        ``masks`` is an int64 array in which bit j drives flag j. Each term is
-        added only where it is active, in the term order of the class
-        docstring, so element i equals ``time_for`` of mask i exactly.
-        """
-        if bench_name not in self.benchmarks:
-            raise ValueError(f"benchmark {bench_name!r} not modeled")
-        if level not in space.base_levels:
-            raise FlagSpaceError(f"unknown base level {level!r}")
-        bm = self.benchmarks[bench_name]
-        state = {f.name: ((masks >> j) & 1) == 1 for j, f in enumerate(space.flags)}
-        t = np.full(masks.shape, bm.base_time * bm.level_multiplier.get(level, 1.0))
-        for name, on in state.items():
-            np.add(t, bm.flag_delta.get(name, 0.0), out=t, where=on)
-        for p in bm.pair_delta:
-            if p.flag_a in state and p.flag_b in state:
-                on = (state[p.flag_a] == p.state_a) & (state[p.flag_b] == p.state_b)
-                np.add(t, p.delta, out=t, where=on)
         return t
 
     def validate(self, space: FlagSpace) -> None:

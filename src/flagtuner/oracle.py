@@ -4,9 +4,13 @@ Enumerates every base level x 2^n flag assignment against a synthetic
 model. This is the independent ground truth that heuristic searches are
 checked against; it never goes near the search code paths.
 
-Assignments are scored in blocks of bitmasks through ``SyntheticModel.times``,
-which is bit-identical to ``time_for``; blocks are visited in enumeration
-order, so every tie still goes to the first configuration enumerated.
+Assignments are scored in blocks of consecutive bitmasks by ``_Scorer``,
+which is bit-identical to ``SyntheticModel.time_for``: the sums over the
+low flags that vary inside a block are computed once per benchmark and
+level and shared by every block, and the constant high flags and the pair
+terms are added on top in ``time_for``'s order. Blocks are visited in
+enumeration order, so every tie still goes to the first configuration
+enumerated.
 """
 
 from __future__ import annotations
@@ -17,12 +21,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from flagtuner.evaluator import SyntheticModel
-from flagtuner.flagspace import Configuration, FlagSpace
+from flagtuner.flagspace import Configuration, FlagSpace, FlagSpaceError
 
 DEFAULT_MAX_FLAGS = 22
 
-# Masks scored at once; memory stays bounded whatever the flag count. On a
-# 16-flag, 10-benchmark model 2^13 adds 0.7 MB to peak RSS, 2^14 adds 1.9 MB.
+# Masks scored at once, rounded down to a power of two; memory stays bounded
+# whatever the flag count. On a 16-flag, 10-benchmark model 2^13 adds 1.4 MB
+# to the peak RSS of `oracle` over 2^8, 2^14 adds 3.4 MB.
 BLOCK_SIZE = 1 << 13
 
 
@@ -45,15 +50,87 @@ def enumerate_configurations(
             yield _config(level, mask, n)
 
 
-def _blocks(
-    space: FlagSpace, base_level: str | None
-) -> Iterator[tuple[str, np.ndarray]]:
-    """(level, masks) blocks covering ``enumerate_configurations`` in its order."""
-    levels = space.base_levels if base_level is None else (base_level,)
-    total = 2 ** len(space)
-    for level in levels:
-        for start in range(0, total, BLOCK_SIZE):
-            yield level, np.arange(start, min(start + BLOCK_SIZE, total), dtype=np.int64)
+def _levels(space: FlagSpace, base_level: str | None) -> tuple[str, ...]:
+    if base_level is None:
+        return space.base_levels
+    if base_level not in space.base_levels:
+        raise FlagSpaceError(f"unknown base level {base_level!r}")
+    return (base_level,)
+
+
+def _low_bits(space: FlagSpace) -> int:
+    """Flags that vary inside a block: a block is ``BLOCK_SIZE`` rounded down
+    to a power of two, and at most the whole space."""
+    return min(len(space), BLOCK_SIZE.bit_length() - 1)
+
+
+class _Scorer:
+    """One benchmark's times, block by block, bit for bit equal to ``time_for``.
+
+    A block holds the 2^low masks that share their high bits (flags low and
+    up), so it is scored in ``time_for``'s term order from parts built once:
+    the level's ``prefix`` (base term plus the enabled low flags, in flag
+    order), then each enabled high flag as one scalar add, then each pair
+    whose high-bit states hold for the block, as one scalar add or, when it
+    also tests low bits, one add to a view of just the offsets they match.
+    """
+
+    def __init__(self, space: FlagSpace, model: SyntheticModel, bench_name: str, low: int):
+        if bench_name not in model.benchmarks:
+            raise ValueError(f"benchmark {bench_name!r} not modeled")
+        self._bm = bm = model.benchmarks[bench_name]
+        self._low = low
+        self._deltas = [bm.flag_delta.get(f.name, 0.0) for f in space.flags]
+        index = {f.name: j for j, f in enumerate(space.flags)}
+        # (delta, [(high bit, state)], view or None); a pair naming a flag
+        # outside the space, or one flag in both states, never matches
+        self._pairs = []
+        for p in bm.pair_delta:
+            if p.flag_a not in index or p.flag_b not in index:
+                continue
+            a, b = index[p.flag_a], index[p.flag_b]
+            if a == b and p.state_a != p.state_b:
+                continue
+            states = {a: p.state_a, b: p.state_b}
+            high = [(j, s) for j, s in states.items() if j >= low]
+            tested = sorted(((j, s) for j, s in states.items() if j < low), reverse=True)
+            self._pairs.append((p.delta, high, self._view(tested) if tested else None))
+
+    def _view(self, tested: list[tuple[int, bool]]) -> tuple[tuple, tuple]:
+        """(shape, index) for low bits ``tested``, highest first: a block
+        reshaped to ``shape`` has one axis of length 2 per tested bit, and
+        ``index`` picks the offsets whose bits hold the tested states."""
+        shape, index, below = [], [], self._low
+        for j, state in tested:
+            shape += [1 << (below - j - 1), 2]
+            index += [slice(None), int(state)]
+            below = j
+        return (*shape, 1 << below), (*index, slice(None))
+
+    def prefix(self, level: str) -> np.ndarray:
+        """Base term plus the enabled low-flag deltas of every offset, in
+        flag order: doubling appends the sums with flag j to those without."""
+        t = np.array([self._bm.base_time * self._bm.level_multiplier.get(level, 1.0)])
+        for d in self._deltas[: self._low]:
+            t = np.concatenate([t, t + d])
+        return t
+
+    def times(self, prefix: np.ndarray, start: int) -> np.ndarray:
+        """Times of the block of masks from ``start``, a multiple of the block
+        size; ``prefix`` is ``self.prefix`` of their level."""
+        t = prefix.copy()
+        for j in range(self._low, len(self._deltas)):
+            if (start >> j) & 1:
+                t += self._deltas[j]
+        for delta, high, view in self._pairs:
+            if not all(((start >> j) & 1) == state for j, state in high):
+                continue
+            if view is None:
+                t += delta
+            else:
+                matched = t.reshape(view[0])[view[1]]
+                matched += delta
+        return t
 
 
 def _check_cap(space: FlagSpace, max_flags: int) -> None:
@@ -73,12 +150,16 @@ def per_benchmark_optimum(
 ) -> tuple[float, Configuration]:
     """Exact minimum time and its configuration for one benchmark."""
     _check_cap(space, max_flags)
+    low = _low_bits(space)
+    scorer = _Scorer(space, model, bench_name, low)
     best = None
-    for level, masks in _blocks(space, base_level):
-        times = model.times(space, bench_name, level, masks)
-        i = int(np.argmin(times))
-        if best is None or times[i] < best[0]:
-            best = (float(times[i]), level, int(masks[i]))
+    for level in _levels(space, base_level):
+        prefix = scorer.prefix(level)
+        for start in range(0, 2 ** len(space), 1 << low):
+            times = scorer.times(prefix, start)
+            i = int(np.argmin(times))
+            if best is None or times[i] < best[0]:
+                best = (float(times[i]), level, start + i)
     assert best is not None
     best_time, level, mask = best
     return best_time, _config(level, mask, len(space))
@@ -106,18 +187,23 @@ def suite_constrained_optimum(
     """
     _check_cap(space, max_flags)
     bound = {b: (1.0 + threshold_t / 100.0) * reference[b] for b in benchmarks}
+    low = _low_bits(space)
+    scorers = {b: _Scorer(space, model, b, low) for b in benchmarks}
     best = None
-    for level, masks in _blocks(space, base_level):
-        ratios = np.empty((len(masks), 0))
-        for b in benchmarks:
-            times = model.times(space, b, level, masks)
-            feasible = times <= bound[b]
-            masks = masks[feasible]
-            ratios = np.column_stack([ratios[feasible], times[feasible] / reference[b]])
-        for mask, row in zip(masks.tolist(), ratios):
-            agg = aggregate_fn(row.tolist())
-            if best is None or agg < best[0]:
-                best = (agg, level, mask)
+    for level in _levels(space, base_level):
+        prefixes = {b: scorers[b].prefix(level) for b in benchmarks}
+        for start in range(0, 2 ** len(space), 1 << low):
+            pos = np.arange(1 << low)  # offsets of the configurations still feasible
+            ratios = np.empty((len(pos), 0))
+            for b in benchmarks:
+                times = scorers[b].times(prefixes[b], start)[pos]
+                feasible = times <= bound[b]
+                pos = pos[feasible]
+                ratios = np.column_stack([ratios[feasible], times[feasible] / reference[b]])
+            for offset, row in zip(pos.tolist(), ratios):
+                agg = aggregate_fn(row.tolist())
+                if best is None or agg < best[0]:
+                    best = (agg, level, start + offset)
     if best is None:
         return None
     agg, level, mask = best

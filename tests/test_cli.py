@@ -410,13 +410,16 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
         ("ric", {"mode": "external", "model": None, "suite": "string_entries.json"}, []),
         ("ric", {"benchmarks": 5}, []),
         ("ric", {"n_configs": [3]}, []),
+        ("ric", {"cache": ["a"]}, []),
+        ("ric", {"cache": 5}, []),
     ],
     ids=["ce-benchmark", "ric-benchmarks", "ric-unknown-flag", "oracle-unknown-flag",
          "oracle-non-positive", "suite-ce-aggregate", "suite-ce-negative-threshold",
          "suite-ce-negative-threshold-option", "ric-no-configs", "xval-k-1",
          "xval-k-above-benchmarks", "oracle-negative-threshold-option",
          "ric-malformed-model", "ric-malformed-suite", "ric-malformed-suite-entry",
-         "ric-benchmarks-not-a-list", "ric-n-configs-not-a-number"],
+         "ric-benchmarks-not-a-list", "ric-n-configs-not-a-number", "ric-cache-a-list",
+         "ric-cache-a-number"],
 )
 def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, extra):
     _pair_model(tmp_path, "unknown_flag.json", flag_delta={"ivopts": -5.0, "zz": 1.0})

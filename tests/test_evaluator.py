@@ -3,11 +3,13 @@ import json
 import math
 import shlex
 import subprocess
+import time
+from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from flagtuner import oracle
 from flagtuner.evaluator import (
     Benchmark,
     CacheLockedError,
@@ -104,15 +106,22 @@ def test_model_check_covers_space_and_multiplier_levels():
     model_of({"b": {"base": 20.0, "multipliers": {"O0": 0.5}}}).validate(space)
 
 
-@given(quantised_models(max_flags=10, max_benches=1))
-def test_batched_times_equal_time_for(instance):
+@given(quantised_models(max_flags=10, max_benches=1), st.sampled_from([1, 2, 4, None]))
+def test_batched_times_equal_time_for(instance, block):
+    """The oracle's block scorer against ``time_for``, every level and mask,
+    with 0 to all flags varying inside a block (None: a block above 2^n)."""
     space, model = instance
     n = len(space)
-    masks = np.arange(2**n, dtype=np.int64)[::-1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "BLOCK_SIZE", 2**n + 1 if block is None else block)
+        low = oracle._low_bits(space)
+    assert low == (n if block is None else min(n, block.bit_length() - 1))
+    scorer = oracle._Scorer(space, model, "b0", low)
     for level in space.base_levels:
-        got = model.times(space, "b0", level, masks).tolist()
-        want = [model.time_for(space, config_of(level, m, n), "b0") for m in masks.tolist()]
-        assert got == want
+        prefix = scorer.prefix(level)
+        got = [t for start in range(0, 2**n, 2**low) for t in scorer.times(prefix, start).tolist()]
+        want = [model.time_for(space, config_of(level, m, n), "b0") for m in range(2**n)]
+        assert [t.hex() for t in got] == [t.hex() for t in want]
 
 
 def test_load_synthetic_model(demo_dir):
@@ -426,6 +435,33 @@ def test_timeout_status(demo_dir, tmp_path):
     # not retried either
     again = ev.evaluate(space.stock_config(), "slow")
     assert again.cached
+
+
+def _running(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"  # a zombie has been killed
+
+
+def test_timeout_kills_background_children(tmp_path):
+    """A timed-out command takes its whole process group with it: a
+    background child must not keep running into the next timed run."""
+    space = space_of(0)
+    bench = Benchmark(
+        name="forks",
+        compile_command="python3 -c \"import sys; open(sys.argv[1], 'w').write('x')\" {out}",
+        run_command="sh -c 'sleep 1.5 & echo $! > child.pid; sleep 2'",
+        timeout=0.5,
+    )
+    ev = CommandEvaluator(space, [bench], workdir=tmp_path, build_dir=tmp_path / "build")
+    assert ev.evaluate(space.stock_config(), "forks").status == "timeout"
+    pid = int((tmp_path / "child.pid").read_text())
+    deadline = time.monotonic() + 1.0
+    while _running(pid) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not _running(pid)
 
 
 def test_unparsable_time_is_run_error(demo_dir, tmp_path):

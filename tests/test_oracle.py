@@ -111,7 +111,7 @@ def test_constrained_equals_unconstrained_when_threshold_is_huge(
 
 @given(
     quantised_models(),
-    st.sampled_from([1, 3, 8, oracle.BLOCK_SIZE]),
+    st.sampled_from([1, 2, 3, 8, oracle.BLOCK_SIZE, None]),
     st.sampled_from([None, "O1", "O3"]),
     st.sampled_from([fmean, geometric_mean]),
     st.sampled_from([0.0, 1.0, 5.0]),
@@ -124,7 +124,8 @@ def test_blocked_oracle_equals_scalar_brute_force(instance, block, base_level, a
     stock = space.stock_config()
     refs = {b: model.time_for(space, stock, b) for b in benches}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "BLOCK_SIZE", block)
+        # None: a block above 2^n, so the whole space is one block
+        mp.setattr(oracle, "BLOCK_SIZE", 2 ** len(space) + 1 if block is None else block)
         for b in benches:
             got = per_benchmark_optimum(space, model, b, base_level=base_level)
             assert got == scalar_per_benchmark(space, model, b, base_level)
@@ -132,6 +133,28 @@ def test_blocked_oracle_equals_scalar_brute_force(instance, block, base_level, a
             space, model, benches, t, refs, base_level=base_level, aggregate_fn=agg_fn
         )
     assert got == scalar_constrained(space, model, benches, t, refs, base_level, agg_fn)
+
+
+@given(
+    quantised_models(),
+    st.randoms(use_true_random=False),
+    st.sampled_from([1, 2, 4, oracle.BLOCK_SIZE]),
+    st.sampled_from([fmean, geometric_mean]),
+)
+def test_constrained_oracle_keeps_random_survivors(instance, rng, block, agg_fn):
+    """Each benchmark's reference is the time of a random configuration, so
+    each benchmark passes a random subset of a block on to the next."""
+    space, model = instance
+    n = len(space)
+    benches = model.benchmark_names
+    refs = {
+        b: model.time_for(space, config_of(rng.choice(space.base_levels), rng.randrange(2**n), n), b)
+        for b in benches
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "BLOCK_SIZE", block)
+        got = suite_constrained_optimum(space, model, benches, 0.0, refs, aggregate_fn=agg_fn)
+    assert got == scalar_constrained(space, model, benches, 0.0, refs, None, agg_fn)
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, oracle.BLOCK_SIZE])
