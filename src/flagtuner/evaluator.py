@@ -17,6 +17,7 @@ as the configuration, as a binary's would cover what the compiler produced.
 
 from __future__ import annotations
 
+import contextlib
 import fcntl
 import hashlib
 import json
@@ -239,10 +240,11 @@ class EvalCache:
 # ---------------------------------------------------------------------------
 
 def _run_command(cmd: str, timeout: float, cwd: str | Path | None):
-    """Run ``cmd`` in a session of its own. On timeout the whole process
-    group is killed, so no background child outlives the command, and the
-    call waits only for the command itself, so a child that escaped the
-    group and holds the pipes cannot hang it."""
+    """Run ``cmd`` in a session of its own. On timeout, or when anything
+    else (a Ctrl-C) interrupts the wait, the whole process group is killed,
+    so no background child outlives the command, and the call waits only for
+    the command itself, so a child that escaped the group and holds the
+    pipes cannot hang it."""
     with subprocess.Popen(
         shlex.split(cmd),
         stdout=subprocess.PIPE,
@@ -253,8 +255,9 @@ def _run_command(cmd: str, timeout: float, cwd: str | Path | None):
     ) as proc:
         try:
             stdout, stderr = proc.communicate(timeout=timeout)
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
+        except BaseException:
+            with contextlib.suppress(ProcessLookupError):  # the group is gone
+                os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
             raise
     return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)

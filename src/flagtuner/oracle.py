@@ -58,28 +58,25 @@ def _levels(space: FlagSpace, base_level: str | None) -> tuple[str, ...]:
     return (base_level,)
 
 
-def _low_bits(space: FlagSpace) -> int:
-    """Flags that vary inside a block: a block is ``BLOCK_SIZE`` rounded down
-    to a power of two, and at most the whole space."""
-    return min(len(space), BLOCK_SIZE.bit_length() - 1)
-
-
 class _Scorer:
     """One benchmark's times, block by block, bit for bit equal to ``time_for``.
 
-    A block holds the 2^low masks that share their high bits (flags low and
-    up), so it is scored in ``time_for``'s term order from parts built once:
-    the level's ``prefix`` (base term plus the enabled low flags, in flag
-    order), then each enabled high flag as one scalar add, then each pair
-    whose high-bit states hold for the block, as one scalar add or, when it
-    also tests low bits, one add to a view of just the offsets they match.
+    A block holds the ``block`` masks that share their high bits (flags low
+    and up), where ``block`` = 2^low is ``BLOCK_SIZE`` rounded down to a
+    power of two, and at most the whole space. So a block is scored in
+    ``time_for``'s term order from parts built once: the level's ``prefix``
+    (base term plus the enabled low flags, in flag order), then each enabled
+    high flag as one scalar add, then each pair whose high-bit states hold
+    for the block, as one scalar add or, when it also tests low bits, one
+    add to a view of just the offsets they match.
     """
 
-    def __init__(self, space: FlagSpace, model: SyntheticModel, bench_name: str, low: int):
+    def __init__(self, space: FlagSpace, model: SyntheticModel, bench_name: str):
         if bench_name not in model.benchmarks:
             raise ValueError(f"benchmark {bench_name!r} not modeled")
         self._bm = bm = model.benchmarks[bench_name]
-        self._low = low
+        self._low = low = min(len(space), BLOCK_SIZE.bit_length() - 1)
+        self.block = 1 << low
         self._deltas = [bm.flag_delta.get(f.name, 0.0) for f in space.flags]
         index = {f.name: j for j, f in enumerate(space.flags)}
         # (delta, [(high bit, state)], view or None); a pair naming a flag
@@ -150,12 +147,11 @@ def per_benchmark_optimum(
 ) -> tuple[float, Configuration]:
     """Exact minimum time and its configuration for one benchmark."""
     _check_cap(space, max_flags)
-    low = _low_bits(space)
-    scorer = _Scorer(space, model, bench_name, low)
+    scorer = _Scorer(space, model, bench_name)
     best = None
     for level in _levels(space, base_level):
         prefix = scorer.prefix(level)
-        for start in range(0, 2 ** len(space), 1 << low):
+        for start in range(0, 2 ** len(space), scorer.block):
             times = scorer.times(prefix, start)
             i = int(np.argmin(times))
             if best is None or times[i] < best[0]:
@@ -187,18 +183,20 @@ def suite_constrained_optimum(
     """
     _check_cap(space, max_flags)
     bound = {b: (1.0 + threshold_t / 100.0) * reference[b] for b in benchmarks}
-    low = _low_bits(space)
-    scorers = {b: _Scorer(space, model, b, low) for b in benchmarks}
+    scorers = {b: _Scorer(space, model, b) for b in benchmarks}
+    block = scorers[benchmarks[0]].block
     best = None
     for level in _levels(space, base_level):
         prefixes = {b: scorers[b].prefix(level) for b in benchmarks}
-        for start in range(0, 2 ** len(space), 1 << low):
-            pos = np.arange(1 << low)  # offsets of the configurations still feasible
+        for start in range(0, 2 ** len(space), block):
+            pos = np.arange(block)  # offsets of the configurations still feasible
             ratios = np.empty((len(pos), 0))
             for b in benchmarks:
                 times = scorers[b].times(prefixes[b], start)[pos]
                 feasible = times <= bound[b]
                 pos = pos[feasible]
+                if not len(pos):
+                    break
                 ratios = np.column_stack([ratios[feasible], times[feasible] / reference[b]])
             for offset, row in zip(pos.tolist(), ratios):
                 agg = aggregate_fn(row.tolist())

@@ -18,6 +18,7 @@ from flagtuner.evaluator import (
     Measurement,
     SyntheticEvaluator,
     load_suite,
+    _run_command,
     load_synthetic_model,
 )
 from flagtuner.flagspace import Configuration, load_flag_space, render_args, toggle
@@ -114,12 +115,11 @@ def test_batched_times_equal_time_for(instance, block):
     n = len(space)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "BLOCK_SIZE", 2**n + 1 if block is None else block)
-        low = oracle._low_bits(space)
-    assert low == (n if block is None else min(n, block.bit_length() - 1))
-    scorer = oracle._Scorer(space, model, "b0", low)
+        scorer = oracle._Scorer(space, model, "b0")
+    assert scorer.block == (2**n if block is None else min(2**n, block))
     for level in space.base_levels:
         prefix = scorer.prefix(level)
-        got = [t for start in range(0, 2**n, 2**low) for t in scorer.times(prefix, start).tolist()]
+        got = [t for start in range(0, 2**n, scorer.block) for t in scorer.times(prefix, start).tolist()]
         want = [model.time_for(space, config_of(level, m, n), "b0") for m in range(2**n)]
         assert [t.hex() for t in got] == [t.hex() for t in want]
 
@@ -437,12 +437,25 @@ def test_timeout_status(demo_dir, tmp_path):
     assert again.cached
 
 
+# A run command whose background child outlives it by about a second
+FORKS = "sh -c 'sleep 1.5 & echo $! > child.pid; sleep 2'"
+
+
 def _running(pid: int) -> bool:
     try:
         stat = Path(f"/proc/{pid}/stat").read_text()
     except FileNotFoundError:
         return False
     return stat.rsplit(")", 1)[1].split()[0] != "Z"  # a zombie has been killed
+
+
+def _gone_soon(pid: int) -> bool:
+    """Whether ``pid`` stops running within 0.3 s: a killed process group
+    goes in milliseconds, a surviving ``sleep 1.5`` runs on for a second."""
+    deadline = time.monotonic() + 0.3
+    while _running(pid) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return not _running(pid)
 
 
 def test_timeout_kills_background_children(tmp_path):
@@ -452,16 +465,31 @@ def test_timeout_kills_background_children(tmp_path):
     bench = Benchmark(
         name="forks",
         compile_command="python3 -c \"import sys; open(sys.argv[1], 'w').write('x')\" {out}",
-        run_command="sh -c 'sleep 1.5 & echo $! > child.pid; sleep 2'",
+        run_command=FORKS,
         timeout=0.5,
     )
     ev = CommandEvaluator(space, [bench], workdir=tmp_path, build_dir=tmp_path / "build")
     assert ev.evaluate(space.stock_config(), "forks").status == "timeout"
-    pid = int((tmp_path / "child.pid").read_text())
-    deadline = time.monotonic() + 1.0
-    while _running(pid) and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert not _running(pid)
+    assert _gone_soon(int((tmp_path / "child.pid").read_text()))
+
+
+def test_interrupt_kills_background_children(tmp_path, monkeypatch):
+    """A Ctrl-C during the wait kills the whole process group too: the
+    command runs in a session of its own, so the terminal's SIGINT does not
+    reach it."""
+    pid_file = tmp_path / "child.pid"
+
+    def interrupted(self, input=None, timeout=None):
+        deadline = time.monotonic() + 5.0
+        while not (pid_file.exists() and pid_file.read_text().strip()):
+            assert time.monotonic() < deadline, "the command never started its child"
+            time.sleep(0.01)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        _run_command(FORKS, 10.0, tmp_path)
+    assert _gone_soon(int(pid_file.read_text()))
 
 
 def test_unparsable_time_is_run_error(demo_dir, tmp_path):
