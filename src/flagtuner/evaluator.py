@@ -559,8 +559,9 @@ class SyntheticModel:
         return t
 
     def validate(self, space: FlagSpace) -> None:
-        """Reject a model that names a flag outside ``space`` or that some
-        configuration could drive to a time <= 0.
+        """Reject a model that names a flag outside ``space``, holds a number
+        that is not finite, or that some configuration could drive to a
+        time <= 0.
 
         The time bound is an interval bound: base time x multiplier plus every
         negative flag and pair delta, at each of the space's levels and at each
@@ -573,6 +574,10 @@ class SyntheticModel:
             if unknown:
                 raise ValueError(f"{name}: model references flags not in the space: "
                                  f"{sorted(unknown)}")
+            numbers = [bm.base_time, *bm.level_multiplier.values(),
+                       *bm.flag_delta.values(), *(p.delta for p in bm.pair_delta)]
+            if not all(math.isfinite(x) for x in numbers):
+                raise ValueError(f"{name}: model numbers must be finite")
             worst_flags = sum(min(0.0, d) for d in bm.flag_delta.values())
             worst_pairs = sum(min(0.0, p.delta) for p in bm.pair_delta)
             for level in dict.fromkeys([*space.base_levels, *bm.level_multiplier]):

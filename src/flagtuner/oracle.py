@@ -10,7 +10,9 @@ low flags that vary inside a block are computed once per benchmark and
 level and shared by every block, and the constant high flags and the pair
 terms are added on top in ``time_for``'s order. Blocks are visited in
 enumeration order, so every tie still goes to the first configuration
-enumerated.
+enumerated. The constrained optimum calls its Python ``aggregate_fn`` only
+on the configurations that a numpy stand-in, within a derived rounding
+bound, cannot rule out.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 
 from flagtuner.evaluator import SyntheticModel
 from flagtuner.flagspace import Configuration, FlagSpace, FlagSpaceError
+from flagtuner.search import AGGREGATES
 
 DEFAULT_MAX_FLAGS = 22
 
@@ -68,7 +71,10 @@ class _Scorer:
     (base term plus the enabled low flags, in flag order), then each enabled
     high flag as one scalar add, then each pair whose high-bit states hold
     for the block, as one scalar add or, when it also tests low bits, one
-    add to a view of just the offsets they match.
+    add of its delta times a boolean mask of the offsets they match. The
+    mask costs the same whichever bits it tests, so a block's cost does not
+    depend on where the model puts its pairs. Pair deltas are finite
+    (``SyntheticModel.validate``), so an unmatched offset adds exactly 0.
     """
 
     def __init__(self, space: FlagSpace, model: SyntheticModel, bench_name: str):
@@ -79,8 +85,8 @@ class _Scorer:
         self.block = 1 << low
         self._deltas = [bm.flag_delta.get(f.name, 0.0) for f in space.flags]
         index = {f.name: j for j, f in enumerate(space.flags)}
-        # (delta, [(high bit, state)], view or None); a pair naming a flag
-        # outside the space, or one flag in both states, never matches
+        # (delta, [(high bit, state)], low-bit mask or None); a pair naming
+        # a flag outside the space, or one flag in both states, never matches
         self._pairs = []
         for p in bm.pair_delta:
             if p.flag_a not in index or p.flag_b not in index:
@@ -90,19 +96,16 @@ class _Scorer:
                 continue
             states = {a: p.state_a, b: p.state_b}
             high = [(j, s) for j, s in states.items() if j >= low]
-            tested = sorted(((j, s) for j, s in states.items() if j < low), reverse=True)
-            self._pairs.append((p.delta, high, self._view(tested) if tested else None))
+            tested = [(j, s) for j, s in states.items() if j < low]
+            self._pairs.append((p.delta, high, self._mask(tested) if tested else None))
 
-    def _view(self, tested: list[tuple[int, bool]]) -> tuple[tuple, tuple]:
-        """(shape, index) for low bits ``tested``, highest first: a block
-        reshaped to ``shape`` has one axis of length 2 per tested bit, and
-        ``index`` picks the offsets whose bits hold the tested states."""
-        shape, index, below = [], [], self._low
+    def _mask(self, tested: list[tuple[int, bool]]) -> np.ndarray:
+        """The offsets of a block whose low bits ``tested`` hold their states."""
+        offsets = np.arange(self.block)
+        mask = np.ones(self.block, dtype=bool)
         for j, state in tested:
-            shape += [1 << (below - j - 1), 2]
-            index += [slice(None), int(state)]
-            below = j
-        return (*shape, 1 << below), (*index, slice(None))
+            mask &= ((offsets >> j) & 1) == state
+        return mask
 
     def prefix(self, level: str) -> np.ndarray:
         """Base term plus the enabled low-flag deltas of every offset, in
@@ -119,15 +122,58 @@ class _Scorer:
         for j in range(self._low, len(self._deltas)):
             if (start >> j) & 1:
                 t += self._deltas[j]
-        for delta, high, view in self._pairs:
+        for delta, high, mask in self._pairs:
             if not all(((start >> j) & 1) == state for j, state in high):
                 continue
-            if view is None:
+            if mask is None:
                 t += delta
             else:
-                matched = t.reshape(view[0])[view[1]]
-                matched += delta
+                t += mask * delta
         return t
+
+
+_U = 2.0**-53  # unit roundoff of a float
+
+
+def _mean_columns(ratios: np.ndarray) -> tuple[np.ndarray, float]:
+    """Column means of positive ``ratios``, and a bound on their relative
+    distance from ``fmean``'s: a sum of n positive terms in any order is
+    within (n - 1) u of the exact one, ``fsum`` within u, and each side
+    divides once."""
+    n = ratios.shape[0]
+    return ratios.sum(axis=0) / n, (n + 2) * _U
+
+
+def _geomean_columns(ratios: np.ndarray) -> tuple[np.ndarray, float]:
+    """Column geometric means of positive ``ratios``, and a bound on their
+    relative distance from ``exp(fmean(log))``'s: on either side each log is
+    within 4 ulp, the mean of the logs within (n + 2) u of the mean of their
+    absolute values, and exp within 4 ulp of a result whose relative error
+    is the absolute error of its argument."""
+    logs = np.log(ratios)
+    n = ratios.shape[0]
+    spread = float(np.abs(logs).mean(axis=0).max())
+    return np.exp(logs.mean(axis=0)), 2 * (n + 8) * _U * (1.0 + spread)
+
+
+# numpy stand-ins, with their error bounds, for the aggregates the commands use
+_STAND_INS = {AGGREGATES["mean"]: _mean_columns, AGGREGATES["geomean"]: _geomean_columns}
+
+
+def _candidates(ratios: np.ndarray, feasible: np.ndarray, aggregate_fn) -> np.ndarray:
+    """The feasible columns of ``ratios`` (one row per benchmark, one column
+    per configuration) that may hold the first exact minimum of
+    ``aggregate_fn``: with a stand-in whose values are within a relative
+    ``err`` of the exact ones, a column more than 4 ``err`` above the
+    smallest feasible stand-in value cannot. Every feasible column, without
+    a stand-in or positive ratios. The stand-in covers the whole block, so
+    its cost does not depend on how many configurations are feasible."""
+    stand_in = _STAND_INS.get(aggregate_fn)
+    if stand_in is None or not ratios.min() > 0:  # NaN as well
+        return np.flatnonzero(feasible)
+    approx, err = stand_in(ratios)
+    bound = approx[feasible].min() * (1.0 + 4.0 * err)
+    return np.flatnonzero(feasible & (approx <= bound))
 
 
 def _check_cap(space: FlagSpace, max_flags: int) -> None:
@@ -178,30 +224,34 @@ def suite_constrained_optimum(
     below (1 + t/100) x its reference time. Returns None when nothing is
     feasible (possible only if the reference itself is excluded by
     ``base_level``). A block drops each configuration at its first
-    benchmark over the bound; the aggregate of each feasible configuration
-    is ``aggregate_fn`` over Python floats, in enumeration order.
+    benchmark over the bound; ``aggregate_fn`` then runs, over Python floats
+    and in enumeration order, on the feasible configurations that
+    ``_candidates`` keeps, so the result is the exhaustive loop's, ties
+    included, while the Python calls do not grow with the feasible count.
     """
     _check_cap(space, max_flags)
     bound = {b: (1.0 + threshold_t / 100.0) * reference[b] for b in benchmarks}
     scorers = {b: _Scorer(space, model, b) for b in benchmarks}
     block = scorers[benchmarks[0]].block
+    refs = np.array([[reference[b]] for b in benchmarks])
+    times = np.empty((len(benchmarks), block))  # one row per benchmark
     best = None
     for level in _levels(space, base_level):
         prefixes = {b: scorers[b].prefix(level) for b in benchmarks}
         for start in range(0, 2 ** len(space), block):
-            pos = np.arange(block)  # offsets of the configurations still feasible
-            ratios = np.empty((len(pos), 0))
-            for b in benchmarks:
-                times = scorers[b].times(prefixes[b], start)[pos]
-                feasible = times <= bound[b]
-                pos = pos[feasible]
-                if not len(pos):
+            feasible = np.ones(block, dtype=bool)
+            for row, b in zip(times, benchmarks):
+                row[:] = scorers[b].times(prefixes[b], start)
+                feasible &= row <= bound[b]
+                if not feasible.any():
                     break
-                ratios = np.column_stack([ratios[feasible], times[feasible] / reference[b]])
-            for offset, row in zip(pos.tolist(), ratios):
-                agg = aggregate_fn(row.tolist())
+            if not feasible.any():
+                continue
+            ratios = times / refs
+            for i in _candidates(ratios, feasible, aggregate_fn).tolist():
+                agg = aggregate_fn(ratios[:, i].tolist())
                 if best is None or agg < best[0]:
-                    best = (agg, level, start + offset)
+                    best = (agg, level, start + i)
     if best is None:
         return None
     agg, level, mask = best

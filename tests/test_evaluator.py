@@ -107,6 +107,17 @@ def test_model_check_covers_space_and_multiplier_levels():
     model_of({"b": {"base": 20.0, "multipliers": {"O0": 0.5}}}).validate(space)
 
 
+@pytest.mark.parametrize("recipe", [
+    {"base": math.inf},
+    {"multipliers": {"O3": math.nan}},
+    {"deltas": {"f0": math.nan}},
+    {"pairs": [("f0", "f0", True, True, math.inf)]},
+])
+def test_model_rejects_numbers_that_are_not_finite(recipe):
+    with pytest.raises(ValueError, match="must be finite"):
+        model_of({"b": recipe}).validate(space_of(1))
+
+
 @given(quantised_models(max_flags=10, max_benches=1), st.sampled_from([1, 2, 4, None]))
 def test_batched_times_equal_time_for(instance, block):
     """The oracle's block scorer against ``time_for``, every level and mask,

@@ -1,5 +1,6 @@
 from statistics import fmean, geometric_mean
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +11,7 @@ from flagtuner.oracle import (
     per_benchmark_optimum,
     suite_constrained_optimum,
 )
+from flagtuner.search import AGGREGATES
 from helpers import config_of, model_of, pair_dependency_model, quantised_models, space_of
 
 
@@ -113,7 +115,7 @@ def test_constrained_equals_unconstrained_when_threshold_is_huge(
     quantised_models(),
     st.sampled_from([1, 2, 3, 8, oracle.BLOCK_SIZE, None]),
     st.sampled_from([None, "O1", "O3"]),
-    st.sampled_from([fmean, geometric_mean]),
+    st.sampled_from([fmean, AGGREGATES["geomean"], geometric_mean]),
     st.sampled_from([0.0, 1.0, 5.0]),
 )
 def test_blocked_oracle_equals_scalar_brute_force(instance, block, base_level, agg_fn, t):
@@ -139,7 +141,7 @@ def test_blocked_oracle_equals_scalar_brute_force(instance, block, base_level, a
     quantised_models(),
     st.randoms(use_true_random=False),
     st.sampled_from([1, 2, 4, oracle.BLOCK_SIZE]),
-    st.sampled_from([fmean, geometric_mean]),
+    st.sampled_from([fmean, AGGREGATES["geomean"], geometric_mean]),
 )
 def test_constrained_oracle_keeps_random_survivors(instance, rng, block, agg_fn):
     """Each benchmark's reference is the time of a random configuration, so
@@ -174,6 +176,34 @@ def test_ties_go_to_the_first_configuration_enumerated(monkeypatch, block):
                                                 aggregate_fn=agg_fn)
         assert config == config_of("O1", 0b010, 3)
         assert agg == agg_fn([99.0 / 101.0] * 2)
+
+
+def test_candidates_keep_an_exact_tie_the_stand_in_ranks_higher():
+    # fsum gives both rows the same sum, 1 + 2^-52; numpy's sum of the
+    # second loses its two 2^-53 terms, so its stand-in mean is one ulp lower
+    first, second = [1.0 + 2**-52, 2**-1074, 2**-1074], [1.0, 2**-53, 2**-53]
+    assert fmean(first) == fmean(second)
+    ratios = np.array([first, second]).T  # one column per configuration
+    assert ratios[:, 0].sum() > ratios[:, 1].sum()
+    assert oracle._candidates(ratios, np.array([True, True]), fmean).tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("agg_fn, kept", [
+    (fmean, [0]), (AGGREGATES["geomean"], [1]), (geometric_mean, [0, 1]),
+])
+def test_candidates_rank_by_the_aggregate_they_stand_in_for(agg_fn, kept):
+    # (1, 1) has the lower mean, (0.5, 1.6) the lower geometric mean; an
+    # aggregate without a stand-in keeps every feasible column
+    ratios = np.array([[1.0, 0.5], [1.0, 1.6]])
+    assert oracle._candidates(ratios, np.array([True, True]), agg_fn).tolist() == kept
+
+
+def test_candidates_keep_every_feasible_column_unless_ratios_are_positive():
+    # numpy sums the first column to 0 and fsum to 1: once terms cancel, no
+    # relative bound holds, so the second column, the true minimum, must stay
+    ratios = np.array([[1e16, 0.1, 5.0], [1.0, 0.1, 5.0], [-1e16, 0.1, 5.0]])
+    feasible = np.array([True, True, False])
+    assert oracle._candidates(ratios, feasible, fmean).tolist() == [0, 1]
 
 
 def test_infeasible_threshold_returns_none(monkeypatch):
