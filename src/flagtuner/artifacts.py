@@ -27,7 +27,7 @@ from typing import Iterable
 
 from flagtuner.analysis import CompareTable, RelativeSeries
 from flagtuner.evaluator import Measurement
-from flagtuner.flagspace import Configuration, FlagSpace, render_args
+from flagtuner.flagspace import Configuration, FlagSpace, _check_member, render_args
 from flagtuner.search import CampaignTrace, CEState
 
 TRACE_COLUMNS = ["sequence", "bitstring", "base_level", "benchmark", "time", "status", "annotation"]
@@ -71,43 +71,26 @@ def write_trace(path: str | Path, trace: CampaignTrace) -> None:
 
 
 def read_trace(path: str | Path, space: FlagSpace) -> CampaignTrace:
-    """Rebuild a trace from its file. Digest and cached markers are not
-    part of the format, so reloaded measurements carry neither."""
+    """Rebuild a trace from its file, checking each configuration against
+    ``space``. Digest and cached markers are not part of the format, so
+    reloaded measurements carry neither."""
     trace = CampaignTrace()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRACE_COLUMNS:
+        if next(reader, None) != TRACE_COLUMNS:
             raise ValueError(f"{path}: not a trace file")
-        current_seq = None
-        config = None
-        measurements: dict[str, Measurement] = {}
-        annotation = ""
-
-        def flush():
-            if current_seq is not None:
-                rec = trace.append(config, measurements, annotation)
-                if rec.seq != current_seq:
-                    raise ValueError(
-                        f"{path}: sequence numbers not contiguous at {current_seq}"
-                    )
-
-        for row in reader:
-            if len(row) != len(TRACE_COLUMNS):
-                raise ValueError(f"{path}: line {reader.line_num} is not a trace row")
-            seq = int(row[0])
-            if seq != current_seq:
-                flush()
-                current_seq = seq
-                config = Configuration.from_bitstring(row[2], row[1])
-                measurements = {}
-                annotation = row[6]
-            time = float(row[4]) if row[4] else None
-            measurements[row[3]] = Measurement(status=row[5], time=time)
-        flush()
-    for rec in trace.records:
-        if len(rec.config.assignment) != len(space.flags):
-            raise ValueError(f"{path}: trace does not match the flag space")
+        try:
+            for seq, bits, level, bench, time, status, annotation in reader:
+                if not trace.records or int(seq) != trace.records[-1].seq:
+                    config = Configuration.from_bitstring(level, bits)
+                    _check_member(space, config)
+                    if trace.append(config, {}, annotation).seq != int(seq):
+                        raise ValueError("sequence numbers not contiguous")
+                trace.records[-1].measurements[bench] = Measurement(
+                    status=status, time=float(time) if time else None
+                )
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return trace
 
 

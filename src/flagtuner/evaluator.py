@@ -5,14 +5,12 @@ compile-and-run pipeline driven by command templates, and a deterministic
 synthetic cost model (base time + per-flag deltas + pairwise interaction
 terms) that stands in for real hardware at desk scale.
 
-Results are cached by digest: if a future compilation hashes the same, the
-cached measurement is returned instead of re-executing the binary. An
-external digest covers the benchmark's toolchain fingerprint as well as the
-binary, and every external outcome is also cached by configuration under
-that fingerprint, so a configuration seen before is neither compiled nor run
-again. Failed configurations are cached by configuration identity so they
-are never retried. A synthetic measurement's digest covers the model as well
-as the configuration, as a binary's would cover what the compiler produced.
+Outcomes are cached (``EvalCache``). An external outcome is filed under its
+configuration and the benchmark's toolchain fingerprint, and answers its
+binary's digest too, so neither a configuration seen before nor one that
+compiles to a binary seen before is run again. A synthetic measurement's
+digest covers the model as well as the configuration, as a binary's would
+cover what the compiler produced.
 """
 
 from __future__ import annotations
@@ -61,11 +59,14 @@ class Benchmark:
     """One benchmark: command templates plus measurement policy.
 
     ``compile_command`` may use the placeholders ``{flags}`` (the rendered
-    argument list, space-joined) and ``{out}`` (output binary path);
-    ``run_command`` may use ``{bin}``. With ``timing="reported"`` the run
-    command must print a single floating-point time in seconds on its last
-    output line; with ``timing="external"`` the harness wall-clocks the
-    process instead.
+    arguments) and ``{out}`` (output binary path); ``run_command`` may use
+    ``{bin}``. A template is split as a shell splits it, then filled in: an
+    argument that is exactly ``{flags}`` becomes one argument per flag, and
+    a placeholder inside an argument is filled in there (``{flags}``
+    space-joined), so no value is split again. With ``timing="reported"``
+    the run command must print a single floating-point time in seconds on
+    its last output line; with ``timing="external"`` the harness
+    wall-clocks the process instead.
     """
 
     name: str
@@ -129,14 +130,17 @@ class EvalCache:
 
     The caller chooses the key. By default an ok measurement is filed under
     its digest and a failed one under its configuration's identity, so
-    broken flag combinations are not retried. A record under any other key
-    whose digest already has a record of its own is held in ``aliases`` as
-    a pointer to that record, so ``entries`` keeps one measurement per
-    binary. Every put is appended and flushed immediately, which makes the
-    cache kill-safe: a final line without its newline is a torn append and
-    is dropped on load, while a bad line anywhere else still raises. When
-    backed by a file, an exclusive advisory lock is held, and taken before
-    the file is read, so concurrent campaigns cannot share one cache file.
+    broken flag combinations are not retried. A record under a key other
+    than its digest is filed under the digest too, unless the digest has a
+    record already, and its key is held in ``aliases`` as a pointer to the
+    digest's record: one record answers both, and ``entries`` keeps one
+    measurement per binary. Every measurement it holds, and so every hit it
+    answers, is marked ``cached``. Every put is appended and flushed at
+    once, which makes the cache kill-safe: a final line without its newline
+    is a torn append and is dropped on load, while a bad line anywhere else
+    still raises. When backed by a file, an exclusive advisory lock is held,
+    and taken before the file is read, so concurrent campaigns cannot share
+    one cache file.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -169,14 +173,16 @@ class EvalCache:
                 continue
             rec = json.loads(line)
             meas = Measurement(status=rec["status"], time=rec["time"], digest=rec["digest"],
-                               detail=rec.get("detail", ""))
+                               cached=True, detail=rec.get("detail", ""))
             self._store(rec["benchmark"], rec["key"], meas)
 
     def _store(self, benchmark: str, key: str, measurement: Measurement) -> None:
-        if key != measurement.digest and (benchmark, measurement.digest) in self.entries:
-            self.aliases[(benchmark, key)] = measurement.digest
-        else:
+        digest = measurement.digest
+        if digest is None or key == digest:
             self.entries[(benchmark, key)] = measurement
+        else:
+            self.entries.setdefault((benchmark, digest), measurement)
+            self.aliases[(benchmark, key)] = digest
 
     def get(self, benchmark: str, key: str) -> Measurement | None:
         key = self.aliases.get((benchmark, key), key)
@@ -199,9 +205,10 @@ class EvalCache:
         measurement: Measurement,
         key: str | None = None,
     ) -> None:
-        """File ``measurement`` under ``key``, by default its digest if it is
-        ok and the configuration's identity if not."""
-        stored = replace(measurement, cached=False)
+        """File ``measurement``, marked ``cached``, under ``key``: by default
+        its digest if it is ok and the configuration's identity if not. Under
+        any other key it answers its digest as well (see the class)."""
+        stored = replace(measurement, cached=True)
         if key is None:
             key = stored.digest if stored.ok else _config_key(config)
         self._store(benchmark, key, stored)
@@ -220,9 +227,6 @@ class EvalCache:
             self._handle.write(json.dumps(rec).encode() + b"\n")
             self._handle.flush()
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def close(self) -> None:
         if self._handle is not None:
             self._handle.close()
@@ -239,27 +243,42 @@ class EvalCache:
 # External compile-and-run pipeline
 # ---------------------------------------------------------------------------
 
-def _run_command(cmd: str, timeout: float, cwd: str | Path | None):
-    """Run ``cmd`` in a session of its own. On timeout, or when anything
-    else (a Ctrl-C) interrupts the wait, the whole process group is killed,
-    so no background child outlives the command, and the call waits only for
-    the command itself, so a child that escaped the group and holds the
-    pipes cannot hang it."""
-    with subprocess.Popen(
-        shlex.split(cmd),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        cwd=cwd,
-        start_new_session=True,
-    ) as proc:
+def _fill(template: str, flags: list[str] | None = None, **values) -> list[str]:
+    """The argv of a command template, split first and then filled in
+    argument by argument, as ``Benchmark`` describes."""
+    if flags is not None:
+        values["flags"] = " ".join(flags)
+    argv = []
+    for arg in shlex.split(template):
+        argv += flags if arg == "{flags}" and flags is not None else [arg.format(**values)]
+    return argv
+
+
+def _kill_group(proc: subprocess.Popen) -> None:
+    with contextlib.suppress(ProcessLookupError):  # the group is gone
+        os.killpg(proc.pid, signal.SIGKILL)
+
+
+def _run_command(
+    argv: list[str], timeout: float, cwd: str | Path | None, running: set[subprocess.Popen]
+):
+    """Run ``argv`` in a session of its own, held in ``running`` while it
+    runs, so another thread can kill its process group. On timeout, or when
+    anything else (a Ctrl-C) interrupts the wait, the whole process group is
+    killed, so no background child outlives the command, and the call waits
+    only for the command itself, so a child that escaped the group and holds
+    the pipes cannot hang it."""
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          cwd=cwd, start_new_session=True) as proc:
+        running.add(proc)
         try:
             stdout, stderr = proc.communicate(timeout=timeout)
         except BaseException:
-            with contextlib.suppress(ProcessLookupError):  # the group is gone
-                os.killpg(proc.pid, signal.SIGKILL)
+            _kill_group(proc)
             proc.wait()
             raise
+        finally:
+            running.discard(proc)
     return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
 
 
@@ -304,16 +323,8 @@ class CommandEvaluator:
     a stale cache. ``compilations`` counts compiler invocations,
     ``executions`` the evaluations that ran the binary at least once and
     ``cache_hits`` the configuration and digest hits, which run nothing.
-
-    ``evaluate_many`` compiles in parallel: it takes a batch of independent
-    pairs in chunks of at most one compile per CPU, compiles a chunk's
-    misses on a thread pool and joins the pool before the chunk's first
-    run. Digests and timed executions stay in the main thread, strictly
-    serialized in submission order, so a timed run never overlaps a compile
-    or another run that flagtuner started. Each binary is deleted from
-    ``build_dir`` once it has been digested and run, or has failed, and a
-    chunk that ends early deletes the binaries it built ahead, so
-    ``build_dir`` never holds more than one chunk of binaries.
+    Each binary is deleted from ``build_dir`` once it has been digested and
+    run, or has failed.
     """
 
     def __init__(
@@ -325,11 +336,10 @@ class CommandEvaluator:
         workdir: str | Path | None = None,
         build_dir: str | Path,
     ):
-        names = [b.name for b in suite]
-        if len(set(names)) != len(names):
-            raise ValueError("benchmark names must be unique within a suite")
         self.space = space
         self.suite = {b.name: b for b in suite}
+        if len(self.suite) != len(suite):
+            raise ValueError("benchmark names must be unique within a suite")
         file_digests: dict[str, str] = {}
         self._fingerprints = {
             b.name: _toolchain_fingerprint(b, workdir, file_digests) for b in suite
@@ -343,6 +353,8 @@ class CommandEvaluator:
         self.cache_hits = 0
         # compiles started by evaluate_many, by (benchmark, configuration key)
         self._prebuilt: dict[tuple[str, str], Future] = {}
+        # the commands running now, in any thread
+        self._running: set[subprocess.Popen] = set()
 
     def _key(self, config: Configuration, bench_name: str) -> str:
         """The configuration key of a checked pair."""
@@ -363,10 +375,14 @@ class CommandEvaluator:
         Pairs go through in chunks holding at most one compile per CPU. A
         chunk's compiles are the pairs whose configuration the cache does not
         hold when the chunk starts, each distinct pair once; with two or more,
-        they run on a thread pool that is joined before the chunk's first
-        ``evaluate``, which then uses the prebuilt binary. As a pair is only
-        compiled when its configuration is missed, the compiles, runs and hits
-        are those of evaluating the pairs one by one.
+        ``_build_ahead`` runs them before the chunk's first ``evaluate``,
+        which then uses the prebuilt binary. As a pair is only compiled when
+        its configuration is missed, the compiles, runs and hits are those of
+        evaluating the pairs one by one. Digests and timed runs stay in the
+        main thread, in order, so a timed run never overlaps a compile or
+        another run that flagtuner started. A chunk that ends early deletes
+        the binaries it built ahead, so ``build_dir`` never holds more than
+        one chunk of binaries.
         """
         width = len(os.sched_getaffinity(0))
         start = 0
@@ -383,16 +399,7 @@ class CommandEvaluator:
                 end += 1
             try:
                 if len(misses) > 1:
-                    # imported here: it adds some 7 ms to every start-up otherwise
-                    from concurrent.futures import ThreadPoolExecutor
-
-                    with ThreadPoolExecutor(len(misses)) as pool:
-                        for key, config in misses.items():
-                            self.compilations += 1
-                            self._prebuilt[key] = pool.submit(
-                                self._compile, config, self.suite[key[0]],
-                                self._out_path(config, key[0]),
-                            )
+                    self._build_ahead(misses)
                 for config, bench_name in pairs[start:end]:
                     yield self.evaluate(config, bench_name)
             finally:
@@ -401,16 +408,39 @@ class CommandEvaluator:
                     self._out_path(config, key[0]).unlink(missing_ok=True)
             start = end
 
+    def _build_ahead(self, misses: dict[tuple[str, str], Configuration]) -> None:
+        """Compile ``misses`` on a thread pool and join it. Its threads never
+        see a Ctrl-C, so when one interrupts the wait, every compile still
+        running is killed with its process group, and waited for, first."""
+        # imported here: it adds some 7 ms to every start-up otherwise
+        from concurrent.futures import ThreadPoolExecutor, wait
+
+        with ThreadPoolExecutor(len(misses)) as pool:
+            pending = []
+            try:
+                for key, config in misses.items():
+                    self.compilations += 1
+                    bench, out_path = self.suite[key[0]], self._out_path(config, key[0])
+                    pending.append(pool.submit(self._compile, config, bench, out_path))
+                    self._prebuilt[key] = pending[-1]
+                wait(pending)
+            except BaseException:
+                while pending:  # a thread may start its command after a sweep
+                    for proc in list(self._running):
+                        _kill_group(proc)
+                    pending = wait(pending, timeout=0.05).not_done
+                raise
+
     def evaluate(self, config: Configuration, bench_name: str) -> Measurement:
         """The recorded outcome of one configuration, or a fresh one.
 
         The configuration is looked up under the benchmark's fingerprint
         before anything is compiled, and the binary's digest before it is
-        run; a hit returns the recorded measurement with ``cached=True``.
+        run; a hit is returned as the cache answers it, marked ``cached``.
         A binary that ``evaluate_many`` built ahead is used, and an error its
-        compile raised is raised here. Every outcome is put under the
-        configuration's key, and a fresh one that carries a digest under the
-        digest first, so a binary that failed its run is not run again
+        compile raised is raised here. Every outcome is put once, under the
+        configuration's key; the cache files one that carries a digest under
+        the digest as well, so a binary that failed its run is not run again
         either. The measured time is the minimum over ``repeat_runs`` timed
         executions.
         """
@@ -418,7 +448,7 @@ class CommandEvaluator:
         hit = self.cache.get(bench_name, key)
         if hit is not None:
             self.cache_hits += 1
-            return replace(hit, cached=True)
+            return hit
         bench = self.suite[bench_name]
         out_path = self._out_path(config, bench_name)
         try:
@@ -431,8 +461,6 @@ class CommandEvaluator:
             meas = failed if failed is not None else self._run(bench, out_path)
         finally:
             out_path.unlink(missing_ok=True)
-        if meas.digest is not None and not meas.cached:
-            self.cache.put(bench_name, config, meas, key=meas.digest)
         self.cache.put(bench_name, config, meas, key=key)
         return meas
 
@@ -442,10 +470,9 @@ class CommandEvaluator:
         """Build ``out_path``: None once the binary exists, else the compile
         error. Safe to call from a pool thread."""
         self.build_dir.mkdir(parents=True, exist_ok=True)
-        flags = " ".join(render_args(self.space, config))
-        compile_cmd = bench.compile_command.format(flags=flags, out=out_path)
+        argv = _fill(bench.compile_command, render_args(self.space, config), out=out_path)
         try:
-            proc = _run_command(compile_cmd, bench.timeout, self.workdir)
+            proc = _run_command(argv, bench.timeout, self.workdir, self._running)
         except subprocess.TimeoutExpired:
             return Measurement(STATUS_COMPILE_ERROR, detail="compile timed out")
         if proc.returncode != 0 or not out_path.exists():
@@ -461,15 +488,15 @@ class CommandEvaluator:
         hit = self.cache.get(bench.name, digest)
         if hit is not None:
             self.cache_hits += 1
-            return replace(hit, cached=True)
+            return hit
 
-        run_cmd = bench.run_command.format(bin=out_path)
+        argv = _fill(bench.run_command, bin=out_path)
         self.executions += 1
         times = []
         for _ in range(bench.repeat_runs):
             started = _time.perf_counter()
             try:
-                proc = _run_command(run_cmd, bench.timeout, self.workdir)
+                proc = _run_command(argv, bench.timeout, self.workdir, self._running)
             except subprocess.TimeoutExpired:
                 return Measurement(
                     STATUS_TIMEOUT, digest=digest, detail=f"run timed out after {bench.timeout} s"
@@ -638,7 +665,7 @@ class SyntheticEvaluator:
         hit = self.cache.get(bench_name, digest)
         if hit is not None:
             self.cache_hits += 1
-            return replace(hit, cached=True)
+            return hit
         time = self.model.time_for(self.space, config, bench_name)
         meas = Measurement(STATUS_OK, time=time, digest=digest)
         self.executions += 1
@@ -665,7 +692,4 @@ def load_suite(path: str | Path) -> list[Benchmark]:
             )
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed suite: {exc!r}") from exc
-    names = [b.name for b in benches]
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate benchmark names in suite")
     return benches

@@ -405,6 +405,7 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
         ("xval", {**TRADEOFF, "k": 1}, []),
         ("xval", {**TRADEOFF, "k": 99}, []),
         ("oracle", {}, ["--threshold", "-1"]),
+        ("oracle", {}, ["--max-flags", "1"]),
         ("ric", {"model": "benchmark_list.json"}, []),
         ("ric", {"mode": "external", "model": None, "suite": "benchmark_list.json"}, []),
         ("ric", {"mode": "external", "model": None, "suite": "string_entries.json"}, []),
@@ -416,7 +417,7 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
     ids=["ce-benchmark", "ric-benchmarks", "ric-unknown-flag", "oracle-unknown-flag",
          "oracle-non-positive", "suite-ce-aggregate", "suite-ce-negative-threshold",
          "suite-ce-negative-threshold-option", "ric-no-configs", "xval-k-1",
-         "xval-k-above-benchmarks", "oracle-negative-threshold-option",
+         "xval-k-above-benchmarks", "oracle-negative-threshold-option", "oracle-above-max-flags",
          "ric-malformed-model", "ric-malformed-suite", "ric-malformed-suite-entry",
          "ric-benchmarks-not-a-list", "ric-n-configs-not-a-number", "ric-cache-a-list",
          "ric-cache-a-number"],
@@ -440,6 +441,7 @@ def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, e
 
 
 HEADER = ",".join(TRACE_COLUMNS) + "\n"
+OUTSIDE_SPACE = HEADER + "1,1111,O9,crc32,1.0,ok,baseline\n"  # the space has O3 only
 
 
 @pytest.mark.parametrize(
@@ -448,22 +450,26 @@ HEADER = ",".join(TRACE_COLUMNS) + "\n"
         ("report", None),
         ("report", HEADER),
         ("report", HEADER + "1,1000,O3\n"),
+        ("report", OUTSIDE_SPACE),
         ("predict-1nn", None),
         ("predict-1nn", '{"program": "crc32", "trace": "crc32.trace"}'),
         ("predict-1nn", '["crc32"]'),
         ("predict-1nn", '[{"trace": "crc32.trace"}]'),
         ("predict-1nn", '[{"program": "crc32"}]'),
         ("predict-1nn", '[{"program": "crc32", "trace": "crc32.trace", "benchmark": ["x"]}]'),
+        ("predict-1nn", '[{"program": "crc32", "trace": "outside.trace"}]'),
     ],
     ids=["report-missing-trace", "report-header-only-trace", "report-short-row",
-         "predict-1nn-missing-manifest", "predict-1nn-manifest-not-a-list",
-         "predict-1nn-record-not-an-object", "predict-1nn-record-without-program",
-         "predict-1nn-record-without-trace", "predict-1nn-benchmark-not-a-string"],
+         "report-level-outside-space", "predict-1nn-missing-manifest",
+         "predict-1nn-manifest-not-a-list", "predict-1nn-record-not-an-object",
+         "predict-1nn-record-without-program", "predict-1nn-record-without-trace",
+         "predict-1nn-benchmark-not-a-string", "predict-1nn-trace-level-outside-space"],
 )
 def test_rejected_input_creates_nothing(tmp_path, demo_dir, capsys, command, text):
     """A missing or misshapen trace or training manifest is one line and exit
     1, before the out dir exists."""
     out = tmp_path / "o"
+    (tmp_path / "outside.trace").write_text(OUTSIDE_SPACE)
     path = tmp_path / ("input.trace" if command == "report" else "manifest.json")
     if text is not None:
         path.write_text(text)
@@ -519,6 +525,30 @@ def test_external_build_dir_is_emptied(tmp_path, demo_config):
     assert list((out / "build").iterdir()) == []
     summary = (out / "summary.txt").read_text(encoding="utf-8")
     assert summary.startswith("ric: evaluations=8 cache_hits=6 configs_tested=7 ")
+
+
+def test_stub_cache_holds_one_line_per_outcome(tmp_path, demo_config):
+    """Each outcome is one record, under its configuration; the cache files
+    it under its binary's digest as well, without a second line."""
+    out = tmp_path / "o"
+    assert main(["ric", "--config", demo_config("stub"), "--out", str(out)]) == 0
+    lines = (out / "cache.jsonl").read_text(encoding="utf-8").splitlines()
+    keys = [(rec["benchmark"], rec["key"]) for rec in map(json.loads, lines)]
+    assert all(key.startswith("cfg:") for _, key in keys)
+    assert len(set(keys)) == len(keys) == 12  # 14 pairs, 2 of them configuration hits
+
+
+def test_out_dir_with_a_space(tmp_path, demo_config):
+    """A template is split before it is filled in, so a path with a space
+    stays one argument."""
+    plain, spaced = tmp_path / "plain" / "out", tmp_path / "sp ace" / "out"
+    for out in (plain, spaced):
+        assert main(["ric", "--config", demo_config("stub"), "--out", str(out)]) == 0
+    summary = (spaced / "summary.txt").read_text(encoding="utf-8")
+    assert summary.startswith("ric: evaluations=8 cache_hits=6 ")
+    assert summary == (plain / "summary.txt").read_text(encoding="utf-8")
+    assert sorted(tmp_path.iterdir()) == [plain.parent, spaced.parent]
+    assert list(spaced.parent.iterdir()) == [spaced]
 
 
 @pytest.fixture

@@ -196,6 +196,54 @@ def test_cache_reload_matches_any_history(tmp_path_factory, history):
         assert again.entries == entries
 
 
+def test_cache_marks_what_it_answers(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    config = Configuration("O3", (True, False))
+    fresh = [Measurement("ok", time=1.5, digest="d1"), Measurement("compile_error")]
+
+    def answers(cache):
+        return [cache.get("a", "d1"), cache.get("a", "cfg:x"),
+                cache.get_failure("a", toggle(config, 0))]
+
+    with EvalCache(path) as cache:
+        cache.put("a", config, fresh[0])
+        cache.put("a", config, fresh[0], key="cfg:x")
+        cache.put("a", toggle(config, 0), fresh[1])
+        answered = answers(cache)
+    with EvalCache(path) as again:
+        answered += answers(again)
+    assert all(m is not None and m.cached for m in answered)
+    assert not any(m.cached for m in fresh)
+
+
+def test_synthetic_hit_is_the_cached_measurement():
+    space, model = pair_dependency_model()
+    ev = SyntheticEvaluator(space, model)
+    config = space.all_enabled()
+    assert not ev.evaluate(config, "cover").cached
+    hit = ev.evaluate(config, "cover")
+    assert hit.cached and hit is ev.cache.get("cover", hit.digest)
+
+
+def test_two_record_history_still_loads(tmp_path):
+    """A cache written when a fresh external outcome took two records, one
+    under its digest and one under its configuration, answers as before."""
+    outcome = {"benchmark": "a", "digest_algo": "md5", "digest": "d1", "status": "ok",
+               "time": 1.5, "detail": "", "base_level": "O3"}
+    records = [
+        {**outcome, "key": "d1", "config_bitstring": "10"},
+        {**outcome, "key": "cfg:fp:O3:10", "config_bitstring": "10"},
+        {**outcome, "key": "cfg:fp:O3:00", "config_bitstring": "00"},  # the same binary
+    ]
+    path = tmp_path / "cache.jsonl"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    with EvalCache(path) as cache:
+        assert list(cache.entries) == [("a", "d1")]
+        assert cache.aliases == {("a", "cfg:fp:O3:10"): "d1", ("a", "cfg:fp:O3:00"): "d1"}
+        for key in ("d1", "cfg:fp:O3:10", "cfg:fp:O3:00"):
+            assert cache.get("a", key).time == 1.5
+
+
 def test_cache_lock_excludes_second_writer(tmp_path):
     path = tmp_path / "cache.jsonl"
     with EvalCache(path):
@@ -499,7 +547,7 @@ def test_interrupt_kills_background_children(tmp_path, monkeypatch):
 
     monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        _run_command(FORKS, 10.0, tmp_path)
+        _run_command(shlex.split(FORKS), 10.0, tmp_path, set())
     assert _gone_soon(int(pid_file.read_text()))
 
 

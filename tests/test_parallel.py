@@ -6,17 +6,24 @@ every process shares) to a log file for each compile and run, so the
 intervals can be checked after the fact.
 """
 
+import contextlib
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import flagtuner
 from flagtuner.cli import main
 from flagtuner.evaluator import Benchmark, CommandEvaluator
 from flagtuner.flagspace import load_flag_space
 from flagtuner.search import BudgetedEvaluator, CampaignInterrupted
 from helpers import config_of
+from test_evaluator import _gone_soon
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 STUB_CAMPAIGN = str(DEMO / "stub_campaign.json")
@@ -153,3 +160,68 @@ def test_stub_ric_counters_hold_in_parallel(tmp_path, wide):
     assert main(["ric", "--config", STUB_CAMPAIGN, "--out", str(out)]) == 0
     summary = (out / "summary.txt").read_text()
     assert summary.startswith("ric: evaluations=8 cache_hits=6 configs_tested=7 ")
+
+
+def test_cli_import_leaves_the_pool_module_out():
+    """The pool is imported on first use: at module level it adds some
+    7 ms to every start-up."""
+    src = str(Path(flagtuner.__file__).resolve().parents[1])
+    code = "import sys, flagtuner.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
+
+
+# a compiler that records its pid, then takes its time
+SLOW_CC = """\
+import os, sys, time
+open(os.path.join("pids", str(os.getpid())), "w").close()
+time.sleep(3)
+open(sys.argv[1], "w").write("x")
+"""
+
+# a flagtuner that sees four CPUs, whatever the machine has
+FOUR_CPUS = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1, 2, 3}; "
+             "from flagtuner.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def test_ctrl_c_mid_chunk_kills_the_compiles(tmp_path):
+    """A Ctrl-C reaches only the main thread, not the pool's: it must kill
+    the compiles still running rather than wait for them, and leave
+    ``build/`` empty."""
+    (tmp_path / "cc.py").write_text(SLOW_CC)
+    (tmp_path / "pids").mkdir()
+    # no flags: the stock and the sampled configuration are one, so the
+    # first chunk holds one compile per benchmark
+    (tmp_path / "space.json").write_text(json.dumps(
+        {"base_levels": ["O3"], "default_baseline": "O3", "flags": []}))
+    (tmp_path / "suite.json").write_text(json.dumps({"benchmarks": [
+        {"name": name, "compile_command": "python3 -S cc.py {out}", "run_command": "true"}
+        for name in ("alpha", "beta")
+    ]}))
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps({"flag_space": str(tmp_path / "space.json"),
+                                  "mode": "external", "suite": "suite.json", "n_configs": 1}))
+    out = tmp_path / "o"
+    src = str(Path(flagtuner.__file__).resolve().parents[1])
+    child = subprocess.Popen(
+        [sys.executable, "-c", FOUR_CPUS, "ric", "--config", str(config), "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src}, stderr=subprocess.DEVNULL,
+    )
+    pids: list[int] = []
+    try:
+        deadline = time.monotonic() + 10.0
+        while len(pids) < 2:
+            assert time.monotonic() < deadline, "the compiles never started"
+            time.sleep(0.01)
+            pids = [int(p.name) for p in (tmp_path / "pids").iterdir()]
+        child.send_signal(signal.SIGINT)
+        assert child.wait(timeout=1.0) == 3
+        assert all(_gone_soon(pid) for pid in pids)
+        assert list((out / "build").iterdir()) == []
+    finally:
+        for pid in pids:  # each compile leads a process group of its own
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(pid, signal.SIGKILL)
+        child.kill()
+        child.wait()
