@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import csv
 import math
+import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import fmean
 from typing import Sequence
-
-import numpy as np
 
 from flagtuner.flagspace import Configuration, FlagSpace
 from flagtuner.search import (
@@ -140,8 +139,6 @@ class FoldPlan:
 
 def make_folds(programs: Sequence[str], k: int, seed: int) -> FoldPlan:
     """Uniform random partition into k folds, deterministic per seed."""
-    import random
-
     programs = list(programs)
     if k < 2 or len(programs) < k:
         raise ValueError(f"need 2 <= k <= number of programs, got k={k}, n={len(programs)}")
@@ -250,6 +247,9 @@ def predict_1nn(
     per-feature affine rescaling of the raw inputs. Distance ties go to the
     earliest training program.
     """
+    # imported here: numpy costs every start-up of every other command
+    import numpy as np
+
     if not training:
         raise ValueError("empty training set")
     dim = len(query.values)

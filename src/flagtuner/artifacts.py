@@ -25,7 +25,6 @@ import os
 from pathlib import Path
 from typing import Iterable
 
-from flagtuner.analysis import CompareTable, RelativeSeries
 from flagtuner.evaluator import Measurement
 from flagtuner.flagspace import Configuration, FlagSpace, _check_member, render_args
 from flagtuner.search import CampaignTrace, CEState
@@ -72,7 +71,8 @@ def write_trace(path: str | Path, trace: CampaignTrace) -> None:
 
 def read_trace(path: str | Path, space: FlagSpace) -> CampaignTrace:
     """Rebuild a trace from its file, checking each configuration against
-    ``space``. Digest and cached markers are not part of the format, so
+    ``space`` and that every row of a record repeats its configuration and
+    annotation. Digest and cached markers are not part of the format, so
     reloaded measurements carry neither."""
     trace = CampaignTrace()
     with open(path, newline="", encoding="utf-8") as fh:
@@ -86,6 +86,9 @@ def read_trace(path: str | Path, space: FlagSpace) -> CampaignTrace:
                     _check_member(space, config)
                     if trace.append(config, {}, annotation).seq != int(seq):
                         raise ValueError("sequence numbers not contiguous")
+                    shared = (bits, level, annotation)
+                elif (bits, level, annotation) != shared:
+                    raise ValueError(f"row disagrees with the first row of record {seq}")
                 trace.records[-1].measurements[bench] = Measurement(
                     status=status, time=float(time) if time else None
                 )

@@ -58,11 +58,12 @@ from flagtuner.evaluator import (
     load_suite,
     load_synthetic_model,
 )
-from flagtuner.flagspace import FlagSpace, FlagSpaceError, load_flag_space, render_args
-from flagtuner.oracle import (
+from flagtuner.flagspace import (
     DEFAULT_MAX_FLAGS,
-    per_benchmark_optimum,
-    suite_constrained_optimum,
+    FlagSpace,
+    FlagSpaceError,
+    load_flag_space,
+    render_args,
 )
 from flagtuner.search import (
     AGGREGATES,
@@ -509,6 +510,9 @@ def cmd_oracle(args) -> int:
     if cfg.mode != "synthetic":
         raise ConfigError("oracle requires a synthetic-mode config")
     space, model, benchmarks = _load_inputs(cfg)
+    # imported here: the oracle loads numpy, which no other command needs
+    from flagtuner.oracle import per_benchmark_optimum, suite_constrained_optimum
+
     stock = space.stock_config()
     reference = {b: model.time_for(space, stock, b) for b in benchmarks}
 
@@ -547,7 +551,10 @@ def cmd_oracle(args) -> int:
 def cmd_report(args) -> int:
     out = Path(args.out) if args.out else Path("out")
     space = _load_space(args.space)
-    named = [(Path(p).stem, read_trace(p, space)) for p in args.traces]
+    names = [Path(p).stem for p in args.traces]
+    if len(set(names)) < len(names):  # each names its series file and compare.csv's method
+        raise ConfigError(f"two traces share a file stem: {names}")
+    named = [(name, read_trace(p, space)) for name, p in zip(names, args.traces)]
     ref_trace = named[0][1]
     if args.reference:
         ref_trace = read_trace(args.reference, space)

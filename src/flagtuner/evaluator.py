@@ -63,7 +63,9 @@ class Benchmark:
     ``{bin}``. A template is split as a shell splits it, then filled in: an
     argument that is exactly ``{flags}`` becomes one argument per flag, and
     a placeholder inside an argument is filled in there (``{flags}``
-    space-joined), so no value is split again. With ``timing="reported"``
+    space-joined), so no value is split again. Each template is filled in
+    once when the benchmark is made, so one that a campaign could not fill
+    is rejected as the suite loads. With ``timing="reported"``
     the run command must print a single floating-point time in seconds on
     its last output line; with ``timing="external"`` the harness
     wall-clocks the process instead.
@@ -85,6 +87,11 @@ class Benchmark:
             raise ValueError(f"benchmark {self.name}: repeat_runs must be >= 1")
         if self.timing not in (TIMING_REPORTED, TIMING_EXTERNAL):
             raise ValueError(f"benchmark {self.name}: bad timing {self.timing!r}")
+        try:
+            _fill(self.compile_command, ["-O3"], out=Path("x"))
+            _fill(self.run_command, bin=Path("x"))
+        except (KeyError, IndexError, ValueError, AttributeError, TypeError) as exc:
+            raise ValueError(f"benchmark {self.name}: unfillable template: {exc!r}") from None
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+# The default cap above which the exhaustive oracle refuses a flag space:
+# 2^22 assignments per base level.
+DEFAULT_MAX_FLAGS = 22
+
 
 class FlagSpaceError(ValueError):
     """Structural problem with a flag space, configuration or their files."""

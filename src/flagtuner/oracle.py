@@ -23,10 +23,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from flagtuner.evaluator import SyntheticModel
-from flagtuner.flagspace import Configuration, FlagSpace, FlagSpaceError
+from flagtuner.flagspace import DEFAULT_MAX_FLAGS, Configuration, FlagSpace, FlagSpaceError
 from flagtuner.search import AGGREGATES
-
-DEFAULT_MAX_FLAGS = 22
 
 # Masks scored at once, rounded down to a power of two; memory stays bounded
 # whatever the flag count. On a 16-flag, 10-benchmark model 2^13 adds 1.4 MB

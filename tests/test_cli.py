@@ -413,6 +413,8 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
         ("ric", {"n_configs": [3]}, []),
         ("ric", {"cache": ["a"]}, []),
         ("ric", {"cache": 5}, []),
+        ("ric", {"mode": "external", "model": None, "suite": "input_in_run.json"}, []),
+        ("ric", {"mode": "external", "model": None, "suite": "bin_in_compile.json"}, []),
     ],
     ids=["ce-benchmark", "ric-benchmarks", "ric-unknown-flag", "oracle-unknown-flag",
          "oracle-non-positive", "suite-ce-aggregate", "suite-ce-negative-threshold",
@@ -420,7 +422,7 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
          "xval-k-above-benchmarks", "oracle-negative-threshold-option", "oracle-above-max-flags",
          "ric-malformed-model", "ric-malformed-suite", "ric-malformed-suite-entry",
          "ric-benchmarks-not-a-list", "ric-n-configs-not-a-number", "ric-cache-a-list",
-         "ric-cache-a-number"],
+         "ric-cache-a-number", "ric-input-in-run-command", "ric-bin-in-compile-command"],
 )
 def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, extra):
     _pair_model(tmp_path, "unknown_flag.json", flag_delta={"ivopts": -5.0, "zz": 1.0})
@@ -429,6 +431,10 @@ def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, e
                 level_multiplier={"O1": 2.0, "O3": 2.0})
     (tmp_path / "benchmark_list.json").write_text('{"benchmarks": []}')
     (tmp_path / "string_entries.json").write_text('{"benchmarks": ["x"]}')
+    for name, commands in (("input_in_run.json", ("cc {flags} -o {out}", "{bin} {input}")),
+                           ("bin_in_compile.json", ("cc {flags} -o {bin}", "{bin}"))):
+        bench = dict(zip(("name", "compile_command", "run_command"), ("b", *commands)))
+        (tmp_path / name).write_text(json.dumps({"benchmarks": [bench]}))
     for field in ("model", "suite"):
         name = overrides.get(field)
         if name and not Path(name).is_absolute():  # one of the files above
@@ -442,6 +448,7 @@ def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, e
 
 HEADER = ",".join(TRACE_COLUMNS) + "\n"
 OUTSIDE_SPACE = HEADER + "1,1111,O9,crc32,1.0,ok,baseline\n"  # the space has O3 only
+BASELINE = HEADER + "1,1111,O3,crc32,1.0,ok,baseline\n"
 
 
 @pytest.mark.parametrize(
@@ -451,6 +458,9 @@ OUTSIDE_SPACE = HEADER + "1,1111,O9,crc32,1.0,ok,baseline\n"  # the space has O3
         ("report", HEADER),
         ("report", HEADER + "1,1000,O3\n"),
         ("report", OUTSIDE_SPACE),
+        ("report", BASELINE + "1,0111,O3,fir,2.0,ok,baseline\n"),
+        ("report", BASELINE + "1,1111,O3,fir,2.0,ok,probe\n"),
+        ("report", (BASELINE, BASELINE)),
         ("predict-1nn", None),
         ("predict-1nn", '{"program": "crc32", "trace": "crc32.trace"}'),
         ("predict-1nn", '["crc32"]'),
@@ -460,21 +470,28 @@ OUTSIDE_SPACE = HEADER + "1,1111,O9,crc32,1.0,ok,baseline\n"  # the space has O3
         ("predict-1nn", '[{"program": "crc32", "trace": "outside.trace"}]'),
     ],
     ids=["report-missing-trace", "report-header-only-trace", "report-short-row",
-         "report-level-outside-space", "predict-1nn-missing-manifest",
+         "report-level-outside-space", "report-rows-disagree-on-config",
+         "report-rows-disagree-on-annotation", "report-two-traces-one-stem",
+         "predict-1nn-missing-manifest",
          "predict-1nn-manifest-not-a-list", "predict-1nn-record-not-an-object",
          "predict-1nn-record-without-program", "predict-1nn-record-without-trace",
          "predict-1nn-benchmark-not-a-string", "predict-1nn-trace-level-outside-space"],
 )
 def test_rejected_input_creates_nothing(tmp_path, demo_dir, capsys, command, text):
-    """A missing or misshapen trace or training manifest is one line and exit
-    1, before the out dir exists."""
+    """A missing or misshapen trace or training manifest, or two traces that
+    would write one series file, is one line and exit 1, before the out dir
+    exists."""
     out = tmp_path / "o"
     (tmp_path / "outside.trace").write_text(OUTSIDE_SPACE)
     path = tmp_path / ("input.trace" if command == "report" else "manifest.json")
-    if text is not None:
-        path.write_text(text)
+    texts = text if isinstance(text, tuple) else (text,)  # a tuple: one file a directory
+    paths = [path] + [tmp_path / f"d{i}" / path.name for i in range(1, len(texts))]
+    for p, t in zip(paths, texts):
+        p.parent.mkdir(exist_ok=True)
+        if t is not None:
+            p.write_text(t)
     if command == "report":
-        argv = ["report", str(path)]
+        argv = ["report", *map(str, paths)]
     else:
         argv = ["predict-1nn", str(demo_dir / "features.csv"), str(path), "fir"]
     space = str(demo_dir / "tradeoff_space.json")
