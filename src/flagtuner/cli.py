@@ -113,16 +113,21 @@ class CampaignConfig:
     benchmarks: list[str] | None
 
 
-def load_campaign_config(
-    path: str | Path,
-    command: str,
-    seed_override: int | None = None,
-    threshold_override: float | None = None,
-) -> CampaignConfig:
-    """The config of ``path`` for ``command``, with the command line's seed
-    and threshold, checked field by field. What depends on the model or
-    suite is checked by ``_load_inputs``."""
-    path = Path(path)
+def input_digests(cfg: CampaignConfig) -> dict[str, str]:
+    return {
+        "flag_space": file_digest(cfg.flag_space),
+        "model": file_digest(cfg.model) if cfg.model else "",
+        "suite": file_digest(cfg.suite) if cfg.suite else "",
+    }
+
+
+def _load_config(args, command: str) -> tuple[CampaignConfig, Path]:
+    """The config of ``--config`` for ``command``, with the command line's
+    seed and threshold, checked field by field, and the out dir. A
+    ``--max-evals`` below 1 and a ``--resume`` checkpoint for another
+    campaign are rejected too. What depends on the model or suite is
+    checked by ``_load_inputs``."""
+    path = Path(args.config)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
@@ -152,6 +157,7 @@ def load_campaign_config(
     mode = data.get("mode", "synthetic")
     if mode not in ("synthetic", "external"):
         raise ConfigError(f"{path}: mode must be 'synthetic' or 'external'")
+    threshold = getattr(args, "threshold", None)
     try:
         cfg = CampaignConfig(
             command=command,
@@ -161,16 +167,13 @@ def load_campaign_config(
             suite=resolve("suite", required=(mode == "external")),
             cache="cache.jsonl" if cache is None else cache,
             out_dir=None if data.get("out_dir") is None else base / data["out_dir"],
-            seed=int(data.get("seed", 0)) if seed_override is None else seed_override,
+            seed=int(data.get("seed", 0)) if args.seed is None else args.seed,
             n_configs=int(data.get("n_configs", 100)),
-            threshold_t=(
-                float(data.get("threshold_t", 0.0)) if threshold_override is None
-                else threshold_override
-            ),
+            threshold_t=float(data.get("threshold_t", 0.0)) if threshold is None else threshold,
             aggregate=str(data.get("aggregate", "mean")),
             k=int(data.get("k", 10)),
             benchmark=data.get("benchmark"),
-            benchmarks=list(data["benchmarks"]) if data.get("benchmarks") else None,
+            benchmarks=None if data.get("benchmarks") is None else list(data["benchmarks"]),
         )
     except TypeError as exc:  # a field of the wrong JSON type
         raise ConfigError(f"{path}: {exc}") from exc
@@ -182,26 +185,47 @@ def load_campaign_config(
         raise ConfigError(f"{path}: n_configs must be >= 1, got {cfg.n_configs}")
     if cfg.k < 2:
         raise ConfigError(f"{path}: k must be >= 2, got {cfg.k}")
-    return cfg
-
-
-def input_digests(cfg: CampaignConfig) -> dict[str, str]:
-    return {
-        "flag_space": file_digest(cfg.flag_space),
-        "model": file_digest(cfg.model) if cfg.model else "",
-        "suite": file_digest(cfg.suite) if cfg.suite else "",
-    }
+    if cfg.benchmarks == []:
+        raise ConfigError(f"{path}: benchmarks must not be empty")
+    max_evals = getattr(args, "max_evals", None)
+    if max_evals is not None and max_evals < 1:
+        raise ConfigError(f"--max-evals must be >= 1, got {max_evals}")
+    if getattr(args, "resume", None):
+        ck = read_checkpoint(args.resume)
+        if not isinstance(ck, dict):
+            raise ConfigError(f"{args.resume}: a checkpoint must be a JSON object")
+        if ck.get("command") != command:
+            raise ConfigError(f"checkpoint is for {ck.get('command')!r}, not {command!r}")
+        if ck.get("seed") != cfg.seed:
+            raise ConfigError(f"checkpoint seed {ck.get('seed')} != requested seed {cfg.seed}")
+        if ck.get("inputs") != input_digests(cfg):
+            raise ConfigError("checkpoint input files differ from the current config")
+    return cfg, Path(args.out) if args.out else (cfg.out_dir or Path("out"))
 
 
 @dataclass
 class Campaign:
+    """A built campaign, and what its command has reached, for its checkpoint.
+
+    ``trace``, the trace being built, is written to ``trace_path`` when the
+    command ends, complete or interrupted, and its length leads the
+    checkpoint's progress.
+    """
+
     cfg: CampaignConfig
     out: Path
     space: object
     evaluator: object
-    counters: object  # the concrete evaluator carrying executions/cache_hits
+    counters: object  # the concrete evaluator carrying executions/cache_hits and the cache
     benchmarks: list[str]
-    cache: EvalCache
+    params: dict = field(default_factory=dict)
+    trace: CampaignTrace | None = None
+    trace_path: Path | None = None
+    state: CEState | None = None
+    progress: dict = field(default_factory=dict)
+
+    def counts(self) -> str:
+        return f"evaluations={self.counters.executions} cache_hits={self.counters.cache_hits}"
 
 
 def _load_space(path: str | Path) -> FlagSpace:
@@ -257,11 +281,11 @@ def build_campaign(cfg: CampaignConfig, out: Path, max_evals: int | None = None)
     cache_path = Path(cfg.cache)
     if not cache_path.is_absolute():
         cache_path = out / cache_path
-    evaluator.cache = cache = EvalCache(cache_path)
+    evaluator.cache = EvalCache(cache_path)
     counters = evaluator
     if max_evals is not None:
         evaluator = BudgetedEvaluator(evaluator, max_evals)
-    return Campaign(cfg, out, space, evaluator, counters, benchmarks, cache)
+    return Campaign(cfg, out, space, evaluator, counters, benchmarks)
 
 
 def _log(out: Path, message: str) -> None:
@@ -273,18 +297,6 @@ def _write_summary(out: Path, lines: list[str]) -> None:
     write_text(out / "summary.txt", "\n".join(lines) + "\n")
     for line in lines:
         print(line)
-
-
-def _check_resume(resume: str, cfg: CampaignConfig) -> None:
-    ck = read_checkpoint(resume)
-    if not isinstance(ck, dict):
-        raise ConfigError(f"{resume}: a checkpoint must be a JSON object")
-    if ck.get("command") != cfg.command:
-        raise ConfigError(f"checkpoint is for {ck.get('command')!r}, not {cfg.command!r}")
-    if ck.get("seed") != cfg.seed:
-        raise ConfigError(f"checkpoint seed {ck.get('seed')} != requested seed {cfg.seed}")
-    if ck.get("inputs") != input_digests(cfg):
-        raise ConfigError("checkpoint input files differ from the current config")
 
 
 def _baseline_reference(trace: CampaignTrace) -> dict[str, float]:
@@ -299,72 +311,47 @@ def _baseline_reference(trace: CampaignTrace) -> dict[str, float]:
     return refs
 
 
-def _load_config(args, command: str) -> tuple[CampaignConfig, Path]:
-    """The checked config with the command line's seed and threshold, and
-    the out dir."""
-    cfg = load_campaign_config(args.config, command, args.seed, getattr(args, "threshold", None))
-    return cfg, Path(args.out) if args.out else (cfg.out_dir or Path("out"))
-
-
 # ---------------------------------------------------------------------------
 # Campaign commands: ric, ce, suite-ce, xval
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Run:
-    """What a campaign command has reached, for its checkpoint.
-
-    ``trace``, the trace being built, is written to ``trace_path`` when the
-    command ends, complete or interrupted, and its length leads the
-    checkpoint's progress.
-    """
-
-    params: dict = field(default_factory=dict)
-    trace: CampaignTrace | None = None
-    trace_path: Path | None = None
-    state: CEState | None = None
-    progress: dict = field(default_factory=dict)
-
-
-def _run_campaign(args, command: str, body: Callable[[Campaign, _Run], list[str]]) -> int:
+def _run_campaign(args, body: Callable[[Campaign], list[str]]) -> int:
     """The lifecycle the campaign commands share.
 
-    ``--resume`` is validated before the out dir or the cache is touched.
-    ``body`` runs the search, writes the command's own artifacts, records in
-    its ``_Run`` what the checkpoint needs and returns the summary lines.
-    An interruption, Ctrl-C or a spent ``--max-evals`` budget, ends the
-    body early and leaves an interrupted checkpoint. So does an ``OSError``
-    once the campaign is built (a full disk, a compiler that cannot be
-    started); when even the trace or the checkpoint cannot be written, the
-    campaign fails instead.
+    Every input, ``--resume`` too, is checked before the out dir or the
+    cache is touched. ``body`` runs the search, writes the command's own
+    artifacts, records in the campaign what the checkpoint needs and
+    returns the summary lines. An interruption, Ctrl-C or a spent
+    ``--max-evals`` budget, ends the body early and leaves an interrupted
+    checkpoint. So does an ``OSError`` once the campaign is built (a full
+    disk, a compiler that cannot be started); when even the trace or the
+    checkpoint cannot be written, the campaign fails instead.
     """
+    command = args.command
     cfg, out = _load_config(args, command)
-    if args.resume:
-        _check_resume(args.resume, cfg)
     camp = build_campaign(cfg, out, args.max_evals)
-    run = _Run()
     try:
         try:
-            summary = body(camp, run)
+            summary = body(camp)
         finally:
-            camp.cache.close()
+            camp.counters.cache.close()
     except (CampaignInterrupted, KeyboardInterrupt):
         summary = None
     except OSError as exc:
         print(f"flagtuner: {exc}", file=sys.stderr)
         summary = None
-    progress = run.progress if run.trace is None else {"records": len(run.trace), **run.progress}
+    progress = camp.progress if camp.trace is None else {"records": len(camp.trace), **camp.progress}
     try:
-        if run.trace is not None:
-            write_trace(run.trace_path, run.trace)
+        if camp.trace is not None:
+            write_trace(camp.trace_path, camp.trace)
         write_checkpoint(
             out / "checkpoint.json",
             command=command,
             status="interrupted" if summary is None else "complete",
             seed=cfg.seed,
             input_digests=input_digests(cfg),
-            params=run.params,
-            state=run.state,
+            params=camp.params,
+            state=camp.state,
             progress=progress,
         )
         if summary is None:
@@ -384,13 +371,13 @@ def _run_campaign(args, command: str, body: Callable[[Campaign, _Run], list[str]
     return EXIT_OK
 
 
-def _ric(camp: Campaign, run: _Run) -> list[str]:
+def _ric(camp: Campaign) -> list[str]:
     cfg, out = camp.cfg, camp.out
-    run.params = {"n_configs": cfg.n_configs}
-    run.trace, run.trace_path = CampaignTrace(), out / "ric.trace"
+    camp.params = {"n_configs": cfg.n_configs}
+    camp.trace, camp.trace_path = CampaignTrace(), out / "ric.trace"
     _log(out, f"ric start seed={cfg.seed} n_configs={cfg.n_configs}")
     trace = run_ric(
-        camp.space, camp.benchmarks, camp.evaluator, cfg.n_configs, cfg.seed, trace=run.trace
+        camp.space, camp.benchmarks, camp.evaluator, cfg.n_configs, cfg.seed, trace=camp.trace
     )
 
     best = {}
@@ -412,24 +399,21 @@ def _ric(camp: Campaign, run: _Run) -> list[str]:
         ratio_text = f"{final:.6g}"
     except ValueError:
         ratio_text = "n/a"
-    return [
-        f"ric: evaluations={camp.counters.executions} cache_hits={camp.counters.cache_hits} "
-        f"configs_tested={len(trace)} floored_best_ratio={ratio_text}"
-    ]
+    return [f"ric: {camp.counts()} configs_tested={len(trace)} floored_best_ratio={ratio_text}"]
 
 
-def _ce(camp: Campaign, run: _Run) -> list[str]:
+def _ce(camp: Campaign) -> list[str]:
     targets = [camp.cfg.benchmark] if camp.cfg.benchmark else camp.benchmarks
-    run.params = {"benchmarks": targets}
+    camp.params = {"benchmarks": targets}
     summary = []
     completed: list[str] = []
     _log(camp.out, f"ce start targets={targets}")
     for bench in targets:
-        run.trace, run.state = CampaignTrace(), CEState()
-        run.trace_path = camp.out / f"ce_{bench}.trace"
-        run.progress = {"completed": completed, "current": bench}
-        config, trace = run_ce(camp.space, bench, camp.evaluator, trace=run.trace, state=run.state)
-        write_trace(run.trace_path, trace)
+        camp.trace, camp.state = CampaignTrace(), CEState()
+        camp.trace_path = camp.out / f"ce_{bench}.trace"
+        camp.progress = {"completed": completed, "current": bench}
+        config, trace = run_ce(camp.space, bench, camp.evaluator, trace=camp.trace, state=camp.state)
+        write_trace(camp.trace_path, trace)
         write_final_config(camp.out / f"ce_{bench}.config.json", camp.space, config)
         base_time = trace.records[0].measurements[bench].time
         final_time = best_known_record([trace], bench)[2].time
@@ -437,24 +421,22 @@ def _ce(camp: Campaign, run: _Run) -> list[str]:
             f"ce {bench}: configs_tested={len(trace)} final_ratio={final_time / base_time:.6g}"
         )
         completed.append(bench)
-    run.trace = run.state = None
-    run.progress = {"completed": completed}
-    summary.append(
-        f"ce: evaluations={camp.counters.executions} cache_hits={camp.counters.cache_hits}"
-    )
+    camp.trace = camp.state = None
+    camp.progress = {"completed": completed}
+    summary.append(f"ce: {camp.counts()}")
     return summary
 
 
-def _suite_ce(camp: Campaign, run: _Run) -> list[str]:
+def _suite_ce(camp: Campaign) -> list[str]:
     cfg = camp.cfg
-    run.params = {"threshold_t": cfg.threshold_t, "aggregate": cfg.aggregate}
-    run.trace, run.state = CampaignTrace(), CEState()
-    run.trace_path = camp.out / "suite_ce.trace"
+    camp.params = {"threshold_t": cfg.threshold_t, "aggregate": cfg.aggregate}
+    camp.trace, camp.state = CampaignTrace(), CEState()
+    camp.trace_path = camp.out / "suite_ce.trace"
     _log(camp.out, f"suite-ce start t={cfg.threshold_t}")
     config, trace = run_suite_ce(
         camp.space, camp.benchmarks, camp.evaluator,
         SuiteCEParams(threshold_t=cfg.threshold_t, aggregate=cfg.aggregate),
-        trace=run.trace, state=run.state,
+        trace=camp.trace, state=camp.state,
     )
     write_final_config(camp.out / "suite_ce.config.json", camp.space, config)
     # The final configuration is measured once, fully: it is the baseline or
@@ -465,15 +447,13 @@ def _suite_ce(camp: Campaign, run: _Run) -> list[str]:
         [final.measurements[b].time / refs[b] for b in camp.benchmarks]
     )
     return [
-        f"suite-ce: evaluations={camp.counters.executions} "
-        f"cache_hits={camp.counters.cache_hits} configs_tested={len(trace)} "
-        f"final_aggregate={aggregate:.6g}"
+        f"suite-ce: {camp.counts()} configs_tested={len(trace)} final_aggregate={aggregate:.6g}"
     ]
 
 
-def _xval(camp: Campaign, run: _Run) -> list[str]:
+def _xval(camp: Campaign) -> list[str]:
     cfg, out = camp.cfg, camp.out
-    run.params = {"k": cfg.k, "threshold_t": cfg.threshold_t, "aggregate": cfg.aggregate}
+    camp.params = {"k": cfg.k, "threshold_t": cfg.threshold_t, "aggregate": cfg.aggregate}
     plan = make_folds(camp.benchmarks, cfg.k, cfg.seed)
     write_json(out / "folds.json", {"k": plan.k, "seed": cfg.seed, "assignment": plan.assignment})
     _log(out, f"xval start k={cfg.k} t={cfg.threshold_t}")
@@ -493,12 +473,9 @@ def _xval(camp: Campaign, run: _Run) -> list[str]:
     if all_ratios:
         rows.append(["overall_mean", "", repr(fmean(all_ratios)), ""])
     write_csv(out / "xval_report.csv", ["program", "fold", "ratio", "error"], rows)
-    run.progress = {"folds": plan.k}
+    camp.progress = {"folds": plan.k}
     mean_text = f"{fmean(all_ratios):.6g}" if all_ratios else "n/a"
-    return [
-        f"xval: folds={plan.k} evaluations={camp.counters.executions} "
-        f"cache_hits={camp.counters.cache_hits} mean_test_ratio={mean_text}"
-    ]
+    return [f"xval: folds={plan.k} {camp.counts()} mean_test_ratio={mean_text}"]
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +526,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_report(args) -> int:
-    out = Path(args.out) if args.out else Path("out")
+    out = Path(args.out)
     space = _load_space(args.space)
     names = [Path(p).stem for p in args.traces]
     if len(set(names)) < len(names):  # each names its series file and compare.csv's method
@@ -577,7 +554,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_predict_1nn(args) -> int:
-    out = Path(args.out) if args.out else Path("out")
+    out = Path(args.out)
     space = _load_space(args.space)
     features = {fv.name: fv for fv in load_features(args.features)}
     if args.query not in features:
@@ -638,38 +615,37 @@ def build_parser() -> _Parser:
         help="interrupt after this many fresh evaluations (writes a checkpoint)",
     )
 
-    p = sub.add_parser("ric", parents=[campaign_opts], help="random iterative compilation")
-    p.set_defaults(handler=partial(_run_campaign, command="ric", body=_ric))
+    threshold_opt = _Parser(add_help=False)
+    threshold_opt.add_argument("--threshold", type=float, default=None,
+                               help="override threshold t percent")
 
-    p = sub.add_parser("ce", parents=[campaign_opts], help="per-benchmark combined elimination")
-    p.set_defaults(handler=partial(_run_campaign, command="ce", body=_ce))
+    for command, body, help_text, extra in (
+        ("ric", _ric, "random iterative compilation", []),
+        ("ce", _ce, "per-benchmark combined elimination", []),
+        ("suite-ce", _suite_ce, "suite-wide combined elimination", [threshold_opt]),
+        ("xval", _xval, "k-fold cross-validation of suite-ce", [threshold_opt]),
+    ):
+        p = sub.add_parser(command, parents=[campaign_opts, *extra], help=help_text)
+        p.set_defaults(handler=partial(_run_campaign, body=body))
 
-    p = sub.add_parser("suite-ce", parents=[campaign_opts], help="suite-wide combined elimination")
-    p.add_argument("--threshold", type=float, default=None, help="override threshold t percent")
-    p.set_defaults(handler=partial(_run_campaign, command="suite-ce", body=_suite_ce))
-
-    p = sub.add_parser("oracle", parents=[config_opts], help="brute-force optimum (synthetic only)")
+    p = sub.add_parser("oracle", parents=[config_opts, threshold_opt],
+                       help="brute-force optimum (synthetic only)")
     p.add_argument("--max-flags", type=int, default=DEFAULT_MAX_FLAGS)
-    p.add_argument("--threshold", type=float, default=None, help="override threshold t percent")
     p.set_defaults(handler=cmd_oracle)
 
     p = sub.add_parser("report", help="comparison table and progress series from traces")
     p.add_argument("traces", nargs="+", help="trace files")
     p.add_argument("--space", required=True, help="flag-space JSON the traces were produced with")
     p.add_argument("--reference", default=None, help="trace whose baseline supplies reference times")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default="out")
     p.set_defaults(handler=cmd_report)
-
-    p = sub.add_parser("xval", parents=[campaign_opts], help="k-fold cross-validation of suite-ce")
-    p.add_argument("--threshold", type=float, default=None, help="override threshold t percent")
-    p.set_defaults(handler=partial(_run_campaign, command="xval", body=_xval))
 
     p = sub.add_parser("predict-1nn", help="nearest-neighbor configuration prediction")
     p.add_argument("features", help="feature table CSV")
     p.add_argument("training", help="training manifest JSON: [{program, trace, benchmark?}]")
     p.add_argument("query", help="program to predict for")
     p.add_argument("--space", required=True, help="flag-space JSON")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default="out")
     p.set_defaults(handler=cmd_predict_1nn)
 
     return parser
@@ -693,6 +669,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"flagtuner: campaign failed: {exc}", file=sys.stderr)
         return EXIT_CAMPAIGN
 
-
-if __name__ == "__main__":
-    sys.exit(main())

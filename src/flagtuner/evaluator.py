@@ -171,17 +171,21 @@ class EvalCache:
     def _load(self) -> None:
         self._handle.seek(0)
         complete = 0
-        for line in self._handle:
+        for number, line in enumerate(self._handle, 1):
             if not line.endswith(b"\n"):
                 self._handle.truncate(complete)
                 break
             complete += len(line)
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            meas = Measurement(status=rec["status"], time=rec["time"], digest=rec["digest"],
-                               cached=True, detail=rec.get("detail", ""))
-            self._store(rec["benchmark"], rec["key"], meas)
+            try:
+                rec = json.loads(line)
+                meas = Measurement(status=rec["status"], time=rec["time"], digest=rec["digest"],
+                                   cached=True, detail=rec.get("detail", ""))
+                self._store(rec["benchmark"], rec["key"], meas)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{self.path}: line {number} is not a cache record "
+                                 f"({type(exc).__name__}: {exc})") from exc
 
     def _store(self, benchmark: str, key: str, measurement: Measurement) -> None:
         digest = measurement.digest

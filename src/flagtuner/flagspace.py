@@ -158,6 +158,8 @@ def parse_flag_space(document: str) -> FlagSpace:
         isinstance(x, str) for x in base_levels
     ):
         raise FlagSpaceError("base_levels must be a list of strings")
+    if not isinstance(raw_flags, list):
+        raise FlagSpaceError("flags must be a list")
     flags = []
     for i, rec in enumerate(raw_flags):
         if not isinstance(rec, dict) or not {"name", "on", "off"} <= rec.keys():

@@ -415,6 +415,9 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
         ("ric", {"cache": 5}, []),
         ("ric", {"mode": "external", "model": None, "suite": "input_in_run.json"}, []),
         ("ric", {"mode": "external", "model": None, "suite": "bin_in_compile.json"}, []),
+        ("ric", {}, ["--max-evals", "0"]),
+        ("ric", {"benchmarks": []}, []),
+        ("ric", {"flag_space": "flags_a_number.json"}, []),
     ],
     ids=["ce-benchmark", "ric-benchmarks", "ric-unknown-flag", "oracle-unknown-flag",
          "oracle-non-positive", "suite-ce-aggregate", "suite-ce-negative-threshold",
@@ -422,7 +425,8 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
          "xval-k-above-benchmarks", "oracle-negative-threshold-option", "oracle-above-max-flags",
          "ric-malformed-model", "ric-malformed-suite", "ric-malformed-suite-entry",
          "ric-benchmarks-not-a-list", "ric-n-configs-not-a-number", "ric-cache-a-list",
-         "ric-cache-a-number", "ric-input-in-run-command", "ric-bin-in-compile-command"],
+         "ric-cache-a-number", "ric-input-in-run-command", "ric-bin-in-compile-command",
+         "ric-max-evals-0", "ric-empty-benchmarks", "ric-flags-not-a-list"],
 )
 def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, extra):
     _pair_model(tmp_path, "unknown_flag.json", flag_delta={"ivopts": -5.0, "zz": 1.0})
@@ -435,7 +439,9 @@ def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, e
                            ("bin_in_compile.json", ("cc {flags} -o {bin}", "{bin}"))):
         bench = dict(zip(("name", "compile_command", "run_command"), ("b", *commands)))
         (tmp_path / name).write_text(json.dumps({"benchmarks": [bench]}))
-    for field in ("model", "suite"):
+    space = json.loads((DEMO / "pair_space.json").read_text())
+    (tmp_path / "flags_a_number.json").write_text(json.dumps({**space, "flags": 5}))
+    for field in ("model", "suite", "flag_space"):
         name = overrides.get(field)
         if name and not Path(name).is_absolute():  # one of the files above
             overrides = {**overrides, field: str(tmp_path / name)}
@@ -444,6 +450,16 @@ def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, e
     assert main([command, "--config", str(config), "--out", str(out), *extra]) == 1
     assert len(capsys.readouterr().err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, accepted", [("ric", False), ("ce", False), ("suite-ce", True),
+                                               ("xval", True), ("oracle", True)])
+def test_threshold_is_an_option_of_suite_ce_xval_and_oracle(tmp_path, command, accepted):
+    config = write_config(tmp_path / "c.json", **TRADEOFF, k=2)
+    out = tmp_path / "o"
+    code = main([command, "--config", str(config), "--out", str(out), "--threshold", "3"])
+    assert code == (0 if accepted else 1)
+    assert out.exists() == accepted
 
 
 HEADER = ",".join(TRACE_COLUMNS) + "\n"

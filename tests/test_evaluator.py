@@ -278,12 +278,18 @@ def test_corrupt_middle_line_still_raises(tmp_path):
     path = tmp_path / "cache.jsonl"
     with EvalCache(path) as cache:
         cache.put("a", Configuration("O3", (True,)), Measurement("ok", time=1.0, digest="d1"))
-    path.write_bytes(b"{ torn\n" + path.read_bytes())
+    record = path.read_bytes()
+    path.write_bytes(b"{ torn\n" + record)
     with pytest.raises(ValueError):
         EvalCache(path)
     # the failed open released its lock
     with pytest.raises(ValueError):
         EvalCache(path)
+    # complete JSON lines that are not records
+    for line in (b'{"benchmark": "cover"}\n', b"5\n", b'"x"\n', b"[1]\n"):
+        path.write_bytes(record + line + record)
+        with pytest.raises(ValueError, match=r"cache\.jsonl: line 2 is not a cache record"):
+            EvalCache(path)
 
 
 def test_locked_cache_is_neither_read_nor_truncated(tmp_path):
