@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime
 from functools import partial
 from pathlib import Path
@@ -123,10 +123,10 @@ def input_digests(cfg: CampaignConfig) -> dict[str, str]:
 
 def _load_config(args, command: str) -> tuple[CampaignConfig, Path]:
     """The config of ``--config`` for ``command``, with the command line's
-    seed and threshold, checked field by field, and the out dir. A
-    ``--max-evals`` below 1 and a ``--resume`` checkpoint for another
-    campaign are rejected too. What depends on the model or suite is
-    checked by ``_load_inputs``."""
+    seed and threshold, checked field by field, and the out dir. An unknown
+    field and a ``--max-evals`` below 1 are rejected too. What depends on
+    the model or suite is checked by ``_load_inputs``, and ``--resume`` by
+    ``build_campaign``."""
     path = Path(args.config)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -136,6 +136,16 @@ def _load_config(args, command: str) -> tuple[CampaignConfig, Path]:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: a campaign config must be a JSON object")
+    known = {f.name for f in fields(CampaignConfig)} - {"command"}  # the command is argv's
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        raise ConfigError(f"{path}: unknown fields {unknown}")
+    benchmarks = data.get("benchmarks")
+    if benchmarks is not None and not (
+        isinstance(benchmarks, list) and benchmarks and all(isinstance(b, str) for b in benchmarks)
+        and len(set(benchmarks)) == len(benchmarks)
+    ):
+        raise ConfigError(f"{path}: benchmarks must be a non-empty list of distinct names")
     base = path.parent
 
     def resolve(key: str, required: bool) -> Path | None:
@@ -173,7 +183,7 @@ def _load_config(args, command: str) -> tuple[CampaignConfig, Path]:
             aggregate=str(data.get("aggregate", "mean")),
             k=int(data.get("k", 10)),
             benchmark=data.get("benchmark"),
-            benchmarks=None if data.get("benchmarks") is None else list(data["benchmarks"]),
+            benchmarks=benchmarks,
         )
     except TypeError as exc:  # a field of the wrong JSON type
         raise ConfigError(f"{path}: {exc}") from exc
@@ -185,21 +195,9 @@ def _load_config(args, command: str) -> tuple[CampaignConfig, Path]:
         raise ConfigError(f"{path}: n_configs must be >= 1, got {cfg.n_configs}")
     if cfg.k < 2:
         raise ConfigError(f"{path}: k must be >= 2, got {cfg.k}")
-    if cfg.benchmarks == []:
-        raise ConfigError(f"{path}: benchmarks must not be empty")
     max_evals = getattr(args, "max_evals", None)
     if max_evals is not None and max_evals < 1:
         raise ConfigError(f"--max-evals must be >= 1, got {max_evals}")
-    if getattr(args, "resume", None):
-        ck = read_checkpoint(args.resume)
-        if not isinstance(ck, dict):
-            raise ConfigError(f"{args.resume}: a checkpoint must be a JSON object")
-        if ck.get("command") != command:
-            raise ConfigError(f"checkpoint is for {ck.get('command')!r}, not {command!r}")
-        if ck.get("seed") != cfg.seed:
-            raise ConfigError(f"checkpoint seed {ck.get('seed')} != requested seed {cfg.seed}")
-        if ck.get("inputs") != input_digests(cfg):
-            raise ConfigError("checkpoint input files differ from the current config")
     return cfg, Path(args.out) if args.out else (cfg.out_dir or Path("out"))
 
 
@@ -218,7 +216,7 @@ class Campaign:
     evaluator: object
     counters: object  # the concrete evaluator carrying executions/cache_hits and the cache
     benchmarks: list[str]
-    params: dict = field(default_factory=dict)
+    params: dict
     trace: CampaignTrace | None = None
     trace_path: Path | None = None
     state: CEState | None = None
@@ -267,10 +265,36 @@ def _load_inputs(
     return space, model_or_suite, benchmarks
 
 
-def build_campaign(cfg: CampaignConfig, out: Path, max_evals: int | None = None) -> Campaign:
-    """Check every input, then create the out dir and open the cache, so a
-    rejected config leaves nothing behind."""
+def _params(cfg: CampaignConfig, benchmarks: list[str]) -> dict:
+    """The parameters of a campaign, as its checkpoint records them."""
+    if cfg.command == "ric":
+        return {"n_configs": cfg.n_configs}
+    if cfg.command == "ce":  # the benchmarks it tunes, one by one
+        return {"benchmarks": [cfg.benchmark] if cfg.benchmark else benchmarks}
+    suite = {"threshold_t": cfg.threshold_t, "aggregate": cfg.aggregate}
+    return {"k": cfg.k, **suite} if cfg.command == "xval" else suite
+
+
+def build_campaign(
+    cfg: CampaignConfig, out: Path, max_evals: int | None = None, resume: str | None = None
+) -> Campaign:
+    """Check every input, a ``resume`` checkpoint too, which must be for the
+    same command, seed, input files and parameters, then create the out dir
+    and open the cache, so a rejected config leaves nothing behind."""
     space, model_or_suite, benchmarks = _load_inputs(cfg)
+    params = _params(cfg, benchmarks)
+    if resume:
+        ck = read_checkpoint(resume)
+        if not isinstance(ck, dict):
+            raise ConfigError(f"{resume}: a checkpoint must be a JSON object")
+        if ck.get("command") != cfg.command:
+            raise ConfigError(f"checkpoint is for {ck.get('command')!r}, not {cfg.command!r}")
+        if ck.get("seed") != cfg.seed:
+            raise ConfigError(f"checkpoint seed {ck.get('seed')} != requested seed {cfg.seed}")
+        if ck.get("inputs") != input_digests(cfg):
+            raise ConfigError("checkpoint input files differ from the current config")
+        if ck.get("params") != params:
+            raise ConfigError(f"checkpoint params {ck.get('params')} != requested params {params}")
     if cfg.mode == "synthetic":
         evaluator = SyntheticEvaluator(space, model_or_suite)
     else:
@@ -285,7 +309,7 @@ def build_campaign(cfg: CampaignConfig, out: Path, max_evals: int | None = None)
     counters = evaluator
     if max_evals is not None:
         evaluator = BudgetedEvaluator(evaluator, max_evals)
-    return Campaign(cfg, out, space, evaluator, counters, benchmarks)
+    return Campaign(cfg, out, space, evaluator, counters, benchmarks, params)
 
 
 def _log(out: Path, message: str) -> None:
@@ -329,7 +353,7 @@ def _run_campaign(args, body: Callable[[Campaign], list[str]]) -> int:
     """
     command = args.command
     cfg, out = _load_config(args, command)
-    camp = build_campaign(cfg, out, args.max_evals)
+    camp = build_campaign(cfg, out, args.max_evals, args.resume)
     try:
         try:
             summary = body(camp)
@@ -373,7 +397,6 @@ def _run_campaign(args, body: Callable[[Campaign], list[str]]) -> int:
 
 def _ric(camp: Campaign) -> list[str]:
     cfg, out = camp.cfg, camp.out
-    camp.params = {"n_configs": cfg.n_configs}
     camp.trace, camp.trace_path = CampaignTrace(), out / "ric.trace"
     _log(out, f"ric start seed={cfg.seed} n_configs={cfg.n_configs}")
     trace = run_ric(
@@ -403,8 +426,7 @@ def _ric(camp: Campaign) -> list[str]:
 
 
 def _ce(camp: Campaign) -> list[str]:
-    targets = [camp.cfg.benchmark] if camp.cfg.benchmark else camp.benchmarks
-    camp.params = {"benchmarks": targets}
+    targets = camp.params["benchmarks"]
     summary = []
     completed: list[str] = []
     _log(camp.out, f"ce start targets={targets}")
@@ -415,11 +437,7 @@ def _ce(camp: Campaign) -> list[str]:
         config, trace = run_ce(camp.space, bench, camp.evaluator, trace=camp.trace, state=camp.state)
         write_trace(camp.trace_path, trace)
         write_final_config(camp.out / f"ce_{bench}.config.json", camp.space, config)
-        base_time = trace.records[0].measurements[bench].time
-        final_time = best_known_record([trace], bench)[2].time
-        summary.append(
-            f"ce {bench}: configs_tested={len(trace)} final_ratio={final_time / base_time:.6g}"
-        )
+        summary.append(f"ce {bench}: configs_tested={len(trace)} final_ratio={camp.state.score:.6g}")
         completed.append(bench)
     camp.trace = camp.state = None
     camp.progress = {"completed": completed}
@@ -429,7 +447,6 @@ def _ce(camp: Campaign) -> list[str]:
 
 def _suite_ce(camp: Campaign) -> list[str]:
     cfg = camp.cfg
-    camp.params = {"threshold_t": cfg.threshold_t, "aggregate": cfg.aggregate}
     camp.trace, camp.state = CampaignTrace(), CEState()
     camp.trace_path = camp.out / "suite_ce.trace"
     _log(camp.out, f"suite-ce start t={cfg.threshold_t}")
@@ -439,21 +456,12 @@ def _suite_ce(camp: Campaign) -> list[str]:
         trace=camp.trace, state=camp.state,
     )
     write_final_config(camp.out / "suite_ce.config.json", camp.space, config)
-    # The final configuration is measured once, fully: it is the baseline or
-    # the last accepted toggle.
-    final = next(rec for rec in trace if rec.config == config)
-    refs = _baseline_reference(trace)
-    aggregate = AGGREGATES[cfg.aggregate](
-        [final.measurements[b].time / refs[b] for b in camp.benchmarks]
-    )
-    return [
-        f"suite-ce: {camp.counts()} configs_tested={len(trace)} final_aggregate={aggregate:.6g}"
-    ]
+    return [f"suite-ce: {camp.counts()} configs_tested={len(trace)} "
+            f"final_aggregate={camp.state.score:.6g}"]
 
 
 def _xval(camp: Campaign) -> list[str]:
     cfg, out = camp.cfg, camp.out
-    camp.params = {"k": cfg.k, "threshold_t": cfg.threshold_t, "aggregate": cfg.aggregate}
     plan = make_folds(camp.benchmarks, cfg.k, cfg.seed)
     write_json(out / "folds.json", {"k": plan.k, "seed": cfg.seed, "assignment": plan.assignment})
     _log(out, f"xval start k={cfg.k} t={cfg.threshold_t}")

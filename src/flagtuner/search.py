@@ -88,11 +88,14 @@ class CampaignTrace:
 
 @dataclass
 class CEState:
-    """Live elimination state: remaining search space, baseline, candidates."""
+    """Live elimination state: remaining search space, baseline, candidates
+    and, once the elimination ends, ``score``: the aggregate of ``B``'s time
+    ratios to the starting baseline's (1.0 if no toggle was accepted)."""
 
     S: list[int] = field(default_factory=list)
     B: Configuration | None = None
     X: list[int] = field(default_factory=list)
+    score: float | None = None
 
     def capture(self, S: Iterable[int], B: Configuration, X: Iterable[int]) -> None:
         self.S = list(S)
@@ -297,29 +300,20 @@ def _eliminate(
         return scored
 
     S = list(range(len(space)))
-    state.capture(S, B, [])
-
     while True:
+        state.capture(S, B, [])
         candidates = {i: sr for i, sr in probe(S).items() if sr[0] < score_b}
         X = [i for _, i in sorted((score, i) for i, (score, _) in candidates.items())]
         state.capture(S, B, X)
         if not X:
             break
-
-        first = X[0]
-        score_b, rec = candidates[first]
-        B = toggle(B, first)
-        rec.annotation = f"accepted toggle {space.flags[first].name}"
-        S.remove(first)
-        for i in X[1:]:
-            score, rec = probe([i])[i]
+        for i in X:  # the best as probed, which lowers the score; the rest re-probed
+            score, rec = candidates[i] if i == X[0] else probe([i])[i]
             if score < score_b:
-                B = rec.config
-                score_b = score
+                B, score_b = rec.config, score
                 rec.annotation = f"accepted toggle {space.flags[i].name}"
                 S.remove(i)
-        state.capture(S, B, [])
-
+    state.score = score_b
     return B, trace
 
 

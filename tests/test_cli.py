@@ -332,6 +332,28 @@ def test_resume_rejects_mismatched_inputs(tmp_path, demo_config):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "command, overrides, extra",
+    [("ric", {"n_configs": 50}, []), ("ce", {"benchmark": "crc32"}, []),
+     ("suite-ce", {}, ["--threshold", "1"]), ("xval", {"aggregate": "geomean"}, [])],
+    ids=["ric-n-configs", "ce-benchmark", "suite-ce-threshold", "xval-aggregate"],
+)
+def test_resume_rejects_other_params(tmp_path, capsys, command, overrides, extra):
+    first = tmp_path / "first"
+    config = write_config(tmp_path / "c.json", **TRADEOFF, k=2)
+    assert main([command, "--config", str(config), "--out", str(first), "--max-evals", "5"]) == 3
+    checkpoint = (first / "checkpoint.json").read_bytes()
+    capsys.readouterr()
+    fresh = tmp_path / "fresh"
+    other = write_config(tmp_path / "other.json", **TRADEOFF, k=2, **overrides)  # same files
+    code = main([command, "--config", str(other), "--out", str(fresh),
+                 "--resume", str(first / "checkpoint.json"), *extra])
+    assert code == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not fresh.exists()
+    assert (first / "checkpoint.json").read_bytes() == checkpoint
+
+
 def test_resume_rejects_other_command(tmp_path, demo_config):
     out = tmp_path / "o"
     assert main(
@@ -418,6 +440,10 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
         ("ric", {}, ["--max-evals", "0"]),
         ("ric", {"benchmarks": []}, []),
         ("ric", {"flag_space": "flags_a_number.json"}, []),
+        ("ric", {"threshold": 5.0}, []),
+        ("suite-ce", {**TRADEOFF, "benchmarks": ["crc32", "crc32", "matmult", "fir"]}, []),
+        ("xval", {**TRADEOFF, "k": 2, "benchmarks": ["crc32", "crc32", "matmult", "fir"]}, []),
+        ("ric", {**TRADEOFF, "benchmarks": {"crc32": 1}}, []),
     ],
     ids=["ce-benchmark", "ric-benchmarks", "ric-unknown-flag", "oracle-unknown-flag",
          "oracle-non-positive", "suite-ce-aggregate", "suite-ce-negative-threshold",
@@ -426,7 +452,8 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
          "ric-malformed-model", "ric-malformed-suite", "ric-malformed-suite-entry",
          "ric-benchmarks-not-a-list", "ric-n-configs-not-a-number", "ric-cache-a-list",
          "ric-cache-a-number", "ric-input-in-run-command", "ric-bin-in-compile-command",
-         "ric-max-evals-0", "ric-empty-benchmarks", "ric-flags-not-a-list"],
+         "ric-max-evals-0", "ric-empty-benchmarks", "ric-flags-not-a-list", "ric-unknown-field",
+         "suite-ce-repeated-benchmark", "xval-repeated-benchmark", "ric-benchmarks-an-object"],
 )
 def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, extra):
     _pair_model(tmp_path, "unknown_flag.json", flag_delta={"ivopts": -5.0, "zz": 1.0})
@@ -891,7 +918,8 @@ def test_predict_1nn_unknown_query(tmp_path, demo_dir, trained_manifest):
 
 def test_module_invocation_help():
     proc = subprocess.run(
-        [sys.executable, "-m", "flagtuner", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "flagtuner", "--help"], env=_child_env(), capture_output=True,
+        text=True,
     )
     assert proc.returncode == 0
     assert "suite-ce" in proc.stdout
@@ -899,6 +927,8 @@ def test_module_invocation_help():
 
 def test_module_invocation_usage_error():
     proc = subprocess.run(
-        [sys.executable, "-m", "flagtuner", "ric"], capture_output=True, text=True
+        [sys.executable, "-m", "flagtuner", "ric"], env=_child_env(), capture_output=True,
+        text=True,
     )
     assert proc.returncode == 1
+    assert proc.stderr.startswith("usage: flagtuner ric ")

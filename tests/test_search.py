@@ -407,6 +407,31 @@ def test_suite_ce_reproducible(tradeoff_space, tradeoff_model):
     assert runs[0] == runs[1]
 
 
+@given(
+    rng=st.randoms(use_true_random=False),
+    threshold_t=st.sampled_from([None, 0.0, 1.0, 5.0]),
+    aggregate=st.sampled_from(sorted(AGGREGATES)),
+)
+def test_elimination_score_is_the_final_configurations_aggregate(rng, threshold_t, aggregate):
+    space, model, benches = random_suite_instance(rng)
+    ev = SyntheticEvaluator(space, model)
+    B = space.stock_config() if threshold_t is not None else space.all_enabled()
+    trace, state = CampaignTrace(), CEState()
+    config, _ = _eliminate(space, benches, ev, B, AGGREGATES[aggregate], threshold_t, trace,
+                           state)
+    # the final configuration is the baseline or the last accepted toggle
+    final = [rec for rec in trace
+             if rec.annotation == "baseline" or rec.annotation.startswith("accepted")][-1]
+    assert final.config == config
+    base = trace.records[0].measurements
+    ratios = [final.measurements[b].time / base[b].time for b in benches]
+    assert state.score == AGGREGATES[aggregate](ratios)
+
+    bench, trace, state = benches[0], CampaignTrace(), CEState()
+    run_ce(space, bench, ev, trace=trace, state=state)
+    assert state.score == best_known([trace], bench).time / trace.records[0].measurements[bench].time
+
+
 # ---------------------------------------------------------------------------
 # best_known
 # ---------------------------------------------------------------------------
