@@ -19,12 +19,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import datetime
 from functools import partial
 from pathlib import Path
 from statistics import fmean
-from typing import Callable
+from typing import Callable, get_args, get_type_hints
 
 from flagtuner.analysis import (
     compare_to_baseline,
@@ -61,7 +61,8 @@ from flagtuner.evaluator import (
 from flagtuner.flagspace import (
     DEFAULT_MAX_FLAGS,
     FlagSpace,
-    FlagSpaceError,
+    json_field,
+    json_value,
     load_flag_space,
     render_args,
 )
@@ -97,20 +98,30 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class CampaignConfig:
+    """The command a config is loaded for, then the fields of its file with
+    their defaults. A field's annotation gives the JSON kind its file value
+    must have (see ``_FILE_KINDS``)."""
+
     command: str
-    flag_space: Path
-    mode: str
-    model: Path | None
-    suite: Path | None
-    cache: str
-    out_dir: Path | None
-    seed: int
-    n_configs: int
-    threshold_t: float
-    aggregate: str
-    k: int
-    benchmark: str | None
-    benchmarks: list[str] | None
+    flag_space: Path | None = None
+    mode: str = "synthetic"
+    model: Path | None = None
+    suite: Path | None = None
+    cache: str = "cache.jsonl"
+    out_dir: Path | None = None
+    seed: int = 0
+    n_configs: int = 100
+    threshold_t: float = 0.0
+    aggregate: str = "mean"
+    k: int = 10
+    benchmark: str | None = None
+    benchmarks: list | None = None
+
+
+# Each field a config file may hold, with its JSON kind: X's for an ``X | None``
+# annotation, and a string for a path. The command is argv's.
+_FILE_KINDS = {name: str if Path in get_args(hint) else (get_args(hint) or [hint])[0]
+               for name, hint in get_type_hints(CampaignConfig).items() if name != "command"}
 
 
 def input_digests(cfg: CampaignConfig) -> dict[str, str]:
@@ -125,68 +136,34 @@ def _load_config(args, command: str) -> tuple[CampaignConfig, Path]:
     """The config of ``--config`` for ``command``, with the command line's
     seed and threshold, checked field by field, and the out dir. An unknown
     field and a ``--max-evals`` below 1 are rejected too. What depends on
-    the model or suite is checked by ``_load_inputs``, and ``--resume`` by
-    ``build_campaign``."""
+    the model or suite is checked by ``_load_inputs``, and ``--resume`` and
+    the cache path by ``build_campaign``."""
     path = Path(args.config)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        data = json_value(json.loads(path.read_text(encoding="utf-8")), dict, "a campaign config")
+        unknown = [key for key in data if key not in _FILE_KINDS]
+        if unknown:
+            raise ValueError(f"unknown fields {unknown}")
+        cfg = CampaignConfig(command, **{key: json_value(value, _FILE_KINDS[key], key)
+                                         for key, value in data.items() if value is not None})
+        if cfg.mode not in ("synthetic", "external"):
+            raise ValueError("mode must be 'synthetic' or 'external'")
+        for key in ("flag_space", "model" if cfg.mode == "synthetic" else "suite"):
+            json_field(data, key, str)  # required: raises if missing
+        names = [json_value(b, str, f"benchmarks[{i}]") for i, b in enumerate(cfg.benchmarks or [])]
+        if cfg.benchmarks is not None and not (names and len(set(names)) == len(names)):
+            raise ValueError("benchmarks must be a non-empty list of distinct names")
+    except (OSError, ValueError) as exc:  # a missing file or malformed JSON too
         raise ConfigError(f"{path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: a campaign config must be a JSON object")
-    known = {f.name for f in fields(CampaignConfig)} - {"command"}  # the command is argv's
-    unknown = [key for key in data if key not in known]
-    if unknown:
-        raise ConfigError(f"{path}: unknown fields {unknown}")
-    benchmarks = data.get("benchmarks")
-    if benchmarks is not None and not (
-        isinstance(benchmarks, list) and benchmarks and all(isinstance(b, str) for b in benchmarks)
-        and len(set(benchmarks)) == len(benchmarks)
-    ):
-        raise ConfigError(f"{path}: benchmarks must be a non-empty list of distinct names")
-    base = path.parent
-
-    def resolve(key: str, required: bool) -> Path | None:
-        value = data.get(key)
-        if value is None:
-            if required:
-                raise ConfigError(f"{path}: missing required field {key!r}")
-            return None
-        p = Path(value)
-        if not p.is_absolute():
-            p = base / p
-        if not p.exists():
-            raise ConfigError(f"{path}: {key} file not found: {p}")
-        return p
-
-    cache = data.get("cache")
-    if cache is not None and not isinstance(cache, str):
-        raise ConfigError(f"{path}: cache must be a file name, got {cache!r}")
-    mode = data.get("mode", "synthetic")
-    if mode not in ("synthetic", "external"):
-        raise ConfigError(f"{path}: mode must be 'synthetic' or 'external'")
-    threshold = getattr(args, "threshold", None)
-    try:
-        cfg = CampaignConfig(
-            command=command,
-            flag_space=resolve("flag_space", required=True),
-            mode=mode,
-            model=resolve("model", required=(mode == "synthetic")),
-            suite=resolve("suite", required=(mode == "external")),
-            cache="cache.jsonl" if cache is None else cache,
-            out_dir=None if data.get("out_dir") is None else base / data["out_dir"],
-            seed=int(data.get("seed", 0)) if args.seed is None else args.seed,
-            n_configs=int(data.get("n_configs", 100)),
-            threshold_t=float(data.get("threshold_t", 0.0)) if threshold is None else threshold,
-            aggregate=str(data.get("aggregate", "mean")),
-            k=int(data.get("k", 10)),
-            benchmark=data.get("benchmark"),
-            benchmarks=benchmarks,
-        )
-    except TypeError as exc:  # a field of the wrong JSON type
-        raise ConfigError(f"{path}: {exc}") from exc
+    if args.seed is not None:
+        cfg.seed = args.seed
+    if getattr(args, "threshold", None) is not None:
+        cfg.threshold_t = args.threshold
+    for key in ("flag_space", "model", "suite", "out_dir"):  # relative to the config
+        if getattr(cfg, key) is not None:
+            setattr(cfg, key, path.parent / getattr(cfg, key))
+            if key != "out_dir" and not getattr(cfg, key).exists():
+                raise ConfigError(f"{path}: {key} file not found: {getattr(cfg, key)}")
     if cfg.aggregate not in AGGREGATES:
         raise ConfigError(f"{path}: unknown aggregate {cfg.aggregate!r}")
     if not cfg.threshold_t >= 0:  # NaN as well
@@ -229,7 +206,7 @@ class Campaign:
 def _load_space(path: str | Path) -> FlagSpace:
     try:
         return load_flag_space(path)
-    except (FlagSpaceError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -283,18 +260,19 @@ def build_campaign(
     and open the cache, so a rejected config leaves nothing behind."""
     space, model_or_suite, benchmarks = _load_inputs(cfg)
     params = _params(cfg, benchmarks)
-    if resume:
-        ck = read_checkpoint(resume)
-        if not isinstance(ck, dict):
-            raise ConfigError(f"{resume}: a checkpoint must be a JSON object")
-        if ck.get("command") != cfg.command:
-            raise ConfigError(f"checkpoint is for {ck.get('command')!r}, not {cfg.command!r}")
-        if ck.get("seed") != cfg.seed:
-            raise ConfigError(f"checkpoint seed {ck.get('seed')} != requested seed {cfg.seed}")
-        if ck.get("inputs") != input_digests(cfg):
-            raise ConfigError("checkpoint input files differ from the current config")
-        if ck.get("params") != params:
-            raise ConfigError(f"checkpoint params {ck.get('params')} != requested params {params}")
+    if resume:  # each of these checkpoint fields must hold what this campaign would write
+        want = {"command": cfg.command, "seed": cfg.seed, "inputs": input_digests(cfg),
+                "params": params}
+        try:
+            ck = json_value(read_checkpoint(resume), dict, "a checkpoint")
+            for key, value in want.items():
+                if json_field(ck, key, type(value)) != value:
+                    raise ValueError(f"checkpoint {key} {ck[key]} != requested {key} {value}")
+        except ValueError as exc:  # malformed JSON too
+            raise ConfigError(f"{resume}: {exc}") from exc
+    cache_path = out / cfg.cache  # an absolute cache path stays as it is
+    if cache_path.is_dir() or out.resolve().is_relative_to(cache_path.resolve()):
+        raise ConfigError(f"cache {cfg.cache!r} names a directory, not a file")
     if cfg.mode == "synthetic":
         evaluator = SyntheticEvaluator(space, model_or_suite)
     else:
@@ -302,9 +280,6 @@ def build_campaign(
             space, model_or_suite, workdir=cfg.suite.parent, build_dir=out / "build"
         )
     out.mkdir(parents=True, exist_ok=True)
-    cache_path = Path(cfg.cache)
-    if not cache_path.is_absolute():
-        cache_path = out / cache_path
     evaluator.cache = EvalCache(cache_path)
     counters = evaluator
     if max_evals is not None:
@@ -568,31 +543,24 @@ def cmd_predict_1nn(args) -> int:
     if args.query not in features:
         raise ConfigError(f"query program {args.query!r} not in the feature table")
     manifest_path = Path(args.training)
+    records = []  # (program, trace path, benchmark) of each manifest record
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        for i, rec in enumerate(json_value(manifest, list, "a training manifest")):
+            rec = json_value(rec, dict, f"[{i}]")
+            program = json_field(rec, "program", str, where=f"[{i}]")
+            records.append((program, json_field(rec, "trace", str, where=f"[{i}]"),
+                            json_field(rec, "benchmark", str, program, f"[{i}]")))
+    except (OSError, ValueError) as exc:  # malformed JSON too
         raise ConfigError(f"{manifest_path}: {exc}") from exc
-    if not isinstance(manifest, list):
-        raise ConfigError(f"{manifest_path}: a training manifest must be a JSON list")
     training = []
-    for i, rec in enumerate(manifest):
-        if not isinstance(rec, dict) or not all(
-            isinstance(rec.get(k), str) for k in ("program", "trace")
-        ) or not isinstance(rec.get("benchmark", ""), str):
-            raise ConfigError(
-                f"{manifest_path}: record {i} needs string program, trace and optional benchmark"
-            )
-        program = rec["program"]
+    for program, trace_file, benchmark in records:
         if program == args.query:
             continue
         if program not in features:
             raise ConfigError(f"training program {program!r} not in the feature table")
-        trace_path = Path(rec["trace"])
-        if not trace_path.is_absolute():
-            trace_path = manifest_path.parent / trace_path
-        trace = read_trace(trace_path, space)
-        table = performance_table(trace, rec.get("benchmark", program))
-        training.append((features[program], table))
+        trace = read_trace(manifest_path.parent / trace_file, space)
+        training.append((features[program], performance_table(trace, benchmark)))
     config = predict_1nn(features[args.query], training)
     out.mkdir(parents=True, exist_ok=True)
     write_final_config(out / "predicted.config.json", space, config)

@@ -26,14 +26,16 @@ import shutil
 import signal
 import subprocess
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence, get_type_hints
 
 from flagtuner.flagspace import (
     Configuration,
     FlagSpace,
     _check_member,
+    json_field,
+    json_value,
     render_args,
 )
 
@@ -81,7 +83,7 @@ class Benchmark:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("benchmark name must be non-empty")
-        if self.timeout <= 0:
+        if not self.timeout > 0:  # NaN as well
             raise ValueError(f"benchmark {self.name}: timeout must be > 0")
         if self.repeat_runs < 1:
             raise ValueError(f"benchmark {self.name}: repeat_runs must be >= 1")
@@ -633,23 +635,28 @@ class SyntheticModel:
 def load_synthetic_model(path: str | Path) -> SyntheticModel:
     """The model in ``path``; a file of the wrong shape raises ``ValueError``."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json_value(json.load(fh), dict, "a model")
     benches = {}
-    try:
-        for name, raw in data["benchmarks"].items():
-            pairs = []
-            for rec in raw.get("pair_delta", []):
-                a, b = rec["flags"]
-                sa, sb = rec["when"]
-                pairs.append(PairDelta(str(a), str(b), bool(sa), bool(sb), float(rec["delta"])))
-            benches[name] = BenchmarkModel(
-                base_time=float(raw["base_time"]),
-                level_multiplier={k: float(v) for k, v in raw.get("level_multiplier", {}).items()},
-                flag_delta={k: float(v) for k, v in raw.get("flag_delta", {}).items()},
-                pair_delta=tuple(pairs),
-            )
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise ValueError(f"malformed model: {exc!r}") from exc
+    for name, raw in json_field(data, "benchmarks", dict).items():
+        at = f"benchmarks.{name}"
+        raw = json_value(raw, dict, at)
+        pairs = []
+        for i, rec in enumerate(json_field(raw, "pair_delta", list, [], at)):
+            where = f"{at}.pair_delta[{i}]"
+            rec = json_value(rec, dict, where)
+            a, b = (json_value(v, str, f"{where}.flags")
+                    for v in json_field(rec, "flags", list, where=where))
+            sa, sb = (json_value(v, bool, f"{where}.when")
+                      for v in json_field(rec, "when", list, where=where))
+            pairs.append(PairDelta(a, b, sa, sb, json_field(rec, "delta", float, where=where)))
+        benches[name] = BenchmarkModel(
+            base_time=json_field(raw, "base_time", float, where=at),
+            level_multiplier={k: json_value(v, float, f"{at}.level_multiplier.{k}")
+                              for k, v in json_field(raw, "level_multiplier", dict, {}, at).items()},
+            flag_delta={k: json_value(v, float, f"{at}.flag_delta.{k}")
+                        for k, v in json_field(raw, "flag_delta", dict, {}, at).items()},
+            pair_delta=tuple(pairs),
+        )
     return SyntheticModel(benches)
 
 
@@ -687,20 +694,13 @@ class SyntheticEvaluator:
 def load_suite(path: str | Path) -> list[Benchmark]:
     """The suite in ``path``; a file of the wrong shape raises ``ValueError``."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json_value(json.load(fh), dict, "a suite")
+    kinds = get_type_hints(Benchmark)  # each field's JSON kind
     benches = []
-    try:
-        for rec in data["benchmarks"]:
-            benches.append(
-                Benchmark(
-                    name=str(rec["name"]),
-                    compile_command=str(rec["compile_command"]),
-                    run_command=str(rec["run_command"]),
-                    timeout=float(rec.get("timeout", 60.0)),
-                    repeat_runs=int(rec.get("repeat_runs", 1)),
-                    timing=str(rec.get("timing", TIMING_REPORTED)),
-                )
-            )
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise ValueError(f"malformed suite: {exc!r}") from exc
+    for i, rec in enumerate(json_field(data, "benchmarks", list)):
+        rec = json_value(rec, dict, f"benchmarks[{i}]")
+        benches.append(Benchmark(**{
+            f.name: json_field(rec, f.name, kinds[f.name], f.default, f"benchmarks[{i}]")
+            for f in fields(Benchmark)
+        }))
     return benches

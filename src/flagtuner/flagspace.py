@@ -10,7 +10,8 @@ configuration, never of a level's implicit defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, dataclass, field
 
 # The default cap above which the exhaustive oracle refuses a flag space:
 # 2^22 assignments per base level.
@@ -19,6 +20,35 @@ DEFAULT_MAX_FLAGS = 22
 
 class FlagSpaceError(ValueError):
     """Structural problem with a flag space, configuration or their files."""
+
+
+# What each JSON kind is called in an error, by the Python type it reads as.
+_KIND_NAMES = {str: "a string", bool: "true or false", int: "an integer", float: "a number",
+               list: "a list", dict: "an object"}
+
+
+def json_value(value, kind: type, what: str):
+    """``value`` if it has the JSON kind ``kind`` names, else a ``ValueError``
+    naming ``what`` and the value. A number (``float``) may be written as an
+    integer, must be finite and comes back as a float; true and false are
+    never numbers or integers. Every input file is read through this rule."""
+    if kind is not float and type(value) is kind:  # as parsed: a bool is no int
+        return value
+    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)  # not NaN, which fails every comparison
+    raise ValueError(f"{what} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def json_field(obj: dict, key: str, kind: type, default=MISSING, where: str = ""):
+    """``obj[key]`` read by ``json_value``, named ``<where>.<key>``. An absent
+    or null field is ``default``, or, with no default, a missing field."""
+    what = f"{where}.{key}" if where else key
+    value = obj.get(key)
+    if value is not None:
+        return json_value(value, kind, what)
+    if default is MISSING:
+        raise ValueError(f"missing field {what}")
+    return default
 
 
 @dataclass(frozen=True)
@@ -146,33 +176,19 @@ def parse_flag_space(document: str) -> FlagSpace:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
         raise FlagSpaceError(f"malformed flag-space document: {exc}") from exc
-    if not isinstance(data, dict):
-        raise FlagSpaceError("flag-space document must be a JSON object")
-    try:
-        base_levels = data["base_levels"]
-        default_baseline = data["default_baseline"]
-        raw_flags = data.get("flags", [])
-    except KeyError as exc:
-        raise FlagSpaceError(f"flag-space document missing field {exc}") from exc
-    if not isinstance(base_levels, list) or not all(
-        isinstance(x, str) for x in base_levels
-    ):
-        raise FlagSpaceError("base_levels must be a list of strings")
-    if not isinstance(raw_flags, list):
-        raise FlagSpaceError("flags must be a list")
+    data = json_value(data, dict, "a flag-space document")
+    levels = json_field(data, "base_levels", list)
     flags = []
-    for i, rec in enumerate(raw_flags):
-        if not isinstance(rec, dict) or not {"name", "on", "off"} <= rec.keys():
-            raise FlagSpaceError(f"flags[{i}] must have name/on/off fields")
-        flags.append(
-            Flag(
-                name=str(rec["name"]),
-                on=str(rec["on"]),
-                off=str(rec["off"]),
-                stock=bool(rec.get("stock", True)),
-            )
-        )
-    return FlagSpace(tuple(flags), tuple(base_levels), str(default_baseline))
+    for i, rec in enumerate(json_field(data, "flags", list, [])):
+        rec = json_value(rec, dict, f"flags[{i}]")
+        name, on, off = (json_field(rec, key, str, where=f"flags[{i}]")
+                         for key in ("name", "on", "off"))
+        flags.append(Flag(name, on, off, json_field(rec, "stock", bool, True, f"flags[{i}]")))
+    return FlagSpace(
+        tuple(flags),
+        tuple(json_value(level, str, f"base_levels[{i}]") for i, level in enumerate(levels)),
+        json_field(data, "default_baseline", str),
+    )
 
 
 def load_flag_space(path) -> FlagSpace:

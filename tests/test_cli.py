@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import random
@@ -14,7 +15,7 @@ from statistics import fmean, geometric_mean
 import pytest
 
 from flagtuner.artifacts import TRACE_COLUMNS, read_checkpoint, read_final_config, read_trace
-from flagtuner.cli import main
+from flagtuner.cli import _load_config, _load_inputs, build_parser, main
 from flagtuner.evaluator import EvalCache
 from flagtuner.flagspace import load_flag_space
 from flagtuner.search import AGGREGATES
@@ -407,7 +408,8 @@ def _pair_model(tmp_path, name, **changes):
     return str(path)
 
 
-DEMO = Path(__file__).resolve().parent.parent / "demo"
+REPO = Path(__file__).resolve().parent.parent
+DEMO = REPO / "demo"
 TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
             "model": str(DEMO / "tradeoff_model.json")}
 
@@ -444,6 +446,17 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
         ("suite-ce", {**TRADEOFF, "benchmarks": ["crc32", "crc32", "matmult", "fir"]}, []),
         ("xval", {**TRADEOFF, "k": 2, "benchmarks": ["crc32", "crc32", "matmult", "fir"]}, []),
         ("ric", {**TRADEOFF, "benchmarks": {"crc32": 1}}, []),
+        ("ric", {"cache": ""}, []),
+        ("ric", {"cache": "."}, []),
+        ("ric", {"n_configs": 2.7}, []),
+        ("ric", {"seed": "5"}, []),
+        ("suite-ce", {"threshold_t": True}, []),
+        ("ric", {"flag_space": "stock_a_string.json"}, []),
+        ("ric", {"model": "when_a_string.json"}, []),
+        ("ric", {"model": "base_time_a_string.json"}, []),
+        ("ric", {"mode": "external", "model": None, "suite": "repeat_runs_fractional.json"}, []),
+        ("ric", {"mode": "external", "model": None, "suite": "timeout_a_string.json"}, []),
+        ("ric", {"mode": "external", "model": None, "suite": "timeout_nan.json"}, []),
     ],
     ids=["ce-benchmark", "ric-benchmarks", "ric-unknown-flag", "oracle-unknown-flag",
          "oracle-non-positive", "suite-ce-aggregate", "suite-ce-negative-threshold",
@@ -453,21 +466,35 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
          "ric-benchmarks-not-a-list", "ric-n-configs-not-a-number", "ric-cache-a-list",
          "ric-cache-a-number", "ric-input-in-run-command", "ric-bin-in-compile-command",
          "ric-max-evals-0", "ric-empty-benchmarks", "ric-flags-not-a-list", "ric-unknown-field",
-         "suite-ce-repeated-benchmark", "xval-repeated-benchmark", "ric-benchmarks-an-object"],
+         "suite-ce-repeated-benchmark", "xval-repeated-benchmark", "ric-benchmarks-an-object",
+         "ric-cache-empty", "ric-cache-dot", "ric-n-configs-fractional", "ric-seed-a-string",
+         "suite-ce-threshold-true", "ric-stock-a-string", "ric-when-a-string",
+         "ric-base-time-a-string", "ric-repeat-runs-fractional", "ric-timeout-a-string",
+         "ric-timeout-nan"],
 )
 def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, extra):
     _pair_model(tmp_path, "unknown_flag.json", flag_delta={"ivopts": -5.0, "zz": 1.0})
     # multipliers only for O1 and O3, so O2 runs at 1.0: 20 - 5 - 5 - 20 < 0
     _pair_model(tmp_path, "negative_at_O2.json", base_time=20.0,
                 level_multiplier={"O1": 2.0, "O3": 2.0})
+    _pair_model(tmp_path, "base_time_a_string.json", base_time="110")
+    pair = {"flags": ["ivopts", "tree-ch"], "when": ["false", True], "delta": -20.0}
+    _pair_model(tmp_path, "when_a_string.json", pair_delta=[pair])
     (tmp_path / "benchmark_list.json").write_text('{"benchmarks": []}')
     (tmp_path / "string_entries.json").write_text('{"benchmarks": ["x"]}')
     for name, commands in (("input_in_run.json", ("cc {flags} -o {out}", "{bin} {input}")),
                            ("bin_in_compile.json", ("cc {flags} -o {bin}", "{bin}"))):
         bench = dict(zip(("name", "compile_command", "run_command"), ("b", *commands)))
         (tmp_path / name).write_text(json.dumps({"benchmarks": [bench]}))
+    for name, field_value in (("repeat_runs_fractional.json", {"repeat_runs": 2.9}),
+                              ("timeout_a_string.json", {"timeout": "30"}),
+                              ("timeout_nan.json", {"timeout": float("nan")})):  # written NaN
+        bench = {"name": "b", "compile_command": "cc {flags} -o {out}", "run_command": "{bin}"}
+        (tmp_path / name).write_text(json.dumps({"benchmarks": [{**bench, **field_value}]}))
     space = json.loads((DEMO / "pair_space.json").read_text())
     (tmp_path / "flags_a_number.json").write_text(json.dumps({**space, "flags": 5}))
+    stock_a_string = [{**space["flags"][0], "stock": "false"}, *space["flags"][1:]]
+    (tmp_path / "stock_a_string.json").write_text(json.dumps({**space, "flags": stock_a_string}))
     for field in ("model", "suite", "flag_space"):
         name = overrides.get(field)
         if name and not Path(name).is_absolute():  # one of the files above
@@ -541,6 +568,25 @@ def test_rejected_input_creates_nothing(tmp_path, demo_dir, capsys, command, tex
     assert main([*argv, "--space", space, "--out", str(out)]) == 1
     assert len(capsys.readouterr().err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_shipped_and_benchmark_configs_load(tmp_path):
+    """Every demo config, and every config the benchmark generates, passes
+    the input stage; a benchmark input the readers rejected would fail
+    every benchmark run."""
+    spec = importlib.util.spec_from_file_location("inputs", REPO / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    configs = sorted(DEMO.glob("*_campaign.json"))
+    for workload in ("synth-search", "oracle-16", "stub-external"):
+        for seed in (1, 2, 3):
+            generated = inputs.generate(workload, seed, REPO, tmp_path / f"{workload}-{seed}")
+            configs += [Path(v) for k, v in generated.items() if k.endswith("_config")]
+    assert len(configs) == 4 + 3 * 4
+    for config in configs:
+        args = build_parser().parse_args(["suite-ce", "--config", str(config)])
+        cfg, _ = _load_config(args, "suite-ce")
+        _load_inputs(cfg)
 
 
 def test_null_cache_and_out_dir_mean_absent(tmp_path, monkeypatch):

@@ -628,4 +628,6 @@ def test_benchmark_validation():
     with pytest.raises(ValueError):
         Benchmark(name="x", compile_command="c", run_command="r", timeout=0.0)
     with pytest.raises(ValueError):
+        Benchmark(name="x", compile_command="c", run_command="r", timeout=math.nan)
+    with pytest.raises(ValueError):
         Benchmark(name="x", compile_command="c", run_command="r", repeat_runs=0)

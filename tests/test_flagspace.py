@@ -8,6 +8,8 @@ from flagtuner.flagspace import (
     Flag,
     FlagSpace,
     FlagSpaceError,
+    json_field,
+    json_value,
     parse_flag_space,
     render_args,
     toggle,
@@ -113,6 +115,18 @@ def test_parse_rejects_unknown_default_level():
 def test_parse_rejects_garbage():
     with pytest.raises(FlagSpaceError):
         parse_flag_space("not json at all {")
+
+
+def test_json_kinds():
+    number = json_value(5, float, "t")
+    assert number == 5.0 and type(number) is float
+    for value, kind in ((True, int), (True, float), (float("nan"), float), (2.7, int)):
+        with pytest.raises(ValueError, match="^t must be"):
+            json_value(value, kind, "t")
+    assert json_field({"stock": None}, "stock", bool, True) is True
+    assert json_field({}, "stock", bool, True) is True
+    with pytest.raises(ValueError, match="missing field flags.name"):
+        json_field({"name": None}, "name", str, where="flags")
 
 
 def test_parse_large_space():
