@@ -19,7 +19,6 @@ from flagtuner.flagspace import Configuration, FlagSpace
 from flagtuner.search import (
     CampaignError,
     CampaignTrace,
-    SuiteCEParams,
     best_known_record,
     evaluate_batch,
     run_suite_ce,
@@ -171,10 +170,11 @@ def run_xval(
     space: FlagSpace,
     benchmarks: Sequence[str],
     evaluator,
-    params: SuiteCEParams,
+    threshold_t: float,
+    aggregate: str,
     plan: FoldPlan,
 ) -> list[FoldResult]:
-    """Per-fold suite-wide elimination on the training set, tested on the rest.
+    """Per-fold ``run_suite_ce`` on the training set, tested on the rest.
 
     Training never sees measurements of held-out programs; test ratios are
     against the stock-baseline reference times. A failing test measurement
@@ -184,8 +184,8 @@ def run_xval(
     benches = list(benchmarks)
     if set(plan.assignment) != set(benches):
         raise ValueError("fold plan does not cover exactly the given benchmarks")
-    baseline = params.baseline if params.baseline is not None else space.stock_config()
-    measured = dict(zip(benches, evaluate_batch(evaluator, [(baseline, b) for b in benches]),
+    stock = space.stock_config()
+    measured = dict(zip(benches, evaluate_batch(evaluator, [(stock, b) for b in benches]),
                         strict=True))
     reference = {}
     for b, m in measured.items():
@@ -198,7 +198,7 @@ def run_xval(
         train = [b for b in benches if plan.assignment[b] != fold]
         test = [b for b in benches if plan.assignment[b] == fold]
         try:
-            config, trace = run_suite_ce(space, train, evaluator, params)
+            config, trace = run_suite_ce(space, train, evaluator, threshold_t, aggregate)
         except CampaignError as exc:
             results.append(FoldResult(fold, None, None, {}, error=str(exc)))
             continue
@@ -277,18 +277,23 @@ def predict_1nn(
 
 
 def load_features(path: str | Path) -> list[FeatureVector]:
-    """Read a feature table: CSV with a header, first column the program name."""
-    vectors = []
+    """Read a feature table: CSV with a header, first column the program name,
+    one row per program; a ``ValueError`` names the file and the line."""
+    vectors: dict[str, FeatureVector] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0].strip().lower() != "program":
-            raise ValueError("feature table must start with a 'program,...' header")
-        dim = len(header) - 1
-        for row in reader:
-            if not row:
-                continue
-            if len(row) - 1 != dim:
-                raise ValueError(f"feature row for {row[0]!r} has wrong width")
-            vectors.append(FeatureVector(row[0], tuple(float(v) for v in row[1:])))
-    return vectors
+        try:
+            header = next(reader, None)
+            if header is None or header[0].strip().lower() != "program":
+                raise ValueError("feature table must start with a 'program,...' header")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(f"feature row for {row[0]!r} has wrong width")
+                if row[0] in vectors:
+                    raise ValueError(f"program {row[0]!r} is repeated")
+                vectors[row[0]] = FeatureVector(row[0], tuple(float(v) for v in row[1:]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {max(reader.line_num, 1)}: {exc}") from exc
+    return list(vectors.values())

@@ -73,7 +73,6 @@ from flagtuner.search import (
     CampaignInterrupted,
     CampaignTrace,
     CEState,
-    SuiteCEParams,
     best_known_record,
     run_ce,
     run_ric,
@@ -426,8 +425,7 @@ def _suite_ce(camp: Campaign) -> list[str]:
     camp.trace_path = camp.out / "suite_ce.trace"
     _log(camp.out, f"suite-ce start t={cfg.threshold_t}")
     config, trace = run_suite_ce(
-        camp.space, camp.benchmarks, camp.evaluator,
-        SuiteCEParams(threshold_t=cfg.threshold_t, aggregate=cfg.aggregate),
+        camp.space, camp.benchmarks, camp.evaluator, cfg.threshold_t, cfg.aggregate,
         trace=camp.trace, state=camp.state,
     )
     write_final_config(camp.out / "suite_ce.config.json", camp.space, config)
@@ -440,8 +438,8 @@ def _xval(camp: Campaign) -> list[str]:
     plan = make_folds(camp.benchmarks, cfg.k, cfg.seed)
     write_json(out / "folds.json", {"k": plan.k, "seed": cfg.seed, "assignment": plan.assignment})
     _log(out, f"xval start k={cfg.k} t={cfg.threshold_t}")
-    suite_params = SuiteCEParams(threshold_t=cfg.threshold_t, aggregate=cfg.aggregate)
-    results = run_xval(camp.space, camp.benchmarks, camp.evaluator, suite_params, plan)
+    results = run_xval(camp.space, camp.benchmarks, camp.evaluator, cfg.threshold_t,
+                       cfg.aggregate, plan)
 
     all_ratios, rows = [], []
     for res in results:

@@ -5,12 +5,12 @@ compile-and-run pipeline driven by command templates, and a deterministic
 synthetic cost model (base time + per-flag deltas + pairwise interaction
 terms) that stands in for real hardware at desk scale.
 
-Outcomes are cached (``EvalCache``). An external outcome is filed under its
-configuration and the benchmark's toolchain fingerprint, and answers its
-binary's digest too, so neither a configuration seen before nor one that
-compiles to a binary seen before is run again. A synthetic measurement's
-digest covers the model as well as the configuration, as a binary's would
-cover what the compiler produced.
+Outcomes are cached (``EvalCache``). Both backends file every outcome under
+its configuration, scoped by a fingerprint of what produced it: the
+benchmark's toolchain for an external outcome, the flag names and the model
+for a synthetic one. An external outcome answers its binary's digest too, so
+neither a configuration seen before nor one that compiles to a binary seen
+before is run again.
 """
 
 from __future__ import annotations
@@ -130,26 +130,26 @@ def _digest_bytes(data: bytes) -> str:
 
 def _config_key(config: Configuration, fingerprint: str = "") -> str:
     """The key of an outcome filed under the configuration itself; a
-    fingerprint scopes it to one toolchain."""
+    fingerprint scopes it to one toolchain or model."""
     return f"cfg:{fingerprint}:{config.key()}" if fingerprint else f"cfg:{config.key()}"
 
 
 class EvalCache:
     """Measurement cache keyed by (benchmark, key), with an append-only file.
 
-    The caller chooses the key. By default an ok measurement is filed under
-    its digest and a failed one under its configuration's identity, so
-    broken flag combinations are not retried. A record under a key other
-    than its digest is filed under the digest too, unless the digest has a
-    record already, and its key is held in ``aliases`` as a pointer to the
-    digest's record: one record answers both, and ``entries`` keeps one
-    measurement per binary. Every measurement it holds, and so every hit it
-    answers, is marked ``cached``. Every put is appended and flushed at
-    once, which makes the cache kill-safe: a final line without its newline
-    is a torn append and is dropped on load, while a bad line anywhere else
-    still raises. When backed by a file, an exclusive advisory lock is held,
-    and taken before the file is read, so concurrent campaigns cannot share
-    one cache file.
+    The caller chooses the key: both evaluators file every outcome, failed
+    or not, under ``_config_key`` of its configuration and their
+    fingerprint, so no configuration is measured twice. Each put appends one
+    record of six fields: ``benchmark``, ``key``, ``digest``, ``status``,
+    ``time`` and ``detail``. A record whose digest is not its key answers the
+    digest too, unless the digest has a record already: ``aliases`` points
+    the key at the digest's entry, so ``entries`` keeps one measurement per
+    binary. Every measurement it holds, and so every hit it answers, is
+    marked ``cached``. Every put is flushed at once, which makes the cache
+    kill-safe: a final line without its newline is a torn append and is
+    dropped on load, while a bad line anywhere else still raises. When
+    backed by a file, an exclusive advisory lock is held, and taken before
+    the file is read, so concurrent campaigns cannot share one cache file.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -207,35 +207,22 @@ class EvalCache:
         return (benchmark, self.aliases.get(item, key)) in self.entries
 
     def get_failure(self, benchmark: str, config: Configuration) -> Measurement | None:
-        """The outcome filed under the configuration's identity alone, where
-        ``put`` files a failure by default."""
+        """The outcome filed under the configuration with no fingerprint, as
+        caches written before fingerprints filed a failure."""
         return self.get(benchmark, _config_key(config))
 
-    def put(
-        self,
-        benchmark: str,
-        config: Configuration,
-        measurement: Measurement,
-        key: str | None = None,
-    ) -> None:
-        """File ``measurement``, marked ``cached``, under ``key``: by default
-        its digest if it is ok and the configuration's identity if not. Under
-        any other key it answers its digest as well (see the class)."""
+    def put(self, benchmark: str, key: str, measurement: Measurement) -> None:
+        """File ``measurement``, marked ``cached``, under ``key`` (see the class)."""
         stored = replace(measurement, cached=True)
-        if key is None:
-            key = stored.digest if stored.ok else _config_key(config)
         self._store(benchmark, key, stored)
         if self._handle is not None:
             rec = {
                 "benchmark": benchmark,
                 "key": key,
-                "digest_algo": "md5",
                 "digest": stored.digest,
                 "status": stored.status,
                 "time": stored.time,
                 "detail": stored.detail,
-                "config_bitstring": config.bitstring,
-                "base_level": config.base_level,
             }
             self._handle.write(json.dumps(rec).encode() + b"\n")
             self._handle.flush()
@@ -474,7 +461,7 @@ class CommandEvaluator:
             meas = failed if failed is not None else self._run(bench, out_path)
         finally:
             out_path.unlink(missing_ok=True)
-        self.cache.put(bench_name, config, meas, key=key)
+        self.cache.put(bench_name, key, meas)
         return meas
 
     def _compile(
@@ -644,11 +631,13 @@ def load_synthetic_model(path: str | Path) -> SyntheticModel:
         for i, rec in enumerate(json_field(raw, "pair_delta", list, [], at)):
             where = f"{at}.pair_delta[{i}]"
             rec = json_value(rec, dict, where)
-            a, b = (json_value(v, str, f"{where}.flags")
-                    for v in json_field(rec, "flags", list, where=where))
-            sa, sb = (json_value(v, bool, f"{where}.when")
-                      for v in json_field(rec, "when", list, where=where))
-            pairs.append(PairDelta(a, b, sa, sb, json_field(rec, "delta", float, where=where)))
+            terms = []  # the two flags, then the two states they must be in
+            for key, kind in (("flags", str), ("when", bool)):
+                values = json_field(rec, key, list, where=where)
+                if len(values) != 2:
+                    raise ValueError(f"{where}.{key} must hold 2 values, got {len(values)}")
+                terms += (json_value(v, kind, f"{where}.{key}") for v in values)
+            pairs.append(PairDelta(*terms, json_field(rec, "delta", float, where=where)))
         benches[name] = BenchmarkModel(
             base_time=json_field(raw, "base_time", float, where=at),
             level_multiplier={k: json_value(v, float, f"{at}.level_multiplier.{k}")
@@ -664,9 +653,10 @@ class SyntheticEvaluator:
     """Evaluator backed by a SyntheticModel, optionally cache-fronted.
 
     Model computations stand in for timed executions, so ``executions``
-    counts fresh model evaluations and cache replays count none. The digest
-    of a measurement covers the flag names, the model and the configuration,
-    so a cache filled under another model or space never answers.
+    counts fresh model evaluations and cache replays count none. Each
+    measurement, which carries no digest, is filed under its configuration
+    and a fingerprint of the flag names and the model, so a cache filled
+    under another model or space never answers.
     """
 
     def __init__(self, space: FlagSpace, model: SyntheticModel, cache: EvalCache | None = None):
@@ -679,15 +669,15 @@ class SyntheticEvaluator:
         self.cache_hits = 0
 
     def evaluate(self, config: Configuration, bench_name: str) -> Measurement:
-        digest = _digest_bytes(f"{self._fingerprint}:{config.key()}".encode())
-        hit = self.cache.get(bench_name, digest)
+        key = _config_key(config, self._fingerprint)
+        hit = self.cache.get(bench_name, key)
         if hit is not None:
             self.cache_hits += 1
             return hit
         time = self.model.time_for(self.space, config, bench_name)
-        meas = Measurement(STATUS_OK, time=time, digest=digest)
+        meas = Measurement(STATUS_OK, time=time)
         self.executions += 1
-        self.cache.put(bench_name, config, meas)
+        self.cache.put(bench_name, key, meas)
         return meas
 
 

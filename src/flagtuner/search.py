@@ -110,28 +110,6 @@ def _geomean(values: Sequence[float]) -> float:
 AGGREGATES = {"mean": fmean, "geomean": _geomean}
 
 
-@dataclass
-class SuiteCEParams:
-    """Knobs for suite-wide elimination.
-
-    ``threshold_t`` is the maximum tolerated slowdown, in percent, of any
-    single benchmark relative to the stock baseline; a benchmark exactly at
-    the bound passes. ``baseline`` defaults to the stock configuration of
-    the space. ``aggregate`` picks the suite objective over per-benchmark
-    time ratios.
-    """
-
-    threshold_t: float = 0.0
-    baseline: Configuration | None = None
-    aggregate: str = "mean"
-
-    def __post_init__(self) -> None:
-        if self.threshold_t < 0:
-            raise ValueError("threshold_t must be >= 0")
-        if self.aggregate not in AGGREGATES:
-            raise ValueError(f"unknown aggregate {self.aggregate!r}")
-
-
 def rip(t_toggled: float, t_base: float) -> float:
     """Relative improvement percentage: (t_toggled - t_base) / t_base * 100.
 
@@ -154,9 +132,7 @@ def sample_ric(space: FlagSpace, rng: int | random.Random) -> Configuration:
     return Configuration(level, assignment)
 
 
-def _as_bench_list(benchmarks: str | Sequence[str]) -> list[str]:
-    if isinstance(benchmarks, str):
-        return [benchmarks]
+def _as_bench_list(benchmarks: Sequence[str]) -> list[str]:
     benches = list(benchmarks)
     if not benches:
         raise ValueError("need at least one benchmark")
@@ -165,7 +141,7 @@ def _as_bench_list(benchmarks: str | Sequence[str]) -> list[str]:
 
 def run_ric(
     space: FlagSpace,
-    benchmarks: str | Sequence[str],
+    benchmarks: Sequence[str],
     evaluator: Evaluator,
     n_configs: int,
     seed: int,
@@ -211,22 +187,23 @@ def run_suite_ce(
     space: FlagSpace,
     benchmarks: Sequence[str],
     evaluator: Evaluator,
-    params: SuiteCEParams,
+    threshold_t: float,
+    aggregate: str = "mean",
     *,
     trace: CampaignTrace | None = None,
     state: CEState | None = None,
 ) -> tuple[Configuration, CampaignTrace]:
     """Suite-wide combined elimination building a platform optimization level.
 
-    Flags are toggled in either direction from the stock baseline (or
-    ``params.baseline``), and a candidate is aborted the moment any
-    benchmark exceeds (1 + t/100) x its baseline time. The returned
-    configuration satisfies the threshold bound on every benchmark.
+    Flags are toggled in either direction from the stock baseline, and a
+    candidate is aborted the moment any benchmark exceeds (1 + t/100) x its
+    baseline time, for ``threshold_t`` = t percent; one exactly at the bound
+    passes. ``aggregate`` names the suite objective in ``AGGREGATES``. The
+    returned configuration satisfies the threshold bound on every benchmark.
     """
-    base = params.baseline if params.baseline is not None else space.stock_config()
     return _eliminate(
-        space, _as_bench_list(benchmarks), evaluator, base,
-        AGGREGATES[params.aggregate], params.threshold_t, trace, state,
+        space, _as_bench_list(benchmarks), evaluator, space.stock_config(),
+        AGGREGATES[aggregate], threshold_t, trace, state,
     )
 
 

@@ -21,7 +21,6 @@ from flagtuner.evaluator import CommandEvaluator, EvalCache, SyntheticEvaluator,
 from flagtuner.flagspace import Configuration, load_flag_space
 from flagtuner.oracle import per_benchmark_optimum
 from flagtuner.search import (
-    SuiteCEParams,
     best_known,
     rip,
     run_ce,
@@ -72,7 +71,7 @@ def test_criterion_04_suite_ce_threshold_guarantee():
         space, model, benches = random_suite_instance(rng, max_benches=6, max_flags=10)
         for t in (0.0, 2.0, 5.0):
             ev = SyntheticEvaluator(space, model)
-            config, trace = run_suite_ce(space, benches, ev, SuiteCEParams(threshold_t=t))
+            config, trace = run_suite_ce(space, benches, ev, t)
             refs = {b: m.time for b, m in trace.records[0].measurements.items()}
             for b in benches:
                 assert model.time_for(space, config, b) <= (1 + t / 100.0) * refs[b]
@@ -93,7 +92,7 @@ def test_criterion_05_threshold_tradeoff_shape(tradeoff_space, tradeoff_model):
     for t in range(0, 7):
         ev = SyntheticEvaluator(tradeoff_space, tradeoff_model)
         config, _ = run_suite_ce(
-            tradeoff_space, benches, ev, SuiteCEParams(threshold_t=float(t))
+            tradeoff_space, benches, ev, float(t)
         )
         times = {b: tradeoff_model.time_for(tradeoff_space, config, b) for b in benches}
         worse_counts.append(sum(1 for b in benches if times[b] > refs[b]))
@@ -166,7 +165,7 @@ def test_criterion_08_cross_validation_hygiene():
     assert sum(len(f) for f in folds) == len(programs)
 
     ev = SyntheticEvaluator(space, model)
-    results = run_xval(space, programs, ev, SuiteCEParams(threshold_t=0.0), plan)
+    results = run_xval(space, programs, ev, 0.0, "mean", plan)
     for res in results:
         assert res.error is None
         held_out = set(plan.test_set(res.fold))

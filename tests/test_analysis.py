@@ -18,7 +18,6 @@ from flagtuner.flagspace import Configuration
 from flagtuner.oracle import per_benchmark_optimum
 from flagtuner.search import (
     CampaignTrace,
-    SuiteCEParams,
     run_ce,
     run_ric,
 )
@@ -226,7 +225,7 @@ def test_xval_identical_benchmarks_are_symmetric():
     model = model_of({b: {"base": 100.0, "deltas": {"f0": 5.0}} for b in benches})
     ev = SyntheticEvaluator(space, model)
     plan = make_folds(benches, 3, 0)
-    results = run_xval(space, benches, ev, SuiteCEParams(threshold_t=0.0), plan)
+    results = run_xval(space, benches, ev, 0.0, "mean", plan)
     configs = {r.config for r in results}
     assert configs == {Configuration("O3", (False,))}
     for r in results:
@@ -240,7 +239,7 @@ def test_xval_covers_each_program_exactly_once():
     model = model_of({b: {"base": 100.0} for b in benches})
     ev = SyntheticEvaluator(space, model)
     plan = make_folds(benches, 3, 5)
-    results = run_xval(space, benches, ev, SuiteCEParams(), plan)
+    results = run_xval(space, benches, ev, 0.0, "mean", plan)
     tested = [p for r in results for p in r.test_ratios]
     assert sorted(tested) == sorted(benches)
 
@@ -251,7 +250,7 @@ def test_xval_training_never_sees_held_out_programs():
     model = model_of({b: {"base": 100.0, "deltas": {"f0": 2.0}} for b in benches})
     ev = SyntheticEvaluator(space, model)
     plan = make_folds(benches, 4, 2)
-    results = run_xval(space, benches, ev, SuiteCEParams(), plan)
+    results = run_xval(space, benches, ev, 0.0, "mean", plan)
     for r in results:
         held_out = set(plan.test_set(r.fold))
         seen = {b for rec in r.trace.records for b in rec.measurements}
@@ -278,7 +277,7 @@ def test_xval_reports_fold_campaign_errors():
             return inner.evaluate(config, bench)
 
     plan = make_folds(benches, 2, 0)
-    results = run_xval(space, benches, FlakyAfterReference(), SuiteCEParams(), plan)
+    results = run_xval(space, benches, FlakyAfterReference(), 0.0, "mean", plan)
     b0_fold = plan.assignment["b0"]
     for r in results:
         if r.fold == b0_fold:
@@ -296,7 +295,7 @@ def test_xval_unique_requirement_program_tests_at_one():
     model = model_of(recipes)
     ev = SyntheticEvaluator(space, model)
     plan = make_folds(benches, 5, 4)
-    results = run_xval(space, benches, ev, SuiteCEParams(threshold_t=0.0), plan)
+    results = run_xval(space, benches, ev, 0.0, "mean", plan)
     uniq_fold = plan.assignment["uniq"]
     for r in results:
         if r.fold == uniq_fold:

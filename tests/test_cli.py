@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -457,6 +458,8 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
         ("ric", {"mode": "external", "model": None, "suite": "repeat_runs_fractional.json"}, []),
         ("ric", {"mode": "external", "model": None, "suite": "timeout_a_string.json"}, []),
         ("ric", {"mode": "external", "model": None, "suite": "timeout_nan.json"}, []),
+        ("ric", {"model": "when_three_values.json"}, []),
+        ("ric", {"model": "flags_one_value.json"}, []),
     ],
     ids=["ce-benchmark", "ric-benchmarks", "ric-unknown-flag", "oracle-unknown-flag",
          "oracle-non-positive", "suite-ce-aggregate", "suite-ce-negative-threshold",
@@ -470,7 +473,7 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
          "ric-cache-empty", "ric-cache-dot", "ric-n-configs-fractional", "ric-seed-a-string",
          "suite-ce-threshold-true", "ric-stock-a-string", "ric-when-a-string",
          "ric-base-time-a-string", "ric-repeat-runs-fractional", "ric-timeout-a-string",
-         "ric-timeout-nan"],
+         "ric-timeout-nan", "ric-when-three-values", "ric-flags-one-value"],
 )
 def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, extra):
     _pair_model(tmp_path, "unknown_flag.json", flag_delta={"ivopts": -5.0, "zz": 1.0})
@@ -480,6 +483,9 @@ def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, e
     _pair_model(tmp_path, "base_time_a_string.json", base_time="110")
     pair = {"flags": ["ivopts", "tree-ch"], "when": ["false", True], "delta": -20.0}
     _pair_model(tmp_path, "when_a_string.json", pair_delta=[pair])
+    _pair_model(tmp_path, "when_three_values.json",
+                pair_delta=[{**pair, "when": [False, True, True]}])
+    _pair_model(tmp_path, "flags_one_value.json", pair_delta=[{**pair, "flags": ["a"]}])
     (tmp_path / "benchmark_list.json").write_text('{"benchmarks": []}')
     (tmp_path / "string_entries.json").write_text('{"benchmarks": ["x"]}')
     for name, commands in (("input_in_run.json", ("cc {flags} -o {out}", "{bin} {input}")),
@@ -517,6 +523,7 @@ def test_threshold_is_an_option_of_suite_ce_xval_and_oracle(tmp_path, command, a
 
 
 HEADER = ",".join(TRACE_COLUMNS) + "\n"
+FEATURES = (DEMO / "features.csv").read_text()
 OUTSIDE_SPACE = HEADER + "1,1111,O9,crc32,1.0,ok,baseline\n"  # the space has O3 only
 BASELINE = HEADER + "1,1111,O3,crc32,1.0,ok,baseline\n"
 
@@ -538,6 +545,10 @@ BASELINE = HEADER + "1,1111,O3,crc32,1.0,ok,baseline\n"
         ("predict-1nn", '[{"program": "crc32"}]'),
         ("predict-1nn", '[{"program": "crc32", "trace": "crc32.trace", "benchmark": ["x"]}]'),
         ("predict-1nn", '[{"program": "crc32", "trace": "outside.trace"}]'),
+        ("features", FEATURES + "fir,8,12,30,2\n"),
+        ("features", FEATURES + "adpcm,8,x,30,2\n"),
+        ("features", FEATURES + "adpcm,8,12,30\n"),
+        ("features", FEATURES + "adpcm,8,12,inf,2\n"),
     ],
     ids=["report-missing-trace", "report-header-only-trace", "report-short-row",
          "report-level-outside-space", "report-rows-disagree-on-config",
@@ -545,15 +556,18 @@ BASELINE = HEADER + "1,1111,O3,crc32,1.0,ok,baseline\n"
          "predict-1nn-missing-manifest",
          "predict-1nn-manifest-not-a-list", "predict-1nn-record-not-an-object",
          "predict-1nn-record-without-program", "predict-1nn-record-without-trace",
-         "predict-1nn-benchmark-not-a-string", "predict-1nn-trace-level-outside-space"],
+         "predict-1nn-benchmark-not-a-string", "predict-1nn-trace-level-outside-space",
+         "features-repeated-program", "features-not-a-number", "features-wrong-width",
+         "features-not-finite"],
 )
 def test_rejected_input_creates_nothing(tmp_path, demo_dir, capsys, command, text):
-    """A missing or misshapen trace or training manifest, or two traces that
-    would write one series file, is one line and exit 1, before the out dir
-    exists."""
+    """A missing or misshapen trace, training manifest or feature table, or
+    two traces that would write one series file, is one line and exit 1,
+    before the out dir exists. A feature table's error names its line."""
     out = tmp_path / "o"
     (tmp_path / "outside.trace").write_text(OUTSIDE_SPACE)
-    path = tmp_path / ("input.trace" if command == "report" else "manifest.json")
+    path = tmp_path / {"report": "input.trace", "predict-1nn": "manifest.json",
+                       "features": "features.csv"}[command]
     texts = text if isinstance(text, tuple) else (text,)  # a tuple: one file a directory
     paths = [path] + [tmp_path / f"d{i}" / path.name for i in range(1, len(texts))]
     for p, t in zip(paths, texts):
@@ -562,12 +576,39 @@ def test_rejected_input_creates_nothing(tmp_path, demo_dir, capsys, command, tex
             p.write_text(t)
     if command == "report":
         argv = ["report", *map(str, paths)]
+    elif command == "features":  # the demo's table with one row appended
+        argv = ["predict-1nn", str(path), str(tmp_path / "manifest.json"), "fir"]
     else:
         argv = ["predict-1nn", str(demo_dir / "features.csv"), str(path), "fir"]
     space = str(demo_dir / "tradeoff_space.json")
     assert main([*argv, "--space", space, "--out", str(out)]) == 1
-    assert len(capsys.readouterr().err.splitlines()) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    if command == "features":
+        assert err[0].startswith(f"flagtuner: {path}: line 7: ")
     assert not out.exists()
+
+
+def test_cache_of_md5_keyed_synthetic_records_is_measured_afresh(tmp_path):
+    """A synthetic cache written when each outcome was filed under an md5
+    digest of fingerprint and configuration, nine fields a record, loads but
+    answers nothing, so a campaign over it writes what a cold one writes."""
+    config = write_config(tmp_path / "c.json")
+    cold, old = tmp_path / "cold", tmp_path / "old"
+    assert main(["ric", "--config", str(config), "--out", str(cold)]) == 0
+    records = [json.loads(line) for line in (cold / "cache.jsonl").read_text().splitlines()]
+    old.mkdir()
+    with open(old / "cache.jsonl", "w", encoding="utf-8") as fh:
+        for rec in records:
+            _, fingerprint, level, bits = rec["key"].split(":")
+            digest = hashlib.md5(f"{fingerprint}:{level}:{bits}".encode()).hexdigest()
+            fh.write(json.dumps({**rec, "key": digest, "digest_algo": "md5", "digest": digest,
+                                 "config_bitstring": bits, "base_level": level}) + "\n")
+    with EvalCache(old / "cache.jsonl") as cache:
+        assert len(cache.entries) == len(records)
+        assert all(cache.get(rec["benchmark"], rec["key"]) is None for rec in records)
+    assert main(["ric", "--config", str(config), "--out", str(old)]) == 0
+    assert artifact_digests(old) == artifact_digests(cold)
 
 
 def test_shipped_and_benchmark_configs_load(tmp_path):

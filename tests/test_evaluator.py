@@ -17,6 +17,7 @@ from flagtuner.evaluator import (
     EvalCache,
     Measurement,
     SyntheticEvaluator,
+    _config_key,
     load_suite,
     _run_command,
     load_synthetic_model,
@@ -135,11 +136,20 @@ def test_batched_times_equal_time_for(instance, block):
         assert [t.hex() for t in got] == [t.hex() for t in want]
 
 
-def test_load_synthetic_model(demo_dir):
+def test_load_synthetic_model(demo_dir, tmp_path):
     model = load_synthetic_model(demo_dir / "pair_model.json")
     assert model.benchmark_names == ["cover"]
     pair = model.benchmarks["cover"].pair_delta[0]
     assert (pair.state_a, pair.state_b, pair.delta) == (False, False, -20.0)
+    # a pair term's flags and states are two each, and the error names the term
+    data = json.loads((demo_dir / "pair_model.json").read_text())
+    term = data["benchmarks"]["cover"]["pair_delta"][0]
+    for key, values in (("when", [False, True, True]), ("flags", ["ivopts"])):
+        data["benchmarks"]["cover"]["pair_delta"] = [{**term, key: values}]
+        (tmp_path / "m.json").write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=rf"^benchmarks\.cover\.pair_delta\[0\]\.{key} "
+                                             rf"must hold 2 values, got {len(values)}$"):
+            load_synthetic_model(tmp_path / "m.json")
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +176,9 @@ def test_cache_round_trip(tmp_path):
     path = tmp_path / "cache.jsonl"
     config = Configuration("O3", (True, False))
     with EvalCache(path) as cache:
-        cache.put("a", config, Measurement("ok", time=1.5, digest="d1"))
-        cache.put("a", toggle(config, 0), Measurement("compile_error"))
-        cache.put("b", config, Measurement("timeout", digest="d2"))
+        cache.put("a", "d1", Measurement("ok", time=1.5, digest="d1"))
+        cache.put("a", _config_key(toggle(config, 0)), Measurement("compile_error"))
+        cache.put("b", _config_key(config), Measurement("timeout", digest="d2"))
         entries = dict(cache.entries)
     with EvalCache(path) as again:
         assert again.entries == entries
@@ -189,8 +199,7 @@ def test_cache_reload_matches_any_history(tmp_path_factory, history):
     path = tmp_path_factory.mktemp("cache") / "c.jsonl"
     with EvalCache(path) as cache:
         for bench, bits, t in history:
-            config = Configuration.from_bitstring("O3", format(bits, "03b"))
-            cache.put(bench, config, Measurement("ok", time=t, digest=f"d{bits}"))
+            cache.put(bench, f"d{bits}", Measurement("ok", time=t, digest=f"d{bits}"))
         entries = dict(cache.entries)
     with EvalCache(path) as again:
         assert again.entries == entries
@@ -206,9 +215,9 @@ def test_cache_marks_what_it_answers(tmp_path):
                 cache.get_failure("a", toggle(config, 0))]
 
     with EvalCache(path) as cache:
-        cache.put("a", config, fresh[0])
-        cache.put("a", config, fresh[0], key="cfg:x")
-        cache.put("a", toggle(config, 0), fresh[1])
+        cache.put("a", "d1", fresh[0])
+        cache.put("a", "cfg:x", fresh[0])
+        cache.put("a", _config_key(toggle(config, 0)), fresh[1])
         answered = answers(cache)
     with EvalCache(path) as again:
         answered += answers(again)
@@ -222,7 +231,7 @@ def test_synthetic_hit_is_the_cached_measurement():
     config = space.all_enabled()
     assert not ev.evaluate(config, "cover").cached
     hit = ev.evaluate(config, "cover")
-    assert hit.cached and hit is ev.cache.get("cover", hit.digest)
+    assert hit.cached and hit is ev.cache.get("cover", _config_key(config, ev._fingerprint))
 
 
 def test_two_record_history_still_loads(tmp_path):
@@ -244,6 +253,45 @@ def test_two_record_history_still_loads(tmp_path):
             assert cache.get("a", key).time == 1.5
 
 
+def test_cache_record_bytes(tmp_path):
+    """A record is six fields, keyed by configuration and fingerprint: one
+    line each from a synthetic and an external put, pinned byte for byte,
+    under a benchmark name that needs JSON escaping."""
+    space = space_of(2)
+    model = model_of({'a"b': {"base": 100.0, "deltas": {"f0": -2.5}}})
+    path = tmp_path / "cache.jsonl"
+    with EvalCache(path) as cache:
+        SyntheticEvaluator(space, model, cache).evaluate(Configuration("O3", (True, False)), 'a"b')
+        cache.put('a"b', "cfg:fp:O3:10",
+                  Measurement("run_error", digest="d1", detail="exit status 1"))
+    assert path.read_text().splitlines(keepends=True) == [
+        '{"benchmark": "a\\"b", "key": "cfg:deafdde97f1856b84a5d5332350d6548:O3:10", '
+        '"digest": null, "status": "ok", "time": 97.5, "detail": ""}\n',
+        '{"benchmark": "a\\"b", "key": "cfg:fp:O3:10", "digest": "d1", "status": "run_error", '
+        '"time": null, "detail": "exit status 1"}\n',
+    ]
+
+
+def test_external_record_with_dropped_fields_still_answers(demo_dir, tmp_path):
+    """A record written when records also carried ``digest_algo``,
+    ``config_bitstring`` and ``base_level`` answers its configuration and
+    its digest, so nothing is compiled or run again."""
+    space = load_flag_space(demo_dir / "stub_space.json")
+    suite = load_suite(demo_dir / "stub_suite.json")
+    stock = space.stock_config()
+    ev = CommandEvaluator(space, suite, workdir=demo_dir, build_dir=tmp_path / "b")
+    record = {"benchmark": "alpha", "key": _config_key(stock, ev._fingerprints["alpha"]),
+              "digest_algo": "md5", "digest": "d1", "status": "ok", "time": 9.0, "detail": "",
+              "config_bitstring": stock.bitstring, "base_level": stock.base_level}
+    path = tmp_path / "cache.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    with EvalCache(path) as cache:
+        ev.cache = cache
+        hit = ev.evaluate(stock, "alpha")
+        assert cache.get("alpha", "d1") is hit
+    assert (hit.time, hit.cached, ev.compilations, ev.executions) == (9.0, True, 0, 0)
+
+
 def test_cache_lock_excludes_second_writer(tmp_path):
     path = tmp_path / "cache.jsonl"
     with EvalCache(path):
@@ -257,18 +305,18 @@ def test_torn_tail_is_dropped_at_every_offset(tmp_path):
     path = tmp_path / "cache.jsonl"
     config = Configuration("O3", (True, False))
     with EvalCache(path) as cache:
-        cache.put("a", config, Measurement("ok", time=1.5, digest="d1"))
-        cache.put("a", toggle(config, 0), Measurement("compile_error"))
+        cache.put("a", "d1", Measurement("ok", time=1.5, digest="d1"))
+        cache.put("a", _config_key(toggle(config, 0)), Measurement("compile_error"))
         kept = dict(cache.entries)
         prefix = path.read_bytes()
-        cache.put("b", config, Measurement("timeout", digest="d2"))
+        cache.put("b", _config_key(config), Measurement("timeout", digest="d2"))
     last = path.read_bytes()[len(prefix):]
     for cut in range(1, len(last)):
         path.write_bytes(prefix + last[:cut])
         with EvalCache(path) as cache:
             assert cache.entries == kept
             assert path.read_bytes() == prefix
-            cache.put("b", config, Measurement("ok", time=2.0, digest="d3"))
+            cache.put("b", "d3", Measurement("ok", time=2.0, digest="d3"))
             entries = dict(cache.entries)
         with EvalCache(path) as again:
             assert again.entries == entries
@@ -277,7 +325,7 @@ def test_torn_tail_is_dropped_at_every_offset(tmp_path):
 def test_corrupt_middle_line_still_raises(tmp_path):
     path = tmp_path / "cache.jsonl"
     with EvalCache(path) as cache:
-        cache.put("a", Configuration("O3", (True,)), Measurement("ok", time=1.0, digest="d1"))
+        cache.put("a", "d1", Measurement("ok", time=1.0, digest="d1"))
     record = path.read_bytes()
     path.write_bytes(b"{ torn\n" + record)
     with pytest.raises(ValueError):
@@ -295,7 +343,7 @@ def test_corrupt_middle_line_still_raises(tmp_path):
 def test_locked_cache_is_neither_read_nor_truncated(tmp_path):
     path = tmp_path / "cache.jsonl"
     with EvalCache(path) as cache:
-        cache.put("a", Configuration("O3", (True,)), Measurement("ok", time=1.0, digest="d1"))
+        cache.put("a", "d1", Measurement("ok", time=1.0, digest="d1"))
         # the holder is mid-append: its record lacks the newline so far
         with open(path, "ab") as fh:
             fh.write(b'{"benchmark": "a", "ke')

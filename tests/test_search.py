@@ -16,7 +16,6 @@ from flagtuner.search import (
     CampaignInterrupted,
     CampaignTrace,
     CEState,
-    SuiteCEParams,
     _eliminate,
     best_known,
     best_known_record,
@@ -274,7 +273,7 @@ def test_suite_ce_threshold_rejects_candidate():
     space, model = two_bench_instance()
     ev = SyntheticEvaluator(space, model)
     config, trace = run_suite_ce(
-        space, ["A", "B"], ev, SuiteCEParams(threshold_t=5.0)
+        space, ["A", "B"], ev, 5.0
     )
     assert config == space.stock_config()
     skipped = [r for r in trace.records if "skipped" in r.annotation]
@@ -286,7 +285,7 @@ def test_suite_ce_threshold_accepts_candidate():
     space, model = two_bench_instance()
     ev = SyntheticEvaluator(space, model)
     config, trace = run_suite_ce(
-        space, ["A", "B"], ev, SuiteCEParams(threshold_t=8.0)
+        space, ["A", "B"], ev, 8.0
     )
     assert config.assignment == (False,)
     final = next(r for r in trace.records if r.annotation.startswith("accepted"))
@@ -304,7 +303,7 @@ def test_suite_ce_early_skip_stops_at_first_violation():
     )
     ev = SyntheticEvaluator(space, model)
     config, trace = run_suite_ce(
-        space, ["first", "second"], ev, SuiteCEParams(threshold_t=5.0)
+        space, ["first", "second"], ev, 5.0
     )
     assert config == space.stock_config()
     probe = trace.records[1]
@@ -320,7 +319,7 @@ def test_suite_ce_skipped_flag_unlocks_in_later_round(tradeoff_space, tradeoff_m
         tradeoff_space,
         tradeoff_model.benchmark_names,
         ev,
-        SuiteCEParams(threshold_t=1.0),
+        1.0,
     )
     assert config.bitstring == "0101"
     annotations = [r.annotation for r in trace.records]
@@ -331,7 +330,7 @@ def test_suite_ce_skipped_flag_unlocks_in_later_round(tradeoff_space, tradeoff_m
 def test_suite_ce_zero_threshold_never_worse_anywhere():
     space, model = two_bench_instance()
     ev = SyntheticEvaluator(space, model)
-    config, trace = run_suite_ce(space, ["A", "B"], ev, SuiteCEParams(threshold_t=0.0))
+    config, trace = run_suite_ce(space, ["A", "B"], ev, 0.0)
     refs = {b: m.time for b, m in trace.records[0].measurements.items()}
     for b in refs:
         assert model.time_for(space, config, b) <= refs[b]
@@ -347,7 +346,7 @@ def test_suite_ce_baseline_failure_is_fatal():
             return Measurement("ok", time=1.0)
 
     with pytest.raises(CampaignError):
-        run_suite_ce(space, ["A", "B"], Broken(), SuiteCEParams())
+        run_suite_ce(space, ["A", "B"], Broken(), 0.0)
 
 
 @pytest.mark.parametrize("seed,t", [(s, t) for s in range(8) for t in (0.0, 2.0, 5.0)])
@@ -355,7 +354,7 @@ def test_suite_ce_threshold_guarantee_random_instances(seed, t):
     rng = random.Random(5000 + seed)
     space, model, benches = random_suite_instance(rng)
     ev = SyntheticEvaluator(space, model)
-    config, trace = run_suite_ce(space, benches, ev, SuiteCEParams(threshold_t=t))
+    config, trace = run_suite_ce(space, benches, ev, t)
     refs = {b: m.time for b, m in trace.records[0].measurements.items()}
     for b in benches:
         assert model.time_for(space, config, b) <= (1 + t / 100.0) * refs[b]
@@ -387,9 +386,8 @@ def test_ce_is_suite_ce_on_one_benchmark(data):
     model = model_of({"b": {"base": base, "deltas": deltas, "pairs": pairs}})
 
     config, trace = run_ce(space, "b", SyntheticEvaluator(space, model))
-    params = SuiteCEParams(threshold_t=math.inf, baseline=space.all_enabled())
     suite_config, suite_trace = run_suite_ce(
-        space, ["b"], SyntheticEvaluator(space, model), params
+        space, ["b"], SyntheticEvaluator(space, model), math.inf
     )
     assert config == suite_config
     assert trace_fingerprint(trace) == trace_fingerprint(suite_trace)
@@ -401,7 +399,7 @@ def test_suite_ce_reproducible(tradeoff_space, tradeoff_model):
     for _ in range(2):
         ev = SyntheticEvaluator(tradeoff_space, tradeoff_model)
         _, trace = run_suite_ce(
-            tradeoff_space, benches, ev, SuiteCEParams(threshold_t=5.0)
+            tradeoff_space, benches, ev, 5.0
         )
         runs.append(trace_fingerprint(trace))
     assert runs[0] == runs[1]
@@ -475,10 +473,10 @@ def test_best_known_requires_an_ok_measurement():
 
 def test_budget_interrupts_and_resume_matches(tradeoff_space, tradeoff_model):
     benches = tradeoff_model.benchmark_names
-    params = SuiteCEParams(threshold_t=5.0)
+    t = 5.0
 
     full_ev = SyntheticEvaluator(tradeoff_space, tradeoff_model)
-    _, full_trace = run_suite_ce(tradeoff_space, benches, full_ev, params)
+    _, full_trace = run_suite_ce(tradeoff_space, benches, full_ev, t)
 
     from flagtuner.evaluator import EvalCache
 
@@ -486,12 +484,12 @@ def test_budget_interrupts_and_resume_matches(tradeoff_space, tradeoff_model):
     budgeted = BudgetedEvaluator(SyntheticEvaluator(tradeoff_space, tradeoff_model, cache), 9)
     partial = CampaignTrace()
     with pytest.raises(CampaignInterrupted):
-        run_suite_ce(tradeoff_space, benches, budgeted, params, trace=partial)
+        run_suite_ce(tradeoff_space, benches, budgeted, t, trace=partial)
     assert budgeted.used == 9
     assert 0 < len(partial) < len(full_trace)
 
     resumed_ev = SyntheticEvaluator(tradeoff_space, tradeoff_model, cache)
-    _, resumed_trace = run_suite_ce(tradeoff_space, benches, resumed_ev, params)
+    _, resumed_trace = run_suite_ce(tradeoff_space, benches, resumed_ev, t)
     assert trace_fingerprint(resumed_trace) == trace_fingerprint(full_trace)
     assert resumed_ev.executions == full_ev.executions - 9
 
