@@ -20,7 +20,6 @@ from flagtuner.search import (
     CampaignError,
     CampaignTrace,
     best_known_record,
-    evaluate_batch,
     run_suite_ce,
 )
 
@@ -185,7 +184,7 @@ def run_xval(
     if set(plan.assignment) != set(benches):
         raise ValueError("fold plan does not cover exactly the given benchmarks")
     stock = space.stock_config()
-    measured = dict(zip(benches, evaluate_batch(evaluator, [(stock, b) for b in benches]),
+    measured = dict(zip(benches, evaluator.evaluate_many([(stock, b) for b in benches]),
                         strict=True))
     reference = {}
     for b, m in measured.items():
@@ -204,7 +203,7 @@ def run_xval(
             continue
         ratios = {
             b: m.time / reference[b] if m.ok else math.inf
-            for b, m in zip(test, evaluate_batch(evaluator, [(config, b) for b in test]),
+            for b, m in zip(test, evaluator.evaluate_many([(config, b) for b in test]),
                             strict=True)
         }
         results.append(FoldResult(fold, config, trace, ratios))

@@ -51,6 +51,7 @@ from flagtuner.artifacts import (
 from flagtuner.evaluator import (
     Benchmark,
     CacheLockedError,
+    CampaignInterrupted,
     CommandEvaluator,
     EvalCache,
     SyntheticEvaluator,
@@ -68,9 +69,7 @@ from flagtuner.flagspace import (
 )
 from flagtuner.search import (
     AGGREGATES,
-    BudgetedEvaluator,
     CampaignError,
-    CampaignInterrupted,
     CampaignTrace,
     CEState,
     best_known_record,
@@ -189,8 +188,7 @@ class Campaign:
     cfg: CampaignConfig
     out: Path
     space: object
-    evaluator: object
-    counters: object  # the concrete evaluator carrying executions/cache_hits and the cache
+    evaluator: SyntheticEvaluator | CommandEvaluator
     benchmarks: list[str]
     params: dict
     trace: CampaignTrace | None = None
@@ -198,8 +196,13 @@ class Campaign:
     state: CEState | None = None
     progress: dict = field(default_factory=dict)
 
+    @property
+    def counters(self) -> SyntheticEvaluator | CommandEvaluator:
+        """The evaluator, under the name the benchmark's worker reads."""
+        return self.evaluator
+
     def counts(self) -> str:
-        return f"evaluations={self.counters.executions} cache_hits={self.counters.cache_hits}"
+        return f"evaluations={self.evaluator.executions} cache_hits={self.evaluator.cache_hits}"
 
 
 def _load_space(path: str | Path) -> FlagSpace:
@@ -273,17 +276,13 @@ def build_campaign(
     if cache_path.is_dir() or out.resolve().is_relative_to(cache_path.resolve()):
         raise ConfigError(f"cache {cfg.cache!r} names a directory, not a file")
     if cfg.mode == "synthetic":
-        evaluator = SyntheticEvaluator(space, model_or_suite)
+        evaluator = SyntheticEvaluator(space, model_or_suite, max_evals=max_evals)
     else:
-        evaluator = CommandEvaluator(
-            space, model_or_suite, workdir=cfg.suite.parent, build_dir=out / "build"
-        )
+        evaluator = CommandEvaluator(space, model_or_suite, workdir=cfg.suite.parent,
+                                     build_dir=out / "build", max_evals=max_evals)
     out.mkdir(parents=True, exist_ok=True)
     evaluator.cache = EvalCache(cache_path)
-    counters = evaluator
-    if max_evals is not None:
-        evaluator = BudgetedEvaluator(evaluator, max_evals)
-    return Campaign(cfg, out, space, evaluator, counters, benchmarks, params)
+    return Campaign(cfg, out, space, evaluator, benchmarks, params)
 
 
 def _log(out: Path, message: str) -> None:
@@ -332,7 +331,7 @@ def _run_campaign(args, body: Callable[[Campaign], list[str]]) -> int:
         try:
             summary = body(camp)
         finally:
-            camp.counters.cache.close()
+            camp.evaluator.cache.close()
     except (CampaignInterrupted, KeyboardInterrupt):
         summary = None
     except OSError as exc:

@@ -56,6 +56,10 @@ class CacheLockedError(RuntimeError):
     """Another process holds the advisory lock on the cache file."""
 
 
+class CampaignInterrupted(RuntimeError):
+    """Raised by an evaluator when its evaluation budget is spent."""
+
+
 @dataclass(frozen=True)
 class Benchmark:
     """One benchmark: command templates plus measurement policy.
@@ -239,6 +243,51 @@ class EvalCache:
         self.close()
 
 
+class _CachedEvaluator:
+    """The evaluation path both backends share.
+
+    ``evaluate`` takes the pair's key from the backend's ``_key`` and
+    returns the cache's answer to it; only on a miss does it call the
+    backend's ``_measure``, and it puts that outcome under the key. Every
+    outcome marked ``cached`` counts in ``cache_hits``, and every other
+    one spends one of ``max_evals`` fresh measurements (``used``). Once the
+    budget is spent, the next pair raises ``CampaignInterrupted``, a hit
+    too, so a campaign that ends exactly on budget completes.
+    """
+
+    def __init__(self, space: FlagSpace, cache: EvalCache | None, max_evals: int | None):
+        if max_evals is not None and max_evals < 1:
+            raise ValueError("max_evals must be >= 1")
+        self.space = space
+        self.cache = cache if cache is not None else EvalCache()
+        self.max_evals = math.inf if max_evals is None else max_evals
+        self.used = 0
+        self.executions = 0
+        self.cache_hits = 0
+
+    def _check_budget(self) -> None:
+        if self.used >= self.max_evals:
+            raise CampaignInterrupted(f"budget of {self.max_evals} fresh evaluations spent")
+
+    def evaluate(self, config: Configuration, bench_name: str) -> Measurement:
+        self._check_budget()
+        key = self._key(config, bench_name)
+        meas = self.cache.get(bench_name, key)
+        if meas is None:
+            meas = self._measure(config, bench_name, key)
+            self.cache.put(bench_name, key, meas)
+        if meas.cached:
+            self.cache_hits += 1
+        else:
+            self.used += 1
+        return meas
+
+    def evaluate_many(self, pairs: Sequence[tuple[Configuration, str]]) -> Iterator[Measurement]:
+        """The measurements of independent ``pairs``, in order."""
+        for config, bench_name in pairs:
+            yield self.evaluate(config, bench_name)
+
+
 # ---------------------------------------------------------------------------
 # External compile-and-run pipeline
 # ---------------------------------------------------------------------------
@@ -314,17 +363,17 @@ def _toolchain_fingerprint(
     return _digest_bytes(repr(parts).encode())
 
 
-class CommandEvaluator:
-    """Evaluator backed by external compile/run commands, with counters.
+class CommandEvaluator(_CachedEvaluator):
+    """Evaluator backed by external compile/run commands.
 
     Each suite entry gets a toolchain fingerprint once, at construction
     (``_toolchain_fingerprint``); every cache key of the entry is taken
     under it, so an edited command or toolchain file is not answered from
-    a stale cache. ``compilations`` counts compiler invocations,
-    ``executions`` the evaluations that ran the binary at least once and
-    ``cache_hits`` the configuration and digest hits, which run nothing.
-    Each binary is deleted from ``build_dir`` once it has been digested and
-    run, or has failed.
+    a stale cache. ``compilations`` counts compiler invocations and
+    ``executions`` the evaluations that ran the binary at least once; a
+    digest hit runs nothing and counts in ``cache_hits``, as a
+    configuration hit does. Each binary is deleted from ``build_dir`` once
+    it has been digested and run, or has failed.
     """
 
     def __init__(
@@ -335,8 +384,9 @@ class CommandEvaluator:
         *,
         workdir: str | Path | None = None,
         build_dir: str | Path,
+        max_evals: int | None = None,
     ):
-        self.space = space
+        super().__init__(space, cache, max_evals)
         self.suite = {b.name: b for b in suite}
         if len(self.suite) != len(suite):
             raise ValueError("benchmark names must be unique within a suite")
@@ -344,13 +394,10 @@ class CommandEvaluator:
         self._fingerprints = {
             b.name: _toolchain_fingerprint(b, workdir, file_digests) for b in suite
         }
-        self.cache = cache if cache is not None else EvalCache()
         self.workdir = workdir
         # commands may run with a different cwd, so the binary path must be absolute
         self.build_dir = Path(build_dir).resolve()
-        self.executions = 0
         self.compilations = 0
-        self.cache_hits = 0
         # compiles started by evaluate_many, by (benchmark, configuration key)
         self._prebuilt: dict[tuple[str, str], Future] = {}
         # the commands running now, in any thread
@@ -363,16 +410,17 @@ class CommandEvaluator:
         _check_member(self.space, config)
         return _config_key(config, self._fingerprints[bench_name])
 
-    def _out_path(self, config: Configuration, bench_name: str) -> Path:
-        return self.build_dir / f"{bench_name}-{config.base_level}-{config.bitstring}.bin"
+    def _out_path(self, bench_name: str, key: str) -> Path:
+        """The binary of a configuration key: a name of fixed length, however
+        many flags the space holds."""
+        return self.build_dir / f"{bench_name}-{_digest_bytes(key.encode())}.bin"
 
-    def evaluate_many(
-        self, pairs: Sequence[tuple[Configuration, str]]
-    ) -> Iterator[Measurement]:
+    def evaluate_many(self, pairs: Sequence[tuple[Configuration, str]]) -> Iterator[Measurement]:
         """The measurements of independent ``pairs``, in order, each from
         ``evaluate``.
 
-        Pairs go through in chunks holding at most one compile per CPU. A
+        Pairs go through in chunks holding at most one compile per CPU, and
+        a spent budget interrupts before a chunk is built. A
         chunk's compiles are the pairs whose configuration the cache does not
         hold when the chunk starts, each distinct pair once; with two or more,
         ``_build_ahead`` runs them before the chunk's first ``evaluate``,
@@ -387,6 +435,7 @@ class CommandEvaluator:
         width = len(os.sched_getaffinity(0))
         start = 0
         while start < len(pairs):
+            self._check_budget()
             misses: dict[tuple[str, str], Configuration] = {}
             end = start
             while end < len(pairs):
@@ -403,9 +452,9 @@ class CommandEvaluator:
                 for config, bench_name in pairs[start:end]:
                     yield self.evaluate(config, bench_name)
             finally:
-                for key, config in misses.items():
+                for key in misses:
                     self._prebuilt.pop(key, None)
-                    self._out_path(config, key[0]).unlink(missing_ok=True)
+                    self._out_path(*key).unlink(missing_ok=True)
             start = end
 
     def _build_ahead(self, misses: dict[tuple[str, str], Configuration]) -> None:
@@ -420,7 +469,7 @@ class CommandEvaluator:
             try:
                 for key, config in misses.items():
                     self.compilations += 1
-                    bench, out_path = self.suite[key[0]], self._out_path(config, key[0])
+                    bench, out_path = self.suite[key[0]], self._out_path(*key)
                     pending.append(pool.submit(self._compile, config, bench, out_path))
                     self._prebuilt[key] = pending[-1]
                 wait(pending)
@@ -431,26 +480,18 @@ class CommandEvaluator:
                     pending = wait(pending, timeout=0.05).not_done
                 raise
 
-    def evaluate(self, config: Configuration, bench_name: str) -> Measurement:
-        """The recorded outcome of one configuration, or a fresh one.
+    def _measure(self, config: Configuration, bench_name: str, key: str) -> Measurement:
+        """The outcome of a configuration the cache does not hold.
 
-        The configuration is looked up under the benchmark's fingerprint
-        before anything is compiled, and the binary's digest before it is
-        run; a hit is returned as the cache answers it, marked ``cached``.
         A binary that ``evaluate_many`` built ahead is used, and an error its
-        compile raised is raised here. Every outcome is put once, under the
-        configuration's key; the cache files one that carries a digest under
-        the digest as well, so a binary that failed its run is not run again
-        either. The measured time is the minimum over ``repeat_runs`` timed
-        executions.
+        compile raised is raised here. The binary's digest is looked up
+        before it is run, and a hit is returned as the cache answers it; the
+        cache files an outcome that carries a digest under the digest as
+        well, so a binary that failed its run is not run again either. The
+        measured time is the minimum over ``repeat_runs`` timed executions.
         """
-        key = self._key(config, bench_name)
-        hit = self.cache.get(bench_name, key)
-        if hit is not None:
-            self.cache_hits += 1
-            return hit
         bench = self.suite[bench_name]
-        out_path = self._out_path(config, bench_name)
+        out_path = self._out_path(bench_name, key)
         try:
             built = self._prebuilt.pop((bench_name, key), None)
             if built is None:
@@ -458,11 +499,9 @@ class CommandEvaluator:
                 failed = self._compile(config, bench, out_path)
             else:
                 failed = built.result()
-            meas = failed if failed is not None else self._run(bench, out_path)
+            return failed if failed is not None else self._run(bench, out_path)
         finally:
             out_path.unlink(missing_ok=True)
-        self.cache.put(bench_name, key, meas)
-        return meas
 
     def _compile(
         self, config: Configuration, bench: Benchmark, out_path: Path
@@ -487,7 +526,6 @@ class CommandEvaluator:
         digest = _digest_bytes(self._fingerprints[bench.name].encode() + out_path.read_bytes())
         hit = self.cache.get(bench.name, digest)
         if hit is not None:
-            self.cache_hits += 1
             return hit
 
         argv = _fill(bench.run_command, bin=out_path)
@@ -649,8 +687,8 @@ def load_synthetic_model(path: str | Path) -> SyntheticModel:
     return SyntheticModel(benches)
 
 
-class SyntheticEvaluator:
-    """Evaluator backed by a SyntheticModel, optionally cache-fronted.
+class SyntheticEvaluator(_CachedEvaluator):
+    """Evaluator backed by a SyntheticModel.
 
     Model computations stand in for timed executions, so ``executions``
     counts fresh model evaluations and cache replays count none. Each
@@ -659,26 +697,20 @@ class SyntheticEvaluator:
     under another model or space never answers.
     """
 
-    def __init__(self, space: FlagSpace, model: SyntheticModel, cache: EvalCache | None = None):
+    def __init__(self, space: FlagSpace, model: SyntheticModel, cache: EvalCache | None = None,
+                 *, max_evals: int | None = None):
         model.validate(space)
-        self.space = space
+        super().__init__(space, cache, max_evals)
         self.model = model
-        self.cache = cache if cache is not None else EvalCache()
         self._fingerprint = _digest_bytes(repr(([f.name for f in space.flags], model)).encode())
-        self.executions = 0
-        self.cache_hits = 0
 
-    def evaluate(self, config: Configuration, bench_name: str) -> Measurement:
-        key = _config_key(config, self._fingerprint)
-        hit = self.cache.get(bench_name, key)
-        if hit is not None:
-            self.cache_hits += 1
-            return hit
+    def _key(self, config: Configuration, bench_name: str) -> str:
+        return _config_key(config, self._fingerprint)
+
+    def _measure(self, config: Configuration, bench_name: str, key: str) -> Measurement:
         time = self.model.time_for(self.space, config, bench_name)
-        meas = Measurement(STATUS_OK, time=time)
         self.executions += 1
-        self.cache.put(bench_name, key, meas)
-        return meas
+        return Measurement(STATUS_OK, time=time)
 
 
 def load_suite(path: str | Path) -> list[Benchmark]:

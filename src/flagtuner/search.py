@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import random
-from contextlib import closing
 from dataclasses import dataclass, field
 from statistics import fmean
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
@@ -35,25 +34,13 @@ class CampaignError(RuntimeError):
     """The campaign cannot produce a valid result (e.g. baseline failed)."""
 
 
-class CampaignInterrupted(RuntimeError):
-    """Raised by a budgeted evaluator when the evaluation budget is spent."""
-
-
 class Evaluator(Protocol):
-    def evaluate(self, config: Configuration, bench_name: str) -> Measurement: ...
+    """``evaluate_many`` gives the measurements of pairs that do not depend on
+    each other, in order; it may work ahead (``CommandEvaluator`` compiles in
+    parallel)."""
 
-
-def evaluate_batch(
-    evaluator: Evaluator, pairs: Sequence[tuple[Configuration, str]]
-) -> Iterator[Measurement]:
-    """The measurements of ``pairs``, which do not depend on each other, in
-    order: from the evaluator's ``evaluate_many`` if it has one, which may
-    work ahead (``CommandEvaluator`` compiles in parallel), else from
-    ``evaluate`` one pair at a time."""
-    many = getattr(evaluator, "evaluate_many", None)
-    if many is not None:
-        return many(pairs)
-    return (evaluator.evaluate(config, bench) for config, bench in pairs)
+    def evaluate_many(self, pairs: Sequence[tuple[Configuration, str]]) -> Iterator[Measurement]:
+        ...
 
 
 @dataclass
@@ -158,7 +145,7 @@ def run_ric(
     trace = trace if trace is not None else CampaignTrace()
     rng = random.Random(seed)
     configs = [space.stock_config()] + [sample_ric(space, rng) for _ in range(n_configs)]
-    results = evaluate_batch(evaluator, [(cfg, b) for cfg in configs for b in benches])
+    results = evaluator.evaluate_many([(cfg, b) for cfg in configs for b in benches])
     for n, cfg in enumerate(configs):
         trace.append(cfg, dict(zip(benches, results)), "sample" if n else "baseline")
     return trace
@@ -239,7 +226,7 @@ def _eliminate(
     trace = trace if trace is not None else CampaignTrace()
     state = state if state is not None else CEState()
     _check_member(space, B)
-    batch = evaluate_batch(evaluator, [(B, b) for b in benches])
+    batch = evaluator.evaluate_many([(B, b) for b in benches])
     ref_meas = dict(zip(benches, batch, strict=True))
     trace.append(B, ref_meas, "baseline")
     failed = [f"{b} ({m.status})" for b, m in ref_meas.items() if not m.ok]
@@ -257,7 +244,7 @@ def _eliminate(
         measured: dict[int, dict[str, Measurement]] = {i: {} for i in flags}
         alive = flags
         for b in benches:
-            batch = evaluate_batch(evaluator, [(cands[i], b) for i in alive])
+            batch = evaluator.evaluate_many([(cands[i], b) for i in alive])
             limit, survivors = bound[b], []
             for i, m in zip(alive, batch, strict=True):
                 measured[i][b] = m
@@ -317,38 +304,3 @@ def best_known_record(
 def best_known(traces: Sequence[CampaignTrace], benchmark: str) -> Measurement:
     """Best-known measurement for a benchmark across all supplied traces."""
     return best_known_record(traces, benchmark)[2]
-
-
-class BudgetedEvaluator:
-    """Interrupt a campaign after a fixed number of fresh evaluations.
-
-    Cache replays are free; only measurements that actually execute count
-    against the budget. The interruption is raised at the start of the
-    first pair after the budget is spent, so a campaign that finishes
-    exactly on budget completes normally. A batch is passed on lazily, one
-    pair at a time, and closed when the budget interrupts it.
-    """
-
-    def __init__(self, inner: Evaluator, max_evals: int):
-        if max_evals < 1:
-            raise ValueError("max_evals must be >= 1")
-        self.inner = inner
-        self.max_evals = max_evals
-        self.used = 0
-
-    def evaluate(self, config: Configuration, bench_name: str) -> Measurement:
-        return next(self.evaluate_many([(config, bench_name)]))
-
-    def evaluate_many(
-        self, pairs: Sequence[tuple[Configuration, str]]
-    ) -> Iterator[Measurement]:
-        with closing(evaluate_batch(self.inner, pairs)) as results:
-            for _ in pairs:
-                if self.used >= self.max_evals:
-                    raise CampaignInterrupted(
-                        f"evaluation budget of {self.max_evals} fresh measurements spent"
-                    )
-                meas = next(results)
-                if not meas.cached:
-                    self.used += 1
-                yield meas

@@ -122,6 +122,13 @@ def random_suite_instance(
     return space, model_of(benches), names
 
 
+class PairByPair:
+    """A test evaluator's ``evaluate_many``: its ``evaluate``, pair by pair."""
+
+    def evaluate_many(self, pairs):
+        return (self.evaluate(config, bench) for config, bench in pairs)
+
+
 def config_of(level: str, mask: int, n: int) -> Configuration:
     """The configuration whose flag j is enabled when bit j of ``mask`` is set."""
     return Configuration(level, tuple(bool((mask >> j) & 1) for j in range(n)))

@@ -21,7 +21,7 @@ from flagtuner.search import (
     run_ce,
     run_ric,
 )
-from helpers import model_of, pair_dependency_model, space_of
+from helpers import PairByPair, model_of, pair_dependency_model, space_of
 
 
 def _trace(rows):
@@ -263,7 +263,7 @@ def test_xval_reports_fold_campaign_errors():
     model = model_of({b: {"base": 100.0} for b in benches})
     inner = SyntheticEvaluator(space, model)
 
-    class FlakyAfterReference:
+    class FlakyAfterReference(PairByPair):
         # behaves until the reference pass (4 calls) is done, then breaks b0
         def __init__(self):
             self.calls = 0

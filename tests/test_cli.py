@@ -698,6 +698,27 @@ def test_out_dir_with_a_space(tmp_path, demo_config):
     assert list(spaced.parent.iterdir()) == [spaced]
 
 
+def test_binary_name_does_not_grow_with_the_flag_count(tmp_path):
+    """A binary's name has a fixed length, so a space of 300 flags, past the
+    255-byte limit on a file name at one character per flag, still runs."""
+    (tmp_path / "space.json").write_text(json.dumps({
+        "base_levels": ["O2", "O3"], "default_baseline": "O3",
+        "flags": [{"name": f"g{i}", "on": f"-fg{i}", "off": f"-fno-g{i}"} for i in range(300)],
+    }))
+    config = write_config(tmp_path / "c.json", flag_space=str(tmp_path / "space.json"),
+                          mode="external", model=None, suite=str(DEMO / "stub_suite.json"),
+                          n_configs=2)
+    out = tmp_path / "ric"
+    for _ in range(2):
+        assert main(["ric", "--config", str(config), "--out", str(out)]) == 0
+        assert list((out / "build").iterdir()) == []
+    summary = (out / "summary.txt").read_text(encoding="utf-8")
+    assert summary.startswith("ric: evaluations=0 cache_hits=6 ")
+    out = tmp_path / "ce"
+    assert main(["ce", "--config", str(config), "--out", str(out), "--max-evals", "4"]) == 3
+    assert list((out / "build").iterdir()) == []
+
+
 @pytest.fixture
 def built_campaigns(monkeypatch):
     """Every Campaign the cli builds, in order, to read its counters."""
@@ -722,7 +743,7 @@ def test_external_replay_compiles_nothing(tmp_path, demo_config, built_campaigns
     cold = _resumable_artifacts(out)
     assert main([*argv, "--resume", str(out / "checkpoint.json")]) == 0
     assert _resumable_artifacts(out) == cold
-    first, replay = (camp.counters for camp in built_campaigns)
+    first, replay = (camp.evaluator for camp in built_campaigns)
     assert first.compilations > 0
     assert (replay.compilations, replay.executions) == (0, 0)
     assert replay.cache_hits == first.cache_hits + first.executions
@@ -734,7 +755,7 @@ def test_repeated_configuration_compiles_once(tmp_path, demo_config, built_campa
     trace = read_trace(out / "ric.trace", load_flag_space(DEMO / "stub_space.json"))
     pairs = [(rec.config.key(), bench) for rec in trace.records for bench in rec.measurements]
     assert len(set(pairs)) < len(pairs)  # the config's seed draws one configuration twice
-    assert built_campaigns[0].counters.compilations == len(set(pairs))
+    assert built_campaigns[0].evaluator.compilations == len(set(pairs))
 
 
 def _stub_copy(tmp_path: Path) -> Path:
@@ -754,7 +775,7 @@ def test_changed_run_command_runs_binaries_again(tmp_path, built_campaigns):
     suite["benchmarks"][0]["run_command"] += "-board2"
     (tmp_path / "suite.json").write_text(json.dumps(suite))
     assert main(argv) == 0
-    first, second = (camp.counters for camp in built_campaigns)
+    first, second = (camp.evaluator for camp in built_campaigns)
     assert 0 < second.executions < first.executions  # the unchanged entry stays cached
 
 
@@ -765,7 +786,7 @@ def test_edited_compiler_script_recompiles(tmp_path, built_campaigns):
     with open(tmp_path / "stub" / "stubcc.py", "a", encoding="utf-8") as fh:
         fh.write("# edited\n")
     assert main(argv) == 0
-    first, second = (camp.counters for camp in built_campaigns)
+    first, second = (camp.evaluator for camp in built_campaigns)
     assert (second.compilations, second.executions) == (first.compilations, first.executions)
 
 

@@ -19,9 +19,8 @@ import pytest
 
 import flagtuner
 from flagtuner.cli import main
-from flagtuner.evaluator import Benchmark, CommandEvaluator
+from flagtuner.evaluator import Benchmark, CampaignInterrupted, CommandEvaluator
 from flagtuner.flagspace import load_flag_space
-from flagtuner.search import BudgetedEvaluator, CampaignInterrupted
 from helpers import config_of
 from test_evaluator import _gone_soon
 
@@ -125,14 +124,30 @@ def test_configuration_twice_in_one_batch_compiles_once(tmp_path, space, wide):
 
 def test_budget_interrupt_mid_chunk_leaves_build_empty(tmp_path, space, wide):
     build = tmp_path / "build"
-    ev = CommandEvaluator(space, logging_suite(tmp_path), workdir=tmp_path, build_dir=build)
-    budgeted = BudgetedEvaluator(ev, 1)
+    ev = CommandEvaluator(space, logging_suite(tmp_path), workdir=tmp_path, build_dir=build,
+                          max_evals=1)
     pairs = [(config, "alpha") for config in distinct_configs(space, 4)]
     with pytest.raises(CampaignInterrupted):
-        for _ in budgeted.evaluate_many(pairs):
+        for _ in ev.evaluate_many(pairs):
             pass
     assert ev.compilations == 4  # the whole chunk was built ahead
     assert ev.executions == 1
+    assert list(build.iterdir()) == []
+
+
+def test_budget_spent_on_a_chunk_boundary_builds_no_further_chunk(tmp_path, space, wide):
+    """A budget spent on the last pair of one chunk interrupts before the
+    next chunk is compiled ahead."""
+    build = tmp_path / "build"
+    ev = CommandEvaluator(space, logging_suite(tmp_path), workdir=tmp_path, build_dir=build,
+                          max_evals=4)
+    # both levels with unroll-loops on and off: four distinct binaries per benchmark
+    configs = [config_of(level, mask, len(space)) for level in space.base_levels for mask in (0, 1)]
+    pairs = [(config, bench) for bench in ("alpha", "beta") for config in configs]
+    with pytest.raises(CampaignInterrupted):
+        for _ in ev.evaluate_many(pairs):
+            pass
+    assert ev.compilations == ev.executions == 4
     assert list(build.iterdir()) == []
 
 

@@ -6,14 +6,19 @@ from statistics import fmean
 import pytest
 from hypothesis import given, strategies as st
 
-from flagtuner.evaluator import Measurement, SyntheticEvaluator
-from flagtuner.flagspace import Configuration, _check_member, toggle
-from flagtuner.oracle import per_benchmark_optimum
+from flagtuner.evaluator import (
+    BenchmarkModel,
+    CampaignInterrupted,
+    Measurement,
+    PairDelta,
+    SyntheticEvaluator,
+    SyntheticModel,
+)
+from flagtuner.flagspace import Configuration, Flag, FlagSpace, _check_member, toggle
+from flagtuner.oracle import per_benchmark_optimum, suite_constrained_optimum
 from flagtuner.search import (
     AGGREGATES,
-    BudgetedEvaluator,
     CampaignError,
-    CampaignInterrupted,
     CampaignTrace,
     CEState,
     _eliminate,
@@ -26,6 +31,7 @@ from flagtuner.search import (
     sample_ric,
 )
 from helpers import (
+    PairByPair,
     model_of,
     pair_dependency_model,
     random_additive_instance,
@@ -189,7 +195,7 @@ def test_ce_misses_pair_dependency():
 def test_ce_fails_fast_on_broken_baseline():
     space = space_of(1)
 
-    class Broken:
+    class Broken(PairByPair):
         def evaluate(self, config, bench):
             return Measurement("compile_error")
 
@@ -202,7 +208,7 @@ def test_ce_survives_failing_probes():
     model = model_of({"b": {"base": 100.0, "deltas": {"f0": 10.0}}})
     inner = SyntheticEvaluator(space, model)
 
-    class FlakyProbe:
+    class FlakyProbe(PairByPair):
         # the probe disabling f1 always breaks; search must carry on
         def evaluate(self, config, bench):
             if not config.assignment[1]:
@@ -339,7 +345,7 @@ def test_suite_ce_zero_threshold_never_worse_anywhere():
 def test_suite_ce_baseline_failure_is_fatal():
     space = space_of(1)
 
-    class Broken:
+    class Broken(PairByPair):
         def evaluate(self, config, bench):
             if bench == "B":
                 return Measurement("timeout")
@@ -431,6 +437,58 @@ def test_elimination_score_is_the_final_configurations_aggregate(rng, threshold_
 
 
 # ---------------------------------------------------------------------------
+# the oracle checks the search
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("aggregate", sorted(AGGREGATES))
+@pytest.mark.parametrize("t", [0.0, 2.0, 5.0])
+def test_search_never_beats_the_oracle(t, aggregate):
+    """Elimination is greedy, so the exact optima bound it. The comparison is
+    exact: the oracle's scorer gives ``time_for``'s floats bit for bit, and
+    both sides aggregate the same ratios."""
+    for seed in range(50):
+        space, model, benches = random_suite_instance(random.Random(seed))
+        ev = SyntheticEvaluator(space, model)
+        state = CEState()
+        run_suite_ce(space, benches, ev, t, aggregate, state=state)
+        stock = space.stock_config()
+        reference = {b: model.time_for(space, stock, b) for b in benches}
+        optimum, _ = suite_constrained_optimum(space, model, benches, t, reference,
+                                               base_level=stock.base_level,
+                                               aggregate_fn=AGGREGATES[aggregate])
+        assert state.score >= optimum, seed
+        for b in benches:
+            config, _ = run_ce(space, b, ev)
+            assert model.time_for(space, config, b) >= per_benchmark_optimum(space, model, b)[0]
+
+
+def test_suite_ce_stalls_at_zero_threshold():
+    """Greedy elimination's known limit (Pan & Eigenmann, CGO 2006): at t = 0
+    every single toggle slows one of the two benchmarks, so ``suite-ce``
+    keeps the stock configuration, while turning f1 and f2 off together
+    speeds both up. The search is meant to stall here."""
+    flags = tuple(Flag(f"f{i}", f"-ff{i}", f"-fno-f{i}") for i in range(4))
+    space = FlagSpace(flags, ("O3",), "O3")
+    model = SyntheticModel({
+        "b0": BenchmarkModel(100.0, flag_delta={"f0": 3.99, "f1": 1.13, "f2": -0.37,
+                                                "f3": -2.46}),
+        "b1": BenchmarkModel(100.0, flag_delta={"f0": -2.13, "f1": -1.87, "f2": 3.22,
+                                                "f3": -3.09},
+                             pair_delta=(PairDelta("f0", "f1", False, True, 1.93),)),
+    })
+    state = CEState()
+    config, trace = run_suite_ce(space, ["b0", "b1"], SyntheticEvaluator(space, model), 0.0,
+                                 "mean", state=state)
+    assert (config.bitstring, state.score) == ("1111", 1.0)
+    assert not [rec for rec in trace if rec.annotation.startswith("accepted")]
+    stock = space.stock_config()
+    reference = {b: model.time_for(space, stock, b) for b in ("b0", "b1")}
+    optimum, best = suite_constrained_optimum(space, model, ["b0", "b1"], 0.0, reference)
+    assert best.bitstring == "1001"
+    assert optimum == pytest.approx(0.98926, abs=1e-5)
+
+
+# ---------------------------------------------------------------------------
 # best_known
 # ---------------------------------------------------------------------------
 
@@ -481,11 +539,11 @@ def test_budget_interrupts_and_resume_matches(tradeoff_space, tradeoff_model):
     from flagtuner.evaluator import EvalCache
 
     cache = EvalCache()
-    budgeted = BudgetedEvaluator(SyntheticEvaluator(tradeoff_space, tradeoff_model, cache), 9)
+    ev = SyntheticEvaluator(tradeoff_space, tradeoff_model, cache, max_evals=9)
     partial = CampaignTrace()
     with pytest.raises(CampaignInterrupted):
-        run_suite_ce(tradeoff_space, benches, budgeted, t, trace=partial)
-    assert budgeted.used == 9
+        run_suite_ce(tradeoff_space, benches, ev, t, trace=partial)
+    assert ev.used == 9
     assert 0 < len(partial) < len(full_trace)
 
     resumed_ev = SyntheticEvaluator(tradeoff_space, tradeoff_model, cache)
@@ -496,7 +554,7 @@ def test_budget_interrupts_and_resume_matches(tradeoff_space, tradeoff_model):
 
 def test_budget_allows_exact_fit():
     space, model = pair_dependency_model()
-    ev = BudgetedEvaluator(SyntheticEvaluator(space, model), 3)
+    ev = SyntheticEvaluator(space, model, max_evals=3)
     config, trace = run_ce(space, "cover", ev)  # needs exactly 3 evaluations
     assert len(trace) == 3
     assert config == space.all_enabled()
@@ -573,7 +631,7 @@ class RecordingState(CEState):
         self.captures.append((self.S, self.B, self.X))
 
 
-class FailingEvaluator:
+class FailingEvaluator(PairByPair):
     """A synthetic evaluator that fails a fixed share of pairs, chosen by a
     hash of the pair, and logs the order it evaluated the pairs in. Pairs of
     the configuration ``spared`` never fail."""

@@ -7,6 +7,7 @@ are reached through the language, not by name.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -21,6 +22,7 @@ UNREACHED = {
     "enumerate_configurations": "the benchmark's tracer wraps it; tests use it as brute force",
     "get_failure": "the benchmark's tracer wraps EvalCache.get_failure",
     "read_final_config": "the benchmark's tracer wraps it; tests read configs with it",
+    "counters": "the benchmark's worker reads Campaign.counters",
 }
 
 
@@ -46,3 +48,25 @@ def test_every_definition_is_reached():
 def test_allowlist_names_only_unreached_definitions():
     defined, used = _defined_and_used()
     assert sorted(UNREACHED.keys() - (defined - used)) == []
+
+
+def test_benchmark_tracer_wraps_names_that_exist():
+    """The benchmark's traced runs wrap package functions and methods by
+    name, so renaming one breaks them: ``install`` raises. ``uninstall``
+    puts every original back."""
+    spec = importlib.util.spec_from_file_location("tracing", REPO / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(str(REPO / "demo" / "stub" / "stubcc.py"))
+        patched = list(tracer._undo)
+    finally:
+        tracer.uninstall()
+    assert patched
+    assert [(owner, attr) for owner, attr, original in patched
+            if getattr(owner, attr) is not original] == []
+    for owner, attr, original in patched:  # an inherited method is inherited again
+        if isinstance(owner, type) and any(vars(base).get(attr) is original
+                                           for base in owner.__mro__[1:]):
+            delattr(owner, attr)
