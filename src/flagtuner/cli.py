@@ -11,12 +11,14 @@ run.log.
 
 Exit codes: 0 success, 1 usage/parse error, 2 campaign failure,
 3 interrupted with a valid checkpoint. An OSError once a campaign is built
-interrupts it (3), or fails it (2) if the checkpoint cannot be written.
+interrupts it (3), or fails it (2) if the checkpoint cannot be written or
+if it is E2BIG, a command too long to start, which no resume gets past.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import sys
 from dataclasses import dataclass, field
@@ -322,7 +324,9 @@ def _run_campaign(args, body: Callable[[Campaign], list[str]]) -> int:
     ``--max-evals`` budget, ends the body early and leaves an interrupted
     checkpoint. So does an ``OSError`` once the campaign is built (a full
     disk, a compiler that cannot be started); when even the trace or the
-    checkpoint cannot be written, the campaign fails instead.
+    checkpoint cannot be written, the campaign fails instead. An ``E2BIG``
+    (a command line past the kernel's limits) fails it at once, with no
+    checkpoint, as every resume would meet it again.
     """
     command = args.command
     cfg, out = _load_config(args, command)
@@ -335,6 +339,8 @@ def _run_campaign(args, body: Callable[[Campaign], list[str]]) -> int:
     except (CampaignInterrupted, KeyboardInterrupt):
         summary = None
     except OSError as exc:
+        if exc.errno == errno.E2BIG:
+            raise CampaignError(exc) from exc
         print(f"flagtuner: {exc}", file=sys.stderr)
         summary = None
     progress = camp.progress if camp.trace is None else {"records": len(camp.trace), **camp.progress}

@@ -72,9 +72,9 @@ class Benchmark:
     space-joined), so no value is split again. Each template is filled in
     once when the benchmark is made, so one that a campaign could not fill
     is rejected as the suite loads. With ``timing="reported"``
-    the run command must print a single floating-point time in seconds on
-    its last output line; with ``timing="external"`` the harness
-    wall-clocks the process instead.
+    the run command must print a single floating-point time in seconds,
+    finite and above 0, on its last output line; with ``timing="external"``
+    the harness wall-clocks the process instead.
     """
 
     name: str
@@ -316,9 +316,10 @@ def _run_command(
     anything else (a Ctrl-C) interrupts the wait, the whole process group is
     killed, so no background child outlives the command, and the call waits
     only for the command itself, so a child that escaped the group and holds
-    the pipes cannot hang it."""
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                          cwd=cwd, start_new_session=True) as proc:
+    the pipes cannot hang it. Output is read as UTF-8, a byte that is not
+    UTF-8 as U+FFFD."""
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, encoding="utf-8",
+                          errors="replace", cwd=cwd, start_new_session=True) as proc:
         running.add(proc)
         try:
             stdout, stderr = proc.communicate(timeout=timeout)
@@ -332,13 +333,14 @@ def _run_command(
 
 
 def _parse_reported_time(stdout: str) -> float | None:
+    """The number on the last line of ``stdout`` that is not blank, if it is
+    finite and above 0."""
     lines = [ln for ln in stdout.splitlines() if ln.strip()]
-    if not lines:
-        return None
     try:
-        return float(lines[-1].strip())
-    except ValueError:
+        reported = float(lines[-1])
+    except (IndexError, ValueError):
         return None
+    return reported if 0 < reported < math.inf else None
 
 
 def _toolchain_fingerprint(
@@ -398,7 +400,7 @@ class CommandEvaluator(_CachedEvaluator):
         # commands may run with a different cwd, so the binary path must be absolute
         self.build_dir = Path(build_dir).resolve()
         self.compilations = 0
-        # compiles started by evaluate_many, by (benchmark, configuration key)
+        # compiles joined by _build_ahead, by (benchmark, configuration key)
         self._prebuilt: dict[tuple[str, str], Future] = {}
         # the commands running now, in any thread
         self._running: set[subprocess.Popen] = set()
@@ -422,8 +424,8 @@ class CommandEvaluator(_CachedEvaluator):
         Pairs go through in chunks holding at most one compile per CPU, and
         a spent budget interrupts before a chunk is built. A
         chunk's compiles are the pairs whose configuration the cache does not
-        hold when the chunk starts, each distinct pair once; with two or more,
-        ``_build_ahead`` runs them before the chunk's first ``evaluate``,
+        hold when the chunk starts, each distinct pair once; ``_build_ahead``
+        runs them, a lone one too, before the chunk's first ``evaluate``,
         which then uses the prebuilt binary. As a pair is only compiled when
         its configuration is missed, the compiles, runs and hits are those of
         evaluating the pairs one by one. Digests and timed runs stay in the
@@ -447,7 +449,7 @@ class CommandEvaluator(_CachedEvaluator):
                     misses[key] = config
                 end += 1
             try:
-                if len(misses) > 1:
+                if misses:  # a pool of no threads raises
                     self._build_ahead(misses)
                 for config, bench_name in pairs[start:end]:
                     yield self.evaluate(config, bench_name)
@@ -458,9 +460,9 @@ class CommandEvaluator(_CachedEvaluator):
             start = end
 
     def _build_ahead(self, misses: dict[tuple[str, str], Configuration]) -> None:
-        """Compile ``misses`` on a thread pool and join it. Its threads never
-        see a Ctrl-C, so when one interrupts the wait, every compile still
-        running is killed with its process group, and waited for, first."""
+        """Compile ``misses`` on a thread pool, join it and file the futures in
+        ``_prebuilt``. A Ctrl-C, which the threads never see, files none: it
+        kills every running compile's process group and waits for them first."""
         # imported here: it adds some 7 ms to every start-up otherwise
         from concurrent.futures import ThreadPoolExecutor, wait
 
@@ -471,7 +473,6 @@ class CommandEvaluator(_CachedEvaluator):
                     self.compilations += 1
                     bench, out_path = self.suite[key[0]], self._out_path(*key)
                     pending.append(pool.submit(self._compile, config, bench, out_path))
-                    self._prebuilt[key] = pending[-1]
                 wait(pending)
             except BaseException:
                 while pending:  # a thread may start its command after a sweep
@@ -479,27 +480,24 @@ class CommandEvaluator(_CachedEvaluator):
                         _kill_group(proc)
                     pending = wait(pending, timeout=0.05).not_done
                 raise
+        self._prebuilt.update(zip(misses, pending))
 
     def _measure(self, config: Configuration, bench_name: str, key: str) -> Measurement:
         """The outcome of a configuration the cache does not hold.
 
-        A binary that ``evaluate_many`` built ahead is used, and an error its
-        compile raised is raised here. The binary's digest is looked up
-        before it is run, and a hit is returned as the cache answers it; the
-        cache files an outcome that carries a digest under the digest as
-        well, so a binary that failed its run is not run again either. The
+        ``_build_ahead`` builds the binary (here, unless ``evaluate_many`` did)
+        and an error its compile raised is raised here. The binary's digest is
+        looked up before it is run, and a hit is returned as the cache answers
+        it; the cache files an outcome that carries a digest under the digest
+        as well, so a binary that failed its run is not run again either. The
         measured time is the minimum over ``repeat_runs`` timed executions.
         """
-        bench = self.suite[bench_name]
         out_path = self._out_path(bench_name, key)
         try:
-            built = self._prebuilt.pop((bench_name, key), None)
-            if built is None:
-                self.compilations += 1
-                failed = self._compile(config, bench, out_path)
-            else:
-                failed = built.result()
-            return failed if failed is not None else self._run(bench, out_path)
+            if (bench_name, key) not in self._prebuilt:  # a direct evaluate
+                self._build_ahead({(bench_name, key): config})
+            failed = self._prebuilt.pop((bench_name, key)).result()
+            return failed if failed is not None else self._run(self.suite[bench_name], out_path)
         finally:
             out_path.unlink(missing_ok=True)
 
@@ -507,7 +505,7 @@ class CommandEvaluator(_CachedEvaluator):
         self, config: Configuration, bench: Benchmark, out_path: Path
     ) -> Measurement | None:
         """Build ``out_path``: None once the binary exists, else the compile
-        error. Safe to call from a pool thread."""
+        error. Runs on a pool thread of ``_build_ahead``."""
         self.build_dir.mkdir(parents=True, exist_ok=True)
         argv = _fill(bench.compile_command, render_args(self.space, config), out=out_path)
         try:
@@ -548,7 +546,7 @@ class CommandEvaluator(_CachedEvaluator):
                 times.append(elapsed)
                 continue
             reported = _parse_reported_time(proc.stdout)
-            if reported is None or reported <= 0:
+            if reported is None:
                 return Measurement(
                     STATUS_RUN_ERROR,
                     digest=digest,

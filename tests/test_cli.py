@@ -138,6 +138,73 @@ def test_missing_compiler_interrupts_with_checkpoint(tmp_path):
     assert not list((out / "build").iterdir())
 
 
+def _one_benchmark_config(tmp_path: Path, scripts: dict[str, str], compile_command: str,
+                          run_command: str, **overrides) -> Path:
+    """An external campaign config for one benchmark ``b`` built and run by
+    the given commands, with ``scripts`` written beside the suite."""
+    for name, text in scripts.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "suite.json").write_text(json.dumps({"benchmarks": [
+        {"name": "b", "compile_command": compile_command, "run_command": run_command},
+    ]}))
+    return write_config(tmp_path / "c.json", mode="external", suite="suite.json", model=None,
+                        **{"flag_space": str(DEMO / "stub_space.json"), "n_configs": 2} | overrides)
+
+
+def _cached_outcomes(path: Path) -> set[tuple[str, float | None, str]]:
+    with EvalCache(path) as cache:
+        return {(m.status, m.time, m.detail) for m in cache.entries.values()}
+
+
+def test_output_that_is_not_utf8_reads_as_replacement_characters(tmp_path):
+    bad_cc = "import sys\nsys.stderr.buffer.write(b'bad \\xff\\xfe byte')\nsys.exit(1)\n"
+    bad_run = "import sys\nsys.stdout.buffer.write(b'\\xff\\n1.0\\n')\n"
+    shutil.copy(DEMO / "stub" / "stubcc.py", tmp_path / "cc.py")
+    for name, compile_command in (("failing", "python3 -S bad_cc.py {flags} --out {out}"),
+                                  ("running", "python3 -S cc.py {flags} --out {out}")):
+        config = _one_benchmark_config(tmp_path, {"bad_cc.py": bad_cc, "bad_run.py": bad_run},
+                                       compile_command, "python3 -S bad_run.py {bin}")
+        assert main(["ric", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+    assert _cached_outcomes(tmp_path / "failing" / "cache.jsonl") == {
+        ("compile_error", None, "bad \ufffd\ufffd byte")}
+    assert _cached_outcomes(tmp_path / "running" / "cache.jsonl") == {("ok", 1.0, "")}
+
+
+@pytest.mark.parametrize("reported", ["nan", "inf", "1e400"])
+def test_reported_time_that_is_not_finite_is_a_run_error(tmp_path, reported):
+    shutil.copy(DEMO / "stub" / "stubcc.py", tmp_path / "cc.py")
+    config = _one_benchmark_config(tmp_path, {}, "python3 -S cc.py {flags} --out {out}",
+                                   f"python3 -S -c 'print(\"{reported}\")'")
+    out = tmp_path / "o"
+    summaries = []
+    for _ in range(2):
+        assert main(["ric", "--config", str(config), "--out", str(out)]) == 0
+        summaries.append((out / "summary.txt").read_text(encoding="utf-8"))
+    assert summaries[0].startswith("ric: evaluations=2 ")
+    assert summaries[1].startswith("ric: evaluations=0 ")
+    assert _cached_outcomes(out / "cache.jsonl") == {
+        ("run_error", None, "run command did not report a positive time")}
+
+
+def test_argument_list_too_long_fails_the_campaign(tmp_path, capsys):
+    """A ``{flags}`` inside a longer word is one argument, which Linux caps
+    at 128 KiB; no resume could get past it, so the campaign fails."""
+    (tmp_path / "space.json").write_text(json.dumps({
+        "base_levels": ["O3"], "default_baseline": "O3",
+        "flags": [{"name": f"flag-number-{i}", "on": f"-fflag-number-{i}",
+                   "off": f"-fno-flag-number-{i}"} for i in range(8000)],
+    }))
+    shutil.copy(DEMO / "stub" / "stubcc.py", tmp_path / "cc.py")
+    config = _one_benchmark_config(tmp_path, {}, "sh -c 'python3 -S cc.py {flags} --out {out}'",
+                                   "true", flag_space=str(tmp_path / "space.json"), n_configs=1)
+    out = tmp_path / "o"
+    for _ in range(2):
+        assert main(["ric", "--config", str(config), "--out", str(out)]) == 2
+        assert "Argument list too long" in capsys.readouterr().err
+        assert list((out / "build").iterdir()) == []
+        assert not (out / "checkpoint.json").exists()
+
+
 def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == 1
 

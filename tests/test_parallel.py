@@ -6,12 +6,14 @@ every process shares) to a log file for each compile and run, so the
 intervals can be checked after the fact.
 """
 
+import concurrent.futures
 import contextlib
 import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -168,6 +170,50 @@ def test_compile_that_raises_leaves_build_empty(tmp_path, space, wide):
         list(ev.evaluate_many([(config, "missing"), (config, "alpha")]))
     assert len(intervals(tmp_path, "compile")) == 1  # alpha was built ahead
     assert list(build.iterdir()) == []
+
+
+def test_every_compile_runs_on_the_pool(tmp_path, space, monkeypatch):
+    """A lone miss of a chunk, and a pair passed straight to ``evaluate``,
+    are compiled by ``_build_ahead`` as a chunk's misses are."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    threads = []
+    compile_on = CommandEvaluator._compile
+
+    def compile_(self, *args):
+        threads.append(threading.current_thread())
+        return compile_on(self, *args)
+
+    monkeypatch.setattr(CommandEvaluator, "_compile", compile_)
+    ev = CommandEvaluator(space, logging_suite(tmp_path), workdir=tmp_path,
+                          build_dir=tmp_path / "build")
+    a, b, c = distinct_configs(space, 3)
+    assert all(m.ok for m in ev.evaluate_many([(a, "alpha"), (b, "alpha")]))
+    assert ev.evaluate(c, "alpha").ok
+    assert ev.compilations == len(threads) == 3
+    assert threading.main_thread() not in threads
+    assert list((tmp_path / "build").iterdir()) == []
+
+
+def test_interrupted_direct_evaluate_files_no_compile(tmp_path, space, monkeypatch):
+    """A Ctrl-C while ``evaluate`` waits for its compile leaves nothing
+    behind that a later ``evaluate`` of the pair would take as built."""
+    joined, interrupted = concurrent.futures.wait, []
+
+    def ctrl_c_once(pending, timeout=None):
+        if timeout is None and not interrupted:
+            interrupted.append(True)
+            raise KeyboardInterrupt
+        return joined(pending, timeout)
+
+    monkeypatch.setattr(concurrent.futures, "wait", ctrl_c_once)
+    ev = CommandEvaluator(space, logging_suite(tmp_path), workdir=tmp_path,
+                          build_dir=tmp_path / "build")
+    config = space.stock_config()
+    with pytest.raises(KeyboardInterrupt):
+        ev.evaluate(config, "alpha")
+    assert list((tmp_path / "build").iterdir()) == []
+    assert ev.evaluate(config, "alpha").ok
+    assert ev.compilations == 2
 
 
 def test_stub_ric_counters_hold_in_parallel(tmp_path, wide):
