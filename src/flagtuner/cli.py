@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -166,8 +167,8 @@ def _load_config(args, command: str) -> tuple[CampaignConfig, Path]:
                 raise ConfigError(f"{path}: {key} file not found: {getattr(cfg, key)}")
     if cfg.aggregate not in AGGREGATES:
         raise ConfigError(f"{path}: unknown aggregate {cfg.aggregate!r}")
-    if not cfg.threshold_t >= 0:  # NaN as well
-        raise ConfigError(f"{path}: threshold_t must be >= 0, got {cfg.threshold_t}")
+    if not 0 <= cfg.threshold_t < math.inf:  # NaN as well
+        raise ConfigError(f"{path}: threshold_t must be finite and >= 0, got {cfg.threshold_t}")
     if cfg.n_configs < 1:
         raise ConfigError(f"{path}: n_configs must be >= 1, got {cfg.n_configs}")
     if cfg.k < 2:
@@ -204,7 +205,7 @@ class Campaign:
         return self.evaluator
 
     def counts(self) -> str:
-        return f"evaluations={self.evaluator.executions} cache_hits={self.evaluator.cache_hits}"
+        return f"evaluations={self.evaluator.used} cache_hits={self.evaluator.cache_hits}"
 
 
 def _load_space(path: str | Path) -> FlagSpace:
@@ -218,9 +219,9 @@ def _load_inputs(
     cfg: CampaignConfig,
 ) -> tuple[FlagSpace, SyntheticModel | list[Benchmark], list[str]]:
     """The flag space, the model (checked against the space) or suite, which
-    must hold a benchmark, and the benchmarks the config selects: its
-    ``benchmarks`` (default: all available), which must hold ``benchmark``
-    and, for ``xval``, at least ``k`` names."""
+    must hold a benchmark and no name with a '/' or NUL, and the benchmarks
+    the config selects: its ``benchmarks`` (default: all available), which
+    must hold ``benchmark`` and, for ``xval``, at least ``k`` names."""
     space = _load_space(cfg.flag_space)
     source = cfg.model if cfg.mode == "synthetic" else cfg.suite
     try:
@@ -235,6 +236,9 @@ def _load_inputs(
         raise ConfigError(f"{source}: {exc}") from exc
     if not available:
         raise ConfigError(f"{source}: no benchmarks")
+    unnamable = [b for b in available if "/" in b or "\0" in b]  # names go into file names
+    if unnamable:
+        raise ConfigError(f"{source}: a benchmark name must hold no '/' or NUL: {unnamable}")
     benchmarks = available if cfg.benchmarks is None else list(cfg.benchmarks)
     missing = [b for b in benchmarks if b not in available]
     if missing:

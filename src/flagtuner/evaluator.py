@@ -186,8 +186,8 @@ class EvalCache:
                 continue
             try:
                 rec = json.loads(line)
-                meas = Measurement(status=rec["status"], time=rec["time"], digest=rec["digest"],
-                                   cached=True, detail=rec.get("detail", ""))
+                meas = Measurement(status=rec["status"], time=json_field(rec, "time", float, None),
+                                   digest=rec["digest"], cached=True, detail=rec.get("detail", ""))
                 self._store(rec["benchmark"], rec["key"], meas)
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{self.path}: line {number} is not a cache record "
@@ -246,13 +246,16 @@ class EvalCache:
 class _CachedEvaluator:
     """The evaluation path both backends share.
 
-    ``evaluate`` takes the pair's key from the backend's ``_key`` and
-    returns the cache's answer to it; only on a miss does it call the
-    backend's ``_measure``, and it puts that outcome under the key. Every
-    outcome marked ``cached`` counts in ``cache_hits``, and every other
-    one spends one of ``max_evals`` fresh measurements (``used``). Once the
-    budget is spent, the next pair raises ``CampaignInterrupted``, a hit
-    too, so a campaign that ends exactly on budget completes.
+    ``evaluate`` checks the pair and keys it (``_key``): its configuration
+    under the fingerprint the backend gives its benchmark in
+    ``_fingerprints``. It returns the cache's answer to the key; only on a
+    miss does it call the backend's ``_measure``, and it puts that outcome
+    under the key. Three counters follow the outcomes: one marked
+    ``cached`` counts in ``cache_hits``; any other is fresh and spends one
+    of ``max_evals`` fresh evaluations (``used``), and a fresh one that is
+    not a compile error, which ran nothing, counts in ``executions`` too.
+    Once the budget is spent, the next pair raises ``CampaignInterrupted``,
+    a hit too, so a campaign that ends exactly on budget completes.
     """
 
     def __init__(self, space: FlagSpace, cache: EvalCache | None, max_evals: int | None):
@@ -269,6 +272,13 @@ class _CachedEvaluator:
         if self.used >= self.max_evals:
             raise CampaignInterrupted(f"budget of {self.max_evals} fresh evaluations spent")
 
+    def _key(self, config: Configuration, bench_name: str) -> str:
+        """The configuration key of a checked pair."""
+        if bench_name not in self._fingerprints:
+            raise ValueError(f"unknown benchmark {bench_name!r}")
+        _check_member(self.space, config)
+        return _config_key(config, self._fingerprints[bench_name])
+
     def evaluate(self, config: Configuration, bench_name: str) -> Measurement:
         self._check_budget()
         key = self._key(config, bench_name)
@@ -280,6 +290,7 @@ class _CachedEvaluator:
             self.cache_hits += 1
         else:
             self.used += 1
+            self.executions += meas.status != STATUS_COMPILE_ERROR
         return meas
 
     def evaluate_many(self, pairs: Sequence[tuple[Configuration, str]]) -> Iterator[Measurement]:
@@ -371,11 +382,10 @@ class CommandEvaluator(_CachedEvaluator):
     Each suite entry gets a toolchain fingerprint once, at construction
     (``_toolchain_fingerprint``); every cache key of the entry is taken
     under it, so an edited command or toolchain file is not answered from
-    a stale cache. ``compilations`` counts compiler invocations and
-    ``executions`` the evaluations that ran the binary at least once; a
-    digest hit runs nothing and counts in ``cache_hits``, as a
-    configuration hit does. Each binary is deleted from ``build_dir`` once
-    it has been digested and run, or has failed.
+    a stale cache. ``compilations`` counts compiler invocations; a digest
+    hit runs nothing and is answered as a configuration hit is. Each binary
+    is deleted from ``build_dir`` once it has been digested and run, or has
+    failed.
     """
 
     def __init__(
@@ -404,13 +414,6 @@ class CommandEvaluator(_CachedEvaluator):
         self._prebuilt: dict[tuple[str, str], Future] = {}
         # the commands running now, in any thread
         self._running: set[subprocess.Popen] = set()
-
-    def _key(self, config: Configuration, bench_name: str) -> str:
-        """The configuration key of a checked pair."""
-        if bench_name not in self.suite:
-            raise ValueError(f"unknown benchmark {bench_name!r}")
-        _check_member(self.space, config)
-        return _config_key(config, self._fingerprints[bench_name])
 
     def _out_path(self, bench_name: str, key: str) -> Path:
         """The binary of a configuration key: a name of fixed length, however
@@ -527,7 +530,6 @@ class CommandEvaluator(_CachedEvaluator):
             return hit
 
         argv = _fill(bench.run_command, bin=out_path)
-        self.executions += 1
         times = []
         for _ in range(bench.repeat_runs):
             started = _time.perf_counter()
@@ -688,11 +690,10 @@ def load_synthetic_model(path: str | Path) -> SyntheticModel:
 class SyntheticEvaluator(_CachedEvaluator):
     """Evaluator backed by a SyntheticModel.
 
-    Model computations stand in for timed executions, so ``executions``
-    counts fresh model evaluations and cache replays count none. Each
-    measurement, which carries no digest, is filed under its configuration
-    and a fingerprint of the flag names and the model, so a cache filled
-    under another model or space never answers.
+    Model computations stand in for timed executions. Each measurement,
+    which carries no digest, is filed under its configuration and a
+    fingerprint of the flag names and the model, so a cache filled under
+    another model or space never answers.
     """
 
     def __init__(self, space: FlagSpace, model: SyntheticModel, cache: EvalCache | None = None,
@@ -700,15 +701,11 @@ class SyntheticEvaluator(_CachedEvaluator):
         model.validate(space)
         super().__init__(space, cache, max_evals)
         self.model = model
-        self._fingerprint = _digest_bytes(repr(([f.name for f in space.flags], model)).encode())
-
-    def _key(self, config: Configuration, bench_name: str) -> str:
-        return _config_key(config, self._fingerprint)
+        fingerprint = _digest_bytes(repr(([f.name for f in space.flags], model)).encode())
+        self._fingerprints = dict.fromkeys(model.benchmarks, fingerprint)
 
     def _measure(self, config: Configuration, bench_name: str, key: str) -> Measurement:
-        time = self.model.time_for(self.space, config, bench_name)
-        self.executions += 1
-        return Measurement(STATUS_OK, time=time)
+        return Measurement(STATUS_OK, time=self.model.time_for(self.space, config, bench_name))
 
 
 def load_suite(path: str | Path) -> list[Benchmark]:

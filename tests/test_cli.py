@@ -527,6 +527,10 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
         ("ric", {"mode": "external", "model": None, "suite": "timeout_nan.json"}, []),
         ("ric", {"model": "when_three_values.json"}, []),
         ("ric", {"model": "flags_one_value.json"}, []),
+        ("ce", {"model": "slash_name_model.json"}, []),
+        ("ric", {"mode": "external", "model": None, "suite": "slash_name_suite.json"}, []),
+        ("suite-ce", {}, ["--threshold", "inf"]),
+        ("oracle", {}, ["--threshold", "1e400"]),
     ],
     ids=["ce-benchmark", "ric-benchmarks", "ric-unknown-flag", "oracle-unknown-flag",
          "oracle-non-positive", "suite-ce-aggregate", "suite-ce-negative-threshold",
@@ -540,7 +544,9 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
          "ric-cache-empty", "ric-cache-dot", "ric-n-configs-fractional", "ric-seed-a-string",
          "suite-ce-threshold-true", "ric-stock-a-string", "ric-when-a-string",
          "ric-base-time-a-string", "ric-repeat-runs-fractional", "ric-timeout-a-string",
-         "ric-timeout-nan", "ric-when-three-values", "ric-flags-one-value"],
+         "ric-timeout-nan", "ric-when-three-values", "ric-flags-one-value",
+         "ce-model-benchmark-with-slash", "ric-suite-benchmark-with-slash",
+         "suite-ce-infinite-threshold-option", "oracle-infinite-threshold-option"],
 )
 def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, extra):
     _pair_model(tmp_path, "unknown_flag.json", flag_delta={"ivopts": -5.0, "zz": 1.0})
@@ -555,9 +561,14 @@ def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, e
     _pair_model(tmp_path, "flags_one_value.json", pair_delta=[{**pair, "flags": ["a"]}])
     (tmp_path / "benchmark_list.json").write_text('{"benchmarks": []}')
     (tmp_path / "string_entries.json").write_text('{"benchmarks": ["x"]}')
-    for name, commands in (("input_in_run.json", ("cc {flags} -o {out}", "{bin} {input}")),
-                           ("bin_in_compile.json", ("cc {flags} -o {bin}", "{bin}"))):
-        bench = dict(zip(("name", "compile_command", "run_command"), ("b", *commands)))
+    model = json.loads((DEMO / "pair_model.json").read_text())
+    model["benchmarks"] = {"a/b": model["benchmarks"]["cover"]}
+    (tmp_path / "slash_name_model.json").write_text(json.dumps(model))
+    for name, bench_name, commands in (
+            ("input_in_run.json", "b", ("cc {flags} -o {out}", "{bin} {input}")),
+            ("bin_in_compile.json", "b", ("cc {flags} -o {bin}", "{bin}")),
+            ("slash_name_suite.json", "a/b", ("cc {flags} -o {out}", "{bin}"))):
+        bench = dict(zip(("name", "compile_command", "run_command"), (bench_name, *commands)))
         (tmp_path / name).write_text(json.dumps({"benchmarks": [bench]}))
     for name, field_value in (("repeat_runs_fractional.json", {"repeat_runs": 2.9}),
                               ("timeout_a_string.json", {"timeout": "30"}),
@@ -823,6 +834,23 @@ def test_repeated_configuration_compiles_once(tmp_path, demo_config, built_campa
     pairs = [(rec.config.key(), bench) for rec in trace.records for bench in rec.measurements]
     assert len(set(pairs)) < len(pairs)  # the config's seed draws one configuration twice
     assert built_campaigns[0].evaluator.compilations == len(set(pairs))
+
+
+def test_failed_compiles_count_as_evaluations(tmp_path, capsys, built_campaigns):
+    """A compile error ran nothing, yet it is a fresh evaluation, which
+    --max-evals spends: the summary counts it, and a replay answers it."""
+    bench = {"name": "b", "compile_command": "false {flags} --out {out}", "run_command": "{bin}"}
+    (tmp_path / "suite.json").write_text(json.dumps({"benchmarks": [bench]}))
+    config = write_config(tmp_path / "c.json", flag_space=str(DEMO / "stub_space.json"),
+                          mode="external", model=None, suite="suite.json", n_configs=3)
+    argv = ["ric", "--config", str(config), "--out", str(tmp_path / "o")]
+    counts = []
+    for _ in range(2):
+        assert main(argv) == 0
+        counts.append(re.search(r"evaluations=(\d+) cache_hits=(\d+)", capsys.readouterr().out))
+    cold, replay = ((int(m[1]), int(m[2])) for m in counts)
+    assert cold[0] == built_campaigns[0].evaluator.compilations > 0
+    assert replay == (0, sum(cold))
 
 
 def _stub_copy(tmp_path: Path) -> Path:

@@ -231,7 +231,29 @@ def test_synthetic_hit_is_the_cached_measurement():
     config = space.all_enabled()
     assert not ev.evaluate(config, "cover").cached
     hit = ev.evaluate(config, "cover")
-    assert hit.cached and hit is ev.cache.get("cover", _config_key(config, ev._fingerprint))
+    assert hit.cached and hit is ev.cache.get("cover", _config_key(config, ev._fingerprints["cover"]))
+
+
+@pytest.mark.parametrize("backend", ["synthetic", "external"])
+def test_pair_is_checked_before_the_cache_answers(demo_dir, tmp_path, backend):
+    """Both backends share the key rule: an unknown benchmark or a
+    configuration outside the space raises, even one the cache holds."""
+    if backend == "synthetic":
+        space, model = pair_dependency_model()
+        ev = SyntheticEvaluator(space, model)
+    else:
+        space = load_flag_space(demo_dir / "stub_space.json")
+        suite = load_suite(demo_dir / "stub_suite.json")
+        ev = CommandEvaluator(space, suite, workdir=demo_dir, build_dir=tmp_path)
+    bench = next(iter(ev._fingerprints))
+    stock = space.stock_config()
+    for config in (Configuration("O9", stock.assignment), Configuration(stock.base_level)):
+        ev.cache.put(bench, _config_key(config, ev._fingerprints[bench]), Measurement("ok", time=1.0))
+        with pytest.raises(ValueError):
+            ev.evaluate(config, bench)
+    with pytest.raises(ValueError, match="unknown benchmark"):
+        ev.evaluate(stock, "nope")
+    assert (ev.used, ev.cache_hits) == (0, 0)
 
 
 def test_two_record_history_still_loads(tmp_path):
@@ -334,7 +356,8 @@ def test_corrupt_middle_line_still_raises(tmp_path):
     with pytest.raises(ValueError):
         EvalCache(path)
     # complete JSON lines that are not records
-    for line in (b'{"benchmark": "cover"}\n', b"5\n", b'"x"\n', b"[1]\n"):
+    ok_true = b'{"benchmark": "a", "key": "k", "digest": "k", "status": "ok", "time": true}\n'
+    for line in (b'{"benchmark": "cover"}\n', b"5\n", b'"x"\n', b"[1]\n", ok_true):
         path.write_bytes(record + line + record)
         with pytest.raises(ValueError, match=r"cache\.jsonl: line 2 is not a cache record"):
             EvalCache(path)
