@@ -26,7 +26,8 @@ import shutil
 import signal
 import subprocess
 import time as _time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Sequence, get_type_hints
 
@@ -100,7 +101,7 @@ class Benchmark:
             raise ValueError(f"benchmark {self.name}: unfillable template: {exc!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Measurement:
     """One evaluated (configuration, benchmark) result.
 
@@ -132,10 +133,45 @@ def _digest_bytes(data: bytes) -> str:
     return hashlib.md5(data).hexdigest()
 
 
+def _json(value) -> str:
+    """``json.dumps(value)``, with the types a record holds written directly:
+    a string, null, or a float, which a ``Measurement`` holds finite."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if kind is float:
+        return float.__repr__(value)  # as json writes a finite float
+    return json.dumps(value)
+
+
 def _config_key(config: Configuration, fingerprint: str = "") -> str:
     """The key of an outcome filed under the configuration itself; a
     fingerprint scopes it to one toolchain or model."""
     return f"cfg:{fingerprint}:{config.key()}" if fingerprint else f"cfg:{config.key()}"
+
+
+# Bytes of cache lines that EvalCache reads and parses at once: many records
+# per json.loads, and never the whole file in memory.
+_LOAD_BATCH = 1 << 16
+
+
+def _parse_batch(lines: list[bytes]) -> list | None:
+    """The records of complete cache ``lines`` from one ``json.loads``, when
+    each line is one object of its own: it starts with ``{``, ends with
+    ``}``, and the batch holds no other ``{``. A string cannot span a line,
+    so the i-th object parsed is then the i-th line's. Otherwise, or when
+    the batch does not parse, None: the lines are parsed one by one, which
+    names a bad line."""
+    joined = b",".join(lines)
+    if joined.count(b"{") != len(lines) or not all(
+            line[:1] == b"{" and line.endswith(b"}\n") for line in lines):
+        return None
+    try:
+        return json.loads(b"[" + joined + b"]")
+    except ValueError:
+        return None
 
 
 class EvalCache:
@@ -176,22 +212,28 @@ class EvalCache:
 
     def _load(self) -> None:
         self._handle.seek(0)
-        complete = 0
-        for number, line in enumerate(self._handle, 1):
-            if not line.endswith(b"\n"):
+        complete = number = 0
+        while lines := self._handle.readlines(_LOAD_BATCH):
+            torn = not lines[-1].endswith(b"\n")  # only the file's last line can be
+            if torn:
+                lines.pop()
+            numbered = [(n, line) for n, line in enumerate(lines, number + 1) if line.strip()]
+            number += len(lines)
+            complete += sum(map(len, lines))
+            parsed = _parse_batch([line for _, line in numbered])
+            for i, (n, line) in enumerate(numbered):
+                try:
+                    rec = json.loads(line) if parsed is None else parsed[i]
+                    meas = Measurement(status=rec["status"],
+                                       time=json_field(rec, "time", float, None),
+                                       digest=rec["digest"], cached=True,
+                                       detail=rec.get("detail", ""))
+                    self._store(rec["benchmark"], rec["key"], meas)
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ValueError(f"{self.path}: line {n} is not a cache record "
+                                     f"({type(exc).__name__}: {exc})") from exc
+            if torn:
                 self._handle.truncate(complete)
-                break
-            complete += len(line)
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                meas = Measurement(status=rec["status"], time=json_field(rec, "time", float, None),
-                                   digest=rec["digest"], cached=True, detail=rec.get("detail", ""))
-                self._store(rec["benchmark"], rec["key"], meas)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{self.path}: line {number} is not a cache record "
-                                 f"({type(exc).__name__}: {exc})") from exc
 
     def _store(self, benchmark: str, key: str, measurement: Measurement) -> None:
         digest = measurement.digest
@@ -217,18 +259,15 @@ class EvalCache:
 
     def put(self, benchmark: str, key: str, measurement: Measurement) -> None:
         """File ``measurement``, marked ``cached``, under ``key`` (see the class)."""
-        stored = replace(measurement, cached=True)
+        m = measurement
+        stored = Measurement(m.status, m.time, m.digest, True, m.detail)
         self._store(benchmark, key, stored)
         if self._handle is not None:
-            rec = {
-                "benchmark": benchmark,
-                "key": key,
-                "digest": stored.digest,
-                "status": stored.status,
-                "time": stored.time,
-                "detail": stored.detail,
-            }
-            self._handle.write(json.dumps(rec).encode() + b"\n")
+            # json.dumps of the record's dict, field by field
+            self._handle.write(
+                f'{{"benchmark": {_json(benchmark)}, "key": {_json(key)}, '
+                f'"digest": {_json(m.digest)}, "status": {_json(m.status)}, '
+                f'"time": {_json(m.time)}, "detail": {_json(m.detail)}}}\n'.encode())
             self._handle.flush()
 
     def close(self) -> None:
@@ -592,35 +631,64 @@ class SyntheticModel:
     Multipliers and deltas absent from the mappings default to 1.0 and 0.0.
     Terms are added left to right in a fixed order: the base term, then the
     delta of each enabled flag of the space in flag order, then each matching
-    pair term in model order (a pair naming a flag outside the space never
-    matches). The oracle's block scorer keeps this order too, so it gives
-    the same float as ``time_for`` for the same configuration, bit for bit;
-    its tie-breaks depend on that.
+    pair term in model order (a pair naming a flag outside the space, or one
+    flag in both states, never matches). ``_terms_for`` lays these terms out
+    once per space and benchmark, the pairs as flag indices and states, and
+    ``time_for`` adds them up from there, so a model must not change once it
+    has scored. The oracle's block scorer reads the same terms in the same
+    order, so it gives the same float as ``time_for`` for the same
+    configuration, bit for bit; its tie-breaks depend on that.
     """
 
     benchmarks: dict[str, BenchmarkModel]
+    # time_for's tables by (id(space), benchmark), each holding its space, so
+    # no other space takes that id while the table lives; out of repr, so an
+    # evaluator's fingerprint of the model does not depend on what has run
+    _terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def benchmark_names(self) -> list[str]:
         return list(self.benchmarks)
+
+    def _terms_for(self, space: FlagSpace, bench_name: str) -> tuple:
+        """``(space, base term by level, flag deltas, pairs)`` of one
+        benchmark over ``space``, in the order of the class docstring."""
+        if bench_name not in self.benchmarks:
+            raise ValueError(f"benchmark {bench_name!r} not modeled")
+        bm = self.benchmarks[bench_name]
+        index = {f.name: j for j, f in enumerate(space.flags)}
+        pairs = tuple(
+            (index[p.flag_a], p.state_a, index[p.flag_b], p.state_b, p.delta)
+            for p in bm.pair_delta
+            if p.flag_a in index and p.flag_b in index
+            and not (p.flag_a == p.flag_b and p.state_a != p.state_b)
+        )
+        terms = (space,
+                 {level: bm.base_time * bm.level_multiplier.get(level, 1.0)
+                  for level in space.base_levels},
+                 tuple(bm.flag_delta.get(f.name, 0.0) for f in space.flags),
+                 pairs)
+        self._terms[id(space), bench_name] = terms
+        return terms
 
     def time_for(self, space: FlagSpace, config: Configuration, bench_name: str) -> float:
         """Time of one configuration, in the term order of the class docstring.
 
         The scalar reference for the oracle's block scorer.
         """
-        if bench_name not in self.benchmarks:
-            raise ValueError(f"benchmark {bench_name!r} not modeled")
+        terms = self._terms.get((id(space), bench_name))
+        if terms is None:
+            terms = self._terms_for(space, bench_name)
         _check_member(space, config)
-        bm = self.benchmarks[bench_name]
-        state = {f.name: on for f, on in zip(space.flags, config.assignment)}
-        t = bm.base_time * bm.level_multiplier.get(config.base_level, 1.0)
-        for name, on in state.items():
-            if on:
-                t += bm.flag_delta.get(name, 0.0)
-        for p in bm.pair_delta:
-            if state.get(p.flag_a) == p.state_a and state.get(p.flag_b) == p.state_b:
-                t += p.delta
+        _, base, deltas, pairs = terms
+        on = config.assignment
+        t = base[config.base_level]
+        for enabled, delta in zip(on, deltas):
+            if enabled:
+                t += delta
+        for a, state_a, b, state_b, delta in pairs:
+            if on[a] == state_a and on[b] == state_b:
+                t += delta
         return t
 
     def validate(self, space: FlagSpace) -> None:

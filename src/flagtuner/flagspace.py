@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import MISSING, dataclass, field
+from functools import cached_property
 
 # The default cap above which the exhaustive oracle refuses a flag space:
 # 2^22 assignments per base level.
@@ -107,12 +108,16 @@ class FlagSpace:
 
 @dataclass(frozen=True)
 class Configuration:
-    """A base level plus an explicit on/off assignment for every flag."""
+    """A base level plus an explicit on/off assignment for every flag.
+
+    ``bitstring`` is built once per configuration, on first use; it is not
+    a field, so equality, hashing and ``repr`` do not see it.
+    """
 
     base_level: str
     assignment: tuple[bool, ...] = field(default=())
 
-    @property
+    @cached_property
     def bitstring(self) -> str:
         return "".join("1" if b else "0" for b in self.assignment)
 

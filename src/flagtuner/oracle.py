@@ -5,14 +5,16 @@ model. This is the independent ground truth that heuristic searches are
 checked against; it never goes near the search code paths.
 
 Assignments are scored in blocks of consecutive bitmasks by ``_Scorer``,
-which is bit-identical to ``SyntheticModel.time_for``: the sums over the
-low flags that vary inside a block are computed once per benchmark and
-level and shared by every block, and the constant high flags and the pair
-terms are added on top in ``time_for``'s order. Blocks are visited in
-enumeration order, so every tie still goes to the first configuration
-enumerated. The constrained optimum calls its Python ``aggregate_fn`` only
-on the configurations that a numpy stand-in, within a derived rounding
-bound, cannot rule out.
+which is bit-identical to ``SyntheticModel.time_for``. Both read the same
+precomputed terms (``SyntheticModel._terms_for``: each level's base term,
+the flag deltas in flag order and the pairs that can match, as flag indices
+and states in model order). The sums over the low flags that vary inside a
+block are computed once per benchmark and level and shared by every block,
+and the constant high flags and the pair terms are added on top in
+``time_for``'s order. Blocks are visited in enumeration order, so every
+tie still goes to the first configuration enumerated. The constrained
+optimum calls its Python ``aggregate_fn`` only on the configurations that
+a numpy stand-in, within a derived rounding bound, cannot rule out.
 """
 
 from __future__ import annotations
@@ -76,26 +78,16 @@ class _Scorer:
     """
 
     def __init__(self, space: FlagSpace, model: SyntheticModel, bench_name: str):
-        if bench_name not in model.benchmarks:
-            raise ValueError(f"benchmark {bench_name!r} not modeled")
-        self._bm = bm = model.benchmarks[bench_name]
+        # time_for's terms, which leave out the pairs that never match
+        _, self._base, self._deltas, pairs = model._terms_for(space, bench_name)
         self._low = low = min(len(space), BLOCK_SIZE.bit_length() - 1)
         self.block = 1 << low
-        self._deltas = [bm.flag_delta.get(f.name, 0.0) for f in space.flags]
-        index = {f.name: j for j, f in enumerate(space.flags)}
-        # (delta, [(high bit, state)], low-bit mask or None); a pair naming
-        # a flag outside the space, or one flag in both states, never matches
-        self._pairs = []
-        for p in bm.pair_delta:
-            if p.flag_a not in index or p.flag_b not in index:
-                continue
-            a, b = index[p.flag_a], index[p.flag_b]
-            if a == b and p.state_a != p.state_b:
-                continue
-            states = {a: p.state_a, b: p.state_b}
+        self._pairs = []  # (delta, [(high bit, state)], low-bit mask or None)
+        for a, state_a, b, state_b, delta in pairs:
+            states = {a: state_a, b: state_b}
             high = [(j, s) for j, s in states.items() if j >= low]
             tested = [(j, s) for j, s in states.items() if j < low]
-            self._pairs.append((p.delta, high, self._mask(tested) if tested else None))
+            self._pairs.append((delta, high, self._mask(tested) if tested else None))
 
     def _mask(self, tested: list[tuple[int, bool]]) -> np.ndarray:
         """The offsets of a block whose low bits ``tested`` hold their states."""
@@ -108,7 +100,7 @@ class _Scorer:
     def prefix(self, level: str) -> np.ndarray:
         """Base term plus the enabled low-flag deltas of every offset, in
         flag order: doubling appends the sums with flag j to those without."""
-        t = np.array([self._bm.base_time * self._bm.level_multiplier.get(level, 1.0)])
+        t = np.array([self._base[level]])
         for d in self._deltas[: self._low]:
             t = np.concatenate([t, t + d])
         return t

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 from pathlib import Path
 
 from hypothesis import strategies as st
 
-from flagtuner.evaluator import BenchmarkModel, PairDelta, SyntheticModel
-from flagtuner.flagspace import Configuration, Flag, FlagSpace
+from flagtuner.evaluator import BenchmarkModel, EvalCache, Measurement, PairDelta, SyntheticModel
+from flagtuner.flagspace import Configuration, Flag, FlagSpace, _check_member, json_field
 
 
 def artifact_digests(root: Path) -> dict[str, str]:
@@ -61,6 +62,41 @@ def model_of(
             pair_delta=tuple(PairDelta(*p) for p in recipe.get("pairs", ())),
         )
     return SyntheticModel(out)
+
+
+def time_for_reference(
+    model: SyntheticModel, space: FlagSpace, config: Configuration, bench_name: str
+) -> float:
+    """``SyntheticModel.time_for`` read straight from the model's mappings:
+    a name-to-state dict per call, and two lookups per pair term."""
+    if bench_name not in model.benchmarks:
+        raise ValueError(f"benchmark {bench_name!r} not modeled")
+    _check_member(space, config)
+    bm = model.benchmarks[bench_name]
+    state = {f.name: on for f, on in zip(space.flags, config.assignment)}
+    t = bm.base_time * bm.level_multiplier.get(config.base_level, 1.0)
+    for name, on in state.items():
+        if on:
+            t += bm.flag_delta.get(name, 0.0)
+    for p in bm.pair_delta:
+        if state.get(p.flag_a) == p.state_a and state.get(p.flag_b) == p.state_b:
+            t += p.delta
+    return t
+
+
+def cache_read_line_by_line(path: Path) -> EvalCache:
+    """A cache without a file, holding what ``EvalCache`` reads from ``path``,
+    read with one ``json.loads`` per line: blank lines are skipped, and a
+    final line without its newline is dropped."""
+    cache = EvalCache()
+    *lines, _torn = path.read_bytes().split(b"\n")
+    for line in lines:
+        if line.strip():
+            rec = json.loads(line)
+            meas = Measurement(status=rec["status"], time=json_field(rec, "time", float, None),
+                               digest=rec["digest"], cached=True, detail=rec.get("detail", ""))
+            cache._store(rec["benchmark"], rec["key"], meas)
+    return cache
 
 
 def pair_dependency_model() -> tuple[FlagSpace, SyntheticModel]:

@@ -7,9 +7,9 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from flagtuner import oracle
+from flagtuner import evaluator, oracle
 from flagtuner.evaluator import (
     Benchmark,
     CacheLockedError,
@@ -22,8 +22,16 @@ from flagtuner.evaluator import (
     _run_command,
     load_synthetic_model,
 )
-from flagtuner.flagspace import Configuration, load_flag_space, render_args, toggle
-from helpers import config_of, model_of, pair_dependency_model, quantised_models, space_of
+from flagtuner.flagspace import Configuration, FlagSpace, load_flag_space, render_args, toggle
+from helpers import (
+    cache_read_line_by_line,
+    config_of,
+    model_of,
+    pair_dependency_model,
+    quantised_models,
+    space_of,
+    time_for_reference,
+)
 
 
 def measure(config, bench_name, model, space):
@@ -136,6 +144,30 @@ def test_batched_times_equal_time_for(instance, block):
         assert [t.hex() for t in got] == [t.hex() for t in want]
 
 
+@example((space_of(3, levels=("O1", "O3")), model_of({"b0": {
+    "base": 10.0,
+    "multipliers": {"O3": 1.3},  # none for O1
+    "deltas": {"f0": 1.5, "f2": -0.5},  # none for f1
+    "pairs": [("f1", "f1", True, True, 0.25), ("f0", "f0", True, False, 9.0),
+              ("f2", "f0", False, True, 0.125), ("f0", "f9", True, True, 7.0)],
+}})))
+@given(quantised_models())
+def test_time_for_equals_reference(instance):
+    """``time_for`` from its precomputed terms equals the model read straight
+    from its mappings, float for float, on the space and on a second space
+    of the same flags in reverse order, scored in turn with one model."""
+    space, model = instance
+    reverse = FlagSpace(space.flags[::-1], space.base_levels, space.default_baseline)
+    n = len(space)
+    for bench in model.benchmarks:
+        for level in space.base_levels:
+            for mask in range(2**n):
+                config = config_of(level, mask, n)
+                for sp in (space, reverse):
+                    assert model.time_for(sp, config, bench) == \
+                        time_for_reference(model, sp, config, bench)
+
+
 def test_load_synthetic_model(demo_dir, tmp_path):
     model = load_synthetic_model(demo_dir / "pair_model.json")
     assert model.benchmark_names == ["cover"]
@@ -205,6 +237,21 @@ def test_cache_reload_matches_any_history(tmp_path_factory, history):
         assert again.entries == entries
 
 
+@given(st.text(), st.text(), st.one_of(st.none(), st.text()), st.text(),
+       st.one_of(st.none(), st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)))
+def test_put_writes_the_json_of_its_record(tmp_path_factory, benchmark, key, digest, detail,
+                                           seconds):
+    """A record's line is ``json.dumps`` of its six fields, whatever they hold."""
+    meas = Measurement("run_error" if seconds is None else "ok", time=seconds, digest=digest,
+                       detail=detail)
+    path = tmp_path_factory.mktemp("put") / "cache.jsonl"
+    with EvalCache(path) as cache:
+        cache.put(benchmark, key, meas)
+    rec = {"benchmark": benchmark, "key": key, "digest": digest, "status": meas.status,
+           "time": seconds, "detail": detail}
+    assert path.read_text() == json.dumps(rec) + "\n"
+
+
 def test_cache_marks_what_it_answers(tmp_path):
     path = tmp_path / "cache.jsonl"
     config = Configuration("O3", (True, False))
@@ -232,6 +279,16 @@ def test_synthetic_hit_is_the_cached_measurement():
     assert not ev.evaluate(config, "cover").cached
     hit = ev.evaluate(config, "cover")
     assert hit.cached and hit is ev.cache.get("cover", _config_key(config, ev._fingerprints["cover"]))
+
+
+def test_fingerprint_does_not_see_what_the_model_has_scored():
+    """The synthetic fingerprint is an md5 of the model's ``repr``, so the
+    terms ``time_for`` keeps must stay out of it: else an evaluator built
+    after a first score would miss the whole cache of one built before."""
+    space, model = pair_dependency_model()
+    before = SyntheticEvaluator(space, model)._fingerprints
+    model.time_for(space, space.all_enabled(), "cover")
+    assert SyntheticEvaluator(space, model)._fingerprints == before
 
 
 @pytest.mark.parametrize("backend", ["synthetic", "external"])
@@ -361,6 +418,73 @@ def test_corrupt_middle_line_still_raises(tmp_path):
         path.write_bytes(record + line + record)
         with pytest.raises(ValueError, match=r"cache\.jsonl: line 2 is not a cache record"):
             EvalCache(path)
+
+
+def _long_cache(path: Path) -> list[bytes]:
+    """Write a cache of four times ``_LOAD_BATCH`` bytes or more, with blank
+    lines, aliases, failures, and details holding a ``{`` near the start;
+    its lines."""
+    with EvalCache(path) as cache:
+        i = 0
+        while path.stat().st_size < 4 * evaluator._LOAD_BATCH:
+            key = f"cfg:fp:O3:{i:012b}"
+            if i % 7 == 0:  # a { in a detail sends the first batch down the slow path
+                cache.put(f"b{i % 3}", key, Measurement(
+                    "run_error", digest=f"d{i}", detail="exit {status} 1" if i < 99 else "exit 1"))
+            elif i % 11 == 0:
+                cache.put(f"b{i % 3}", key, Measurement("compile_error", detail="ld: no"))
+            else:  # one binary for every 40 keys
+                cache.put(f"b{i % 3}", key, Measurement("ok", time=1 + i / 7, digest=f"d{i % 40}"))
+            i += 1
+    lines = path.read_bytes().splitlines(keepends=True)
+    for i in range(len(lines) - 1, 0, -37):
+        lines.insert(i, b"\n" if i % 2 else b"  \n")
+    path.write_bytes(b"".join(lines))
+    return lines
+
+
+@pytest.mark.parametrize("batch", [1, 500, None])
+def test_batched_load_reads_what_line_by_line_reads(tmp_path, monkeypatch, batch):
+    """Lines are parsed in batches of ``_LOAD_BATCH`` bytes (here also one
+    line and 500 bytes), and the cache still holds what a line-by-line read
+    gives; a torn tail is still cut."""
+    path = tmp_path / "cache.jsonl"
+    _long_cache(path)
+    if batch is not None:
+        monkeypatch.setattr(evaluator, "_LOAD_BATCH", batch)
+    want = cache_read_line_by_line(path)
+    assert len(want.entries) > 500 and len(want.aliases) > 500
+    with EvalCache(path) as cache:
+        assert (cache.entries, cache.aliases) == (want.entries, want.aliases)
+    whole = path.read_bytes()
+    path.write_bytes(whole + b'{"benchmark": "b0", "key": "cfg:fp:O3:1", "dig')
+    with EvalCache(path) as cache:
+        assert (cache.entries, cache.aliases) == (want.entries, want.aliases)
+    assert path.read_bytes() == whole
+
+
+_RECORD = b'"benchmark": "b0", "key": "k", "digest": null, "status": "ok", "time": 1.0'
+
+
+@pytest.mark.parametrize("bad", [
+    b"{ torn\n",
+    b"{ torn }\n",
+    b'{"benchmark": "b0"}\n',
+    b"[1]\n",
+    # lines that are not one object each, though joined they parse: two
+    # objects on one line; an object over two lines, then a line of two values
+    b"{" + _RECORD + b'}, {"x": 1}\n',
+    b"{" + _RECORD + b', "x": {"y": 1}\n"detail": ""}\n1, {' + _RECORD + b"}\n",
+])
+def test_bad_record_past_the_first_batch_names_its_line(tmp_path, bad):
+    path = tmp_path / "cache.jsonl"
+    lines = _long_cache(path)
+    number = len(lines) - 3  # in the last batch
+    assert sum(map(len, lines[:number])) > 3 * evaluator._LOAD_BATCH
+    lines[number - 1] = bad
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ValueError, match=rf"cache\.jsonl: line {number} is not a cache record"):
+        EvalCache(path)
 
 
 def test_locked_cache_is_neither_read_nor_truncated(tmp_path):
