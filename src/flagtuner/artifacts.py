@@ -12,14 +12,14 @@ cache, nothing is fsynced: the promise does not cover a power loss.
 
 Trace files are CSV with one line per (tested configuration, benchmark)
 measurement: sequence, config bitstring, base level, benchmark, time,
-status, annotation.
+status, annotation. A field that holds a comma, a quote, CR or LF is
+double-quoted, with each quote doubled.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import os
 from pathlib import Path
@@ -52,21 +52,31 @@ def write_json(path: str | Path, data) -> None:
     write_text(path, json.dumps(data, indent=2) + "\n")
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field: double-quoted, with ``"`` doubled, when it
+    holds a comma, a quote, CR or LF, and as it is otherwise."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    write_text(path, buf.getvalue())
+    write_text(path, "".join(",".join(_csv_field(str(v)) for v in row) + "\n"
+                             for row in (header, *rows)))
 
 
 def write_trace(path: str | Path, trace: CampaignTrace) -> None:
-    write_csv(path, TRACE_COLUMNS, (
-        [rec.seq, rec.config.bitstring, rec.config.base_level, bench,
-         "" if m.time is None else repr(m.time), m.status, rec.annotation]
-        for rec in trace.records
-        for bench, m in rec.measurements.items()
-    ))
+    """``write_csv`` of the trace's rows, with the fields a record's rows
+    share formatted once per record."""
+    lines = [",".join(TRACE_COLUMNS) + "\n"]
+    for rec in trace.records:
+        config = rec.config
+        head = f"{rec.seq},{config.bitstring},{_csv_field(config.base_level)},"
+        tail = _csv_field(rec.annotation)
+        for bench, m in rec.measurements.items():
+            time = "" if m.time is None else repr(m.time)
+            lines.append(f"{head}{_csv_field(bench)},{time},{m.status},{tail}\n")
+    write_text(path, "".join(lines))
 
 
 def read_trace(path: str | Path, space: FlagSpace) -> CampaignTrace:

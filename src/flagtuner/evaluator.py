@@ -27,9 +27,10 @@ import signal
 import subprocess
 import time as _time
 from dataclasses import dataclass, field, fields
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence, get_type_hints
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence, get_type_hints
 
 from flagtuner.flagspace import (
     Configuration,
@@ -101,28 +102,55 @@ class Benchmark:
             raise ValueError(f"benchmark {self.name}: unfillable template: {exc!r}") from None
 
 
-@dataclass(frozen=True, slots=True)
-class Measurement:
-    """One evaluated (configuration, benchmark) result.
+class _MeasurementFields(NamedTuple):
+    """The fields; their defaults are ``Measurement.__new__``'s."""
+
+    status: str
+    time: float | None
+    digest: str | None
+    cached: bool
+    detail: str
+
+
+class Measurement(_MeasurementFields):
+    """One evaluated (configuration, benchmark) result, immutable.
 
     ``time`` is the minimum over the repeat runs and is present iff the
     status is ok; ``digest`` is present iff compilation succeeded.
+
+    A tuple underneath, because campaigns build one per probe and a tuple
+    is built far faster than a frozen dataclass; every way to build one,
+    ``_make`` and ``_replace`` too, runs the checks. It equals only
+    another ``Measurement``, never a plain tuple.
     """
 
-    status: str
-    time: float | None = None
-    digest: str | None = None
-    cached: bool = False
-    detail: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.status not in STATUSES:
-            raise ValueError(f"bad status {self.status!r}")
-        if self.status == STATUS_OK:
-            if self.time is None or not math.isfinite(self.time) or self.time <= 0:
-                raise ValueError(f"ok measurement needs finite positive time, got {self.time}")
-        elif self.time is not None:
-            raise ValueError(f"{self.status} measurement must not carry a time")
+    def __new__(cls, status: str, time: float | None = None, digest: str | None = None,
+                cached: bool = False, detail: str = "") -> Measurement:
+        if status == STATUS_OK:
+            if time is None or not 0 < time < math.inf:  # NaN as well
+                raise ValueError(f"ok measurement needs finite positive time, got {time}")
+        elif status not in STATUSES:
+            raise ValueError(f"bad status {status!r}")
+        elif time is not None:
+            raise ValueError(f"{status} measurement must not carry a time")
+        return tuple.__new__(cls, (status, time, digest, cached, detail))
+
+    @classmethod
+    def _make(cls, iterable) -> Measurement:
+        return cls(*iterable)
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = tuple.__hash__
 
     @property
     def ok(self) -> bool:
@@ -265,9 +293,10 @@ class EvalCache:
         if self._handle is not None:
             # json.dumps of the record's dict, field by field
             self._handle.write(
-                f'{{"benchmark": {_json(benchmark)}, "key": {_json(key)}, '
-                f'"digest": {_json(m.digest)}, "status": {_json(m.status)}, '
-                f'"time": {_json(m.time)}, "detail": {_json(m.detail)}}}\n'.encode())
+                f'{{"benchmark": {encode_basestring_ascii(benchmark)}, '
+                f'"key": {encode_basestring_ascii(key)}, "digest": {_json(m.digest)}, '
+                f'"status": {encode_basestring_ascii(m.status)}, "time": {_json(m.time)}, '
+                f'"detail": {encode_basestring_ascii(m.detail)}}}\n'.encode())
             self._handle.flush()
 
     def close(self) -> None:
@@ -683,9 +712,8 @@ class SyntheticModel:
         _, base, deltas, pairs = terms
         on = config.assignment
         t = base[config.base_level]
-        for enabled, delta in zip(on, deltas):
-            if enabled:
-                t += delta
+        for delta in compress(deltas, on):
+            t += delta
         for a, state_a, b, state_b, delta in pairs:
             if on[a] == state_a and on[b] == state_b:
                 t += delta

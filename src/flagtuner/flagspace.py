@@ -18,6 +18,9 @@ from functools import cached_property
 # 2^22 assignments per base level.
 DEFAULT_MAX_FLAGS = 22
 
+# False and True as the bytes of a bitstring
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
 
 class FlagSpaceError(ValueError):
     """Structural problem with a flag space, configuration or their files."""
@@ -119,7 +122,7 @@ class Configuration:
 
     @cached_property
     def bitstring(self) -> str:
-        return "".join("1" if b else "0" for b in self.assignment)
+        return bytes(self.assignment).translate(_BITS).decode("ascii")
 
     @classmethod
     def from_bitstring(cls, base_level: str, bits: str) -> Configuration:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import random
 from pathlib import Path
@@ -82,6 +84,16 @@ def time_for_reference(
         if state.get(p.flag_a) == p.state_a and state.get(p.flag_b) == p.state_b:
             t += p.delta
     return t
+
+
+def csv_reference(rows: list[list]) -> str:
+    """What ``csv.writer`` writes for ``rows``, one line per row ending in
+    LF: the artifacts' CSV writer before they formatted rows themselves.
+    It leaves a field that holds a CR unquoted, so ``csv.reader`` splits
+    the row there."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def cache_read_line_by_line(path: Path) -> EvalCache:

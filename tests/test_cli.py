@@ -1009,6 +1009,20 @@ def test_report_from_ric_trace(tmp_path, demo_config, demo_dir):
     assert all(b <= a for a, b in zip(values, values[1:]))
 
 
+def test_report_reads_a_benchmark_name_holding_a_carriage_return(tmp_path, demo_dir):
+    """Left unquoted, a CR in a field splits the row when the trace is read."""
+    model = json.loads((demo_dir / "pair_model.json").read_text())
+    model["benchmarks"] = {"a\rb": model["benchmarks"]["cover"]}
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    config = write_config(tmp_path / "c.json", model=str(tmp_path / "model.json"), n_configs=20)
+    out, space = tmp_path / "o", demo_dir / "pair_space.json"
+    assert main(["ric", "--config", str(config), "--out", str(out)]) == 0
+    assert main(["report", str(out / "ric.trace"), "--space", str(space),
+                 "--out", str(tmp_path / "rep")]) == 0
+    trace = read_trace(out / "ric.trace", load_flag_space(space))
+    assert {bench for rec in trace.records for bench in rec.measurements} == {"a\rb"}
+
+
 def test_report_with_explicit_reference_trace(tmp_path, demo_config, demo_dir):
     out = tmp_path / "o"
     assert main(["ric", "--config", demo_config("pair"), "--out", str(out)]) == 0

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import json
 import math
+import pickle
 import shlex
 import subprocess
 import time
@@ -198,6 +200,44 @@ def test_measurement_requires_time_iff_ok():
     with pytest.raises(ValueError):
         Measurement("timeout", time=1.0)
     assert Measurement("ok", time=1.0).ok
+
+
+# Unpickling and copying build through __new__ as well.
+_BUILDERS = {
+    "positional": lambda status, time: Measurement(status, time),
+    "keyword": lambda status, time: Measurement(status=status, time=time),
+    "new": lambda status, time: Measurement.__new__(Measurement, status, time),
+    "make": lambda status, time: Measurement._make((status, time, None, False, "")),
+    "replace": lambda status, time: Measurement("run_error")._replace(status=status, time=time),
+}
+
+
+@pytest.mark.parametrize("build", _BUILDERS.values(), ids=_BUILDERS)
+@pytest.mark.parametrize("status,time", [("bogus", None), ("ok", None), ("ok", 0.0),
+                                         ("ok", -1.0), ("ok", math.inf), ("ok", math.nan),
+                                         ("timeout", 1.0)])
+def test_every_constructor_checks_a_measurement(build, status, time):
+    assert build("ok", 1.5) == Measurement("ok", time=1.5)
+    assert build("timeout", None) == Measurement("timeout")
+    with pytest.raises(ValueError):
+        build(status, time)
+
+
+def test_measurement_is_an_immutable_record():
+    m = Measurement("ok", time=1.5, digest="d")
+    with pytest.raises(AttributeError):
+        m.time = 2.0
+    with pytest.raises(AttributeError):
+        m.note = "x"
+    assert repr(m) == "Measurement(status='ok', time=1.5, digest='d', cached=False, detail='')"
+    assert m.ok and not m.cached
+    hit = Measurement("ok", 1.5, "d", True)
+    assert hit.cached and hit != m and hit == m._replace(cached=True)
+    assert hash(hit) == hash(m._replace(cached=True))
+    assert not Measurement("run_error", digest="d").ok
+    # equal to another Measurement only, never to the tuple of its fields
+    assert m != tuple(m) and tuple(m) != m and not m == tuple(m)
+    assert pickle.loads(pickle.dumps(m)) == m == copy.deepcopy(m)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,14 @@ def test_bitstring_round_trip():
         Configuration.from_bitstring("O2", "10x")
 
 
+@given(st.lists(st.booleans(), max_size=300))
+def test_bitstring_spells_the_assignment(bits):
+    config = Configuration("O3", tuple(bits))
+    assert config.bitstring == "".join("1" if b else "0" for b in bits)
+    fresh = Configuration("O3", tuple(bits))  # its bitstring not built yet
+    assert config == fresh and hash(config) == hash(fresh) and repr(config) == repr(fresh)
+
+
 def test_stock_config_uses_flag_defaults(tradeoff_space):
     stock = tradeoff_space.stock_config()
     assert stock.bitstring == "1000"
