@@ -24,17 +24,11 @@ from flagtuner.search import (
 )
 
 
-@dataclass(frozen=True)
-class RelativeSeries:
-    """Dimensionless progress series: (configurations tested, value) points."""
-
-    points: tuple[tuple[int, float], ...]
-
-
 def floored_best_so_far(
     trace: CampaignTrace, reference: dict[str, float]
-) -> RelativeSeries:
-    """Mean over benchmarks of the floored best-so-far ratio after each test.
+) -> tuple[tuple[int, float], ...]:
+    """Mean over benchmarks of the floored best-so-far ratio after each test,
+    as (configurations tested, value) points.
 
     At each prefix of the trace, every benchmark contributes
     min(1.0, best_time_so_far / reference_time); benchmarks without an ok
@@ -58,7 +52,7 @@ def floored_best_so_far(
             min(1.0, best[b] / reference[b]) if b in best else 1.0 for b in benches
         )
         points.append((rec.seq, value))
-    return RelativeSeries(tuple(points))
+    return tuple(points)
 
 
 @dataclass(frozen=True)

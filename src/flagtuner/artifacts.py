@@ -25,6 +25,7 @@ import os
 from pathlib import Path
 from typing import Iterable
 
+from flagtuner.analysis import CompareTable
 from flagtuner.evaluator import Measurement
 from flagtuner.flagspace import Configuration, FlagSpace, _check_member, render_args
 from flagtuner.search import CampaignTrace, CEState
@@ -122,8 +123,8 @@ def read_final_config(path: str | Path) -> Configuration:
     return Configuration.from_bitstring(data["base_level"], data["bitstring"])
 
 
-def write_series(path: str | Path, series: RelativeSeries) -> None:
-    write_csv(path, ["configs_tested", "value"], ([n, repr(v)] for n, v in series.points))
+def write_series(path: str | Path, points: Iterable[tuple[int, float]]) -> None:
+    write_csv(path, ["configs_tested", "value"], ([n, repr(v)] for n, v in points))
 
 
 def write_compare(path: str | Path, table: CompareTable) -> None:
@@ -149,7 +150,7 @@ def write_checkpoint(
     command: str,
     status: str,
     seed: int,
-    input_digests: dict[str, str],
+    inputs: dict[str, str],
     params: dict,
     state: CEState | None = None,
     progress: dict | None = None,
@@ -158,7 +159,7 @@ def write_checkpoint(
         "command": command,
         "status": status,
         "seed": seed,
-        "inputs": input_digests,
+        "inputs": inputs,
         "params": params,
         "state": None,
         "progress": progress or {},

@@ -183,6 +183,8 @@ def _load_config(args, command: str) -> tuple[CampaignConfig, Path]:
 class Campaign:
     """A built campaign, and what its command has reached, for its checkpoint.
 
+    ``identity`` (command, seed, input digests, parameters) is built once, as
+    the inputs load: ``--resume`` checks it and the checkpoint records it.
     ``trace``, the trace being built, is written to ``trace_path`` when the
     command ends, complete or interrupted, and its length leads the
     checkpoint's progress.
@@ -193,7 +195,7 @@ class Campaign:
     space: object
     evaluator: SyntheticEvaluator | CommandEvaluator
     benchmarks: list[str]
-    params: dict
+    identity: dict
     trace: CampaignTrace | None = None
     trace_path: Path | None = None
     state: CEState | None = None
@@ -263,17 +265,17 @@ def _params(cfg: CampaignConfig, benchmarks: list[str]) -> dict:
 def build_campaign(
     cfg: CampaignConfig, out: Path, max_evals: int | None = None, resume: str | None = None
 ) -> Campaign:
-    """Check every input, a ``resume`` checkpoint too, which must be for the
-    same command, seed, input files and parameters, then create the out dir
-    and open the cache, so a rejected config leaves nothing behind."""
+    """Check every input, a ``resume`` checkpoint too, which must hold the
+    campaign's identity: the same command, seed, digests of the input files
+    as loaded here, and parameters. Then create the out dir and open the
+    cache, so a rejected config leaves nothing behind."""
     space, model_or_suite, benchmarks = _load_inputs(cfg)
-    params = _params(cfg, benchmarks)
-    if resume:  # each of these checkpoint fields must hold what this campaign would write
-        want = {"command": cfg.command, "seed": cfg.seed, "inputs": input_digests(cfg),
-                "params": params}
+    identity = {"command": cfg.command, "seed": cfg.seed, "inputs": input_digests(cfg),
+                "params": _params(cfg, benchmarks)}
+    if resume:
         try:
             ck = json_value(read_checkpoint(resume), dict, "a checkpoint")
-            for key, value in want.items():
+            for key, value in identity.items():
                 if json_field(ck, key, type(value)) != value:
                     raise ValueError(f"checkpoint {key} {ck[key]} != requested {key} {value}")
         except ValueError as exc:  # malformed JSON too
@@ -288,7 +290,7 @@ def build_campaign(
                                      build_dir=out / "build", max_evals=max_evals)
     out.mkdir(parents=True, exist_ok=True)
     evaluator.cache = EvalCache(cache_path)
-    return Campaign(cfg, out, space, evaluator, benchmarks, params)
+    return Campaign(cfg, out, space, evaluator, benchmarks, identity)
 
 
 def _log(out: Path, message: str) -> None:
@@ -336,10 +338,8 @@ def _run_campaign(args, body: Callable[[Campaign], list[str]]) -> int:
     cfg, out = _load_config(args, command)
     camp = build_campaign(cfg, out, args.max_evals, args.resume)
     try:
-        try:
+        with camp.evaluator.cache:
             summary = body(camp)
-        finally:
-            camp.evaluator.cache.close()
     except (CampaignInterrupted, KeyboardInterrupt):
         summary = None
     except OSError as exc:
@@ -351,16 +351,9 @@ def _run_campaign(args, body: Callable[[Campaign], list[str]]) -> int:
     try:
         if camp.trace is not None:
             write_trace(camp.trace_path, camp.trace)
-        write_checkpoint(
-            out / "checkpoint.json",
-            command=command,
-            status="interrupted" if summary is None else "complete",
-            seed=cfg.seed,
-            input_digests=input_digests(cfg),
-            params=camp.params,
-            state=camp.state,
-            progress=progress,
-        )
+        status = "interrupted" if summary is None else "complete"
+        write_checkpoint(out / "checkpoint.json", status=status, state=camp.state,
+                         progress=progress, **camp.identity)
         if summary is None:
             _log(out, f"{command} interrupted, progress {json.dumps(progress)}")
         else:
@@ -401,7 +394,7 @@ def _ric(camp: Campaign) -> list[str]:
         }
     write_json(out / "ric.best.json", best)
     try:
-        final = floored_best_so_far(trace, _baseline_reference(trace)).points[-1][1]
+        final = floored_best_so_far(trace, _baseline_reference(trace))[-1][1]
         ratio_text = f"{final:.6g}"
     except ValueError:
         ratio_text = "n/a"
@@ -409,7 +402,7 @@ def _ric(camp: Campaign) -> list[str]:
 
 
 def _ce(camp: Campaign) -> list[str]:
-    targets = camp.params["benchmarks"]
+    targets = camp.identity["params"]["benchmarks"]
     summary = []
     completed: list[str] = []
     _log(camp.out, f"ce start targets={targets}")

@@ -139,13 +139,13 @@ def test_criterion_07_floored_series(pair_space, pair_model):
     trace = run_ric(pair_space, ["cover"], ev, 200, 42)
     refs = {"cover": trace.records[0].measurements["cover"].time}
     series = floored_best_so_far(trace, refs)
-    values = [v for _, v in series.points]
+    values = [v for _, v in series]
     assert all(0.0 < v <= 1.0 for v in values)
     assert all(b <= a for a, b in zip(values, values[1:]))
     first_joint = next(
         rec.seq for rec in trace.records if rec.config.assignment == (False, False)
     )
-    for seq, value in series.points:
+    for seq, value in series:
         assert value == (1.0 if seq < first_joint else 0.9)
 
 

@@ -46,25 +46,25 @@ def _trace(rows):
 def test_floored_mean_example():
     trace = _trace([{"a": 120.0, "b": 80.0}])
     series = floored_best_so_far(trace, {"a": 100.0, "b": 100.0})
-    assert series.points == ((1, 0.9),)
+    assert series == ((1, 0.9),)
 
 
 def test_reference_only_trace_is_constant_one():
     trace = _trace([{"a": 100.0}, {"a": 100.0}])
     series = floored_best_so_far(trace, {"a": 100.0})
-    assert [v for _, v in series.points] == [1.0, 1.0]
+    assert [v for _, v in series] == [1.0, 1.0]
 
 
 def test_unmeasured_benchmark_contributes_one():
     trace = _trace([{"a": 50.0}])
     series = floored_best_so_far(trace, {"a": 100.0, "b": 100.0})
-    assert series.points == ((1, 0.75),)
+    assert series == ((1, 0.75),)
 
 
 def test_failed_measurements_do_not_count():
     trace = _trace([{"a": None}, {"a": 90.0}])
     series = floored_best_so_far(trace, {"a": 100.0})
-    assert [v for _, v in series.points] == [1.0, 0.9]
+    assert [v for _, v in series] == [1.0, 0.9]
 
 
 def test_empty_trace_rejected():
@@ -80,7 +80,7 @@ def test_pair_ric_series_drops_at_first_joint_disable():
     first_joint = next(
         r.seq for r in trace.records if r.config.assignment == (False, False)
     )
-    for seq, value in series.points:
+    for seq, value in series:
         assert value == (1.0 if seq < first_joint else 0.9)
 
 
@@ -97,7 +97,7 @@ def test_pair_ric_series_drops_at_first_joint_disable():
 def test_series_is_non_increasing_within_unit_interval(rows):
     trace = _trace(rows)
     series = floored_best_so_far(trace, {"a": 100.0, "b": 100.0, "c": 100.0})
-    values = [v for _, v in series.points]
+    values = [v for _, v in series]
     assert all(0.0 < v <= 1.0 for v in values)
     assert all(b <= a for a, b in zip(values, values[1:]))
 

@@ -125,6 +125,54 @@ def test_full_disk_without_room_for_a_checkpoint_fails_the_campaign(tmp_path, de
     assert not (out / "checkpoint.json").exists()
 
 
+@pytest.mark.parametrize("artifact", ["checkpoint.json", "ric.trace"])
+def test_unwritable_trace_or_checkpoint_fails_the_campaign(tmp_path, demo_config, capsys,
+                                                           artifact):
+    out = tmp_path / "o"
+    (out / artifact).mkdir(parents=True)  # a directory where the file goes
+    assert main(["ric", "--config", demo_config("pair"), "--out", str(out)]) == 2
+    assert "campaign failed" in capsys.readouterr().err
+    assert list(out.glob(".*.tmp")) == []
+
+
+def _processes_in(directory: Path) -> list[int]:
+    """The processes, of those this user may inspect, whose working
+    directory is ``directory``."""
+    pids = []
+    for entry in Path("/proc").iterdir():
+        try:
+            if entry.name.isdigit() and Path(os.readlink(entry / "cwd")) == directory:
+                pids.append(int(entry.name))
+        except OSError:  # gone, a zombie, or another user's
+            pass
+    return pids
+
+
+def test_hanging_compile_is_killed_and_cached_as_a_compile_error(tmp_path):
+    """A compile past its benchmark's timeout is killed with its process
+    group, so no ``sleep`` outlives it, and cached as a compile error, so a
+    rerun compiles nothing."""
+    space = json.loads((DEMO / "stub_space.json").read_text())
+    (tmp_path / "space.json").write_text(json.dumps({**space, "flags": space["flags"][:1]}))
+    (tmp_path / "suite.json").write_text(json.dumps({"benchmarks": [
+        {"name": "b", "compile_command": "sh -c 'sleep 30; : {flags}' x", "run_command": "{bin}",
+         "timeout": 0.3}]}))
+    config = write_config(tmp_path / "c.json", mode="external", suite="suite.json", model=None,
+                          flag_space=str(tmp_path / "space.json"), n_configs=2)
+    out = tmp_path / "o"
+    summaries = []
+    for _ in range(2):
+        assert main(["ric", "--config", str(config), "--out", str(out)]) == 0
+        summaries.append((out / "summary.txt").read_text(encoding="utf-8"))
+    assert not summaries[0].startswith("ric: evaluations=0 ")
+    assert summaries[1].startswith("ric: evaluations=0 ")
+    assert _cached_outcomes(out / "cache.jsonl") == {("compile_error", None, "compile timed out")}
+    deadline = time.monotonic() + 5  # a killed process takes a moment to go
+    while _processes_in(tmp_path.resolve()) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _processes_in(tmp_path.resolve()) == []
+
+
 def test_missing_compiler_interrupts_with_checkpoint(tmp_path):
     (tmp_path / "suite.json").write_text(json.dumps({"benchmarks": [
         {"name": "b", "compile_command": "no-such-compiler-anywhere {flags} -o {out}",
@@ -378,6 +426,33 @@ def test_interrupt_and_resume_equals_uninterrupted(tmp_path, demo_config):
     assert read_checkpoint(out / "checkpoint.json")["status"] == "complete"
 
 
+def test_checkpoint_holds_the_inputs_as_loaded(tmp_path, monkeypatch, capsys):
+    """A model edited while the campaign runs does not reach its checkpoint,
+    which holds the digests of the inputs the campaign loaded, so a resume
+    against the edited model is rejected."""
+    import flagtuner.cli as cli
+
+    model = tmp_path / "model.json"
+    shutil.copy(DEMO / "pair_model.json", model)
+    loaded = hashlib.md5(model.read_bytes()).hexdigest()
+    config = write_config(tmp_path / "c.json", model=str(model))
+    original = cli.run_ric
+
+    def run_ric(*args, **kwargs):
+        _pair_model(tmp_path, model.name, base_time=120.0)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_ric", run_ric)
+    out = tmp_path / "o"
+    assert main(["ric", "--config", str(config), "--out", str(out), "--max-evals", "2"]) == 3
+    assert read_checkpoint(out / "checkpoint.json")["inputs"]["model"] == loaded
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert main(["ric", "--config", str(config), "--out", str(out),
+                 "--resume", str(out / "checkpoint.json")]) == 1
+    assert "checkpoint inputs" in capsys.readouterr().err
+
+
 def test_resume_rejects_mismatched_inputs(tmp_path, demo_config):
     out = tmp_path / "o"
     code = main(
@@ -531,6 +606,7 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
         ("ric", {"mode": "external", "model": None, "suite": "slash_name_suite.json"}, []),
         ("suite-ce", {}, ["--threshold", "inf"]),
         ("oracle", {}, ["--threshold", "1e400"]),
+        ("ric", {"mode": "nope"}, []),
     ],
     ids=["ce-benchmark", "ric-benchmarks", "ric-unknown-flag", "oracle-unknown-flag",
          "oracle-non-positive", "suite-ce-aggregate", "suite-ce-negative-threshold",
@@ -546,7 +622,8 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
          "ric-base-time-a-string", "ric-repeat-runs-fractional", "ric-timeout-a-string",
          "ric-timeout-nan", "ric-when-three-values", "ric-flags-one-value",
          "ce-model-benchmark-with-slash", "ric-suite-benchmark-with-slash",
-         "suite-ce-infinite-threshold-option", "oracle-infinite-threshold-option"],
+         "suite-ce-infinite-threshold-option", "oracle-infinite-threshold-option",
+         "ric-bad-mode"],
 )
 def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, extra):
     _pair_model(tmp_path, "unknown_flag.json", flag_delta={"ivopts": -5.0, "zz": 1.0})
@@ -616,6 +693,7 @@ BASELINE = HEADER + "1,1111,O3,crc32,1.0,ok,baseline\n"
         ("report", BASELINE + "1,0111,O3,fir,2.0,ok,baseline\n"),
         ("report", BASELINE + "1,1111,O3,fir,2.0,ok,probe\n"),
         ("report", (BASELINE, BASELINE)),
+        ("report", HEADER + "1,1111,O3,crc32,1.0,ok,probe\n"),
         ("predict-1nn", None),
         ("predict-1nn", '{"program": "crc32", "trace": "crc32.trace"}'),
         ("predict-1nn", '["crc32"]'),
@@ -631,6 +709,7 @@ BASELINE = HEADER + "1,1111,O3,crc32,1.0,ok,baseline\n"
     ids=["report-missing-trace", "report-header-only-trace", "report-short-row",
          "report-level-outside-space", "report-rows-disagree-on-config",
          "report-rows-disagree-on-annotation", "report-two-traces-one-stem",
+         "report-no-baseline-first",
          "predict-1nn-missing-manifest",
          "predict-1nn-manifest-not-a-list", "predict-1nn-record-not-an-object",
          "predict-1nn-record-without-program", "predict-1nn-record-without-trace",

@@ -9,6 +9,8 @@ are reached through the language, not by name.
 import ast
 import contextlib
 import importlib.util
+import inspect
+import typing
 from pathlib import Path
 
 from flagtuner.cli import main
@@ -52,6 +54,32 @@ def test_every_definition_is_reached():
 def test_allowlist_names_only_unreached_definitions():
     defined, used = _defined_and_used()
     assert sorted(UNREACHED.keys() - (defined - used)) == []
+
+
+def test_every_annotation_resolves():
+    """``typing.get_type_hints`` resolves every function, method and class
+    of the package: an annotation naming a type its module never imports
+    raises ``NameError`` there."""
+    unresolved = []
+    for path in SOURCES:
+        if path.parent.name != "flagtuner" or path.stem == "__main__":  # __main__ runs main
+            continue
+        module = importlib.import_module(f"flagtuner.{path.stem}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [obj]
+            if inspect.isclass(obj):
+                for member in vars(obj).values():  # properties, static and class methods too
+                    member = getattr(member, "fget", getattr(member, "__func__", member))
+                    if inspect.isfunction(member):
+                        members.append(member)
+            for member in members:
+                try:
+                    typing.get_type_hints(member)
+                except NameError as exc:
+                    unresolved.append(f"{module.__name__}.{member.__qualname__}: {exc}")
+    assert unresolved == []
 
 
 @contextlib.contextmanager
