@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from statistics import fmean
 from typing import Sequence
@@ -153,10 +153,9 @@ def make_folds(programs: Sequence[str], k: int, seed: int) -> FoldPlan:
 @dataclass
 class FoldResult:
     fold: int
-    config: Configuration | None
-    trace: CampaignTrace | None
-    test_ratios: dict[str, float] = field(default_factory=dict)
-    error: str | None = None
+    config: Configuration
+    trace: CampaignTrace
+    test_ratios: dict[str, float]
 
 
 def run_xval(
@@ -171,8 +170,8 @@ def run_xval(
 
     Training never sees measurements of held-out programs; test ratios are
     against the stock-baseline reference times. A failing test measurement
-    yields an infinite ratio; a failing fold campaign is reported in the
-    fold's ``error`` field.
+    yields an infinite ratio. A failing reference pass or fold campaign
+    raises ``CampaignError``, so a returned list covers every fold.
     """
     benches = list(benchmarks)
     if set(plan.assignment) != set(benches):
@@ -180,21 +179,16 @@ def run_xval(
     stock = space.stock_config()
     measured = dict(zip(benches, evaluator.evaluate_many([(stock, b) for b in benches]),
                         strict=True))
-    reference = {}
-    for b, m in measured.items():
-        if not m.ok:
-            raise CampaignError(f"baseline configuration failed on {b}")
-        reference[b] = m.time
+    failed = [f"{b} ({m.status})" for b, m in measured.items() if not m.ok]
+    if failed:
+        raise CampaignError(f"baseline configuration failed on: {', '.join(failed)}")
+    reference = {b: m.time for b, m in measured.items()}
 
     results = []
     for fold in range(plan.k):
         train = [b for b in benches if plan.assignment[b] != fold]
-        test = [b for b in benches if plan.assignment[b] == fold]
-        try:
-            config, trace = run_suite_ce(space, train, evaluator, threshold_t, aggregate)
-        except CampaignError as exc:
-            results.append(FoldResult(fold, None, None, {}, error=str(exc)))
-            continue
+        test = plan.test_set(fold)
+        config, trace = run_suite_ce(space, train, evaluator, threshold_t, aggregate)
         ratios = {
             b: m.time / reference[b] if m.ok else math.inf
             for b, m in zip(test, evaluator.evaluate_many([(config, b) for b in test]),

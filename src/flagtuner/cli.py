@@ -445,20 +445,17 @@ def _xval(camp: Campaign) -> list[str]:
 
     all_ratios, rows = [], []
     for res in results:
-        if res.error is not None:
-            rows.append(["", res.fold, "", res.error])
-            continue
         write_trace(out / f"fold_{res.fold}.trace", res.trace)
         write_final_config(out / f"fold_{res.fold}.config.json", camp.space, res.config)
         for program, ratio in res.test_ratios.items():
             rows.append([program, res.fold, repr(ratio), ""])
             all_ratios.append(ratio)
-    if all_ratios:
-        rows.append(["overall_mean", "", repr(fmean(all_ratios)), ""])
+    mean = fmean(all_ratios)
+    rows.append(["overall_mean", "", repr(mean), ""])
+    # the always-empty error column keeps the report's columns those of earlier runs
     write_csv(out / "xval_report.csv", ["program", "fold", "ratio", "error"], rows)
     camp.progress = {"folds": plan.k}
-    mean_text = f"{fmean(all_ratios):.6g}" if all_ratios else "n/a"
-    return [f"xval: folds={plan.k} {camp.counts()} mean_test_ratio={mean_text}"]
+    return [f"xval: folds={plan.k} {camp.counts()} mean_test_ratio={mean:.6g}"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import importlib.util
 import json
@@ -607,6 +608,12 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
         ("suite-ce", {}, ["--threshold", "inf"]),
         ("oracle", {}, ["--threshold", "1e400"]),
         ("ric", {"mode": "nope"}, []),
+        ("ric", {"mode": "external", "model": None, "suite": "repeated_name_suite.json"}, []),
+        ("ric", {"mode": "external", "model": None, "suite": "empty_name_suite.json"}, []),
+        ("ric", {"mode": "external", "model": None, "suite": "timing_wall.json"}, []),
+        ("ric", {"flag_space": "empty_flag_name.json"}, []),
+        ("ric", {"flag_space": "no_base_levels.json"}, []),
+        ("ric", {"flag_space": "repeated_base_level.json"}, []),
     ],
     ids=["ce-benchmark", "ric-benchmarks", "ric-unknown-flag", "oracle-unknown-flag",
          "oracle-non-positive", "suite-ce-aggregate", "suite-ce-negative-threshold",
@@ -623,7 +630,8 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
          "ric-timeout-nan", "ric-when-three-values", "ric-flags-one-value",
          "ce-model-benchmark-with-slash", "ric-suite-benchmark-with-slash",
          "suite-ce-infinite-threshold-option", "oracle-infinite-threshold-option",
-         "ric-bad-mode"],
+         "ric-bad-mode", "ric-suite-repeated-name", "ric-suite-empty-name", "ric-timing-wall",
+         "ric-empty-flag-name", "ric-no-base-levels", "ric-repeated-base-level"],
 )
 def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, extra):
     _pair_model(tmp_path, "unknown_flag.json", flag_delta={"ivopts": -5.0, "zz": 1.0})
@@ -647,15 +655,23 @@ def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, e
             ("slash_name_suite.json", "a/b", ("cc {flags} -o {out}", "{bin}"))):
         bench = dict(zip(("name", "compile_command", "run_command"), (bench_name, *commands)))
         (tmp_path / name).write_text(json.dumps({"benchmarks": [bench]}))
+    bench = {"name": "b", "compile_command": "cc {flags} -o {out}", "run_command": "{bin}"}
     for name, field_value in (("repeat_runs_fractional.json", {"repeat_runs": 2.9}),
                               ("timeout_a_string.json", {"timeout": "30"}),
-                              ("timeout_nan.json", {"timeout": float("nan")})):  # written NaN
-        bench = {"name": "b", "compile_command": "cc {flags} -o {out}", "run_command": "{bin}"}
+                              ("timeout_nan.json", {"timeout": float("nan")}),  # written NaN
+                              ("empty_name_suite.json", {"name": ""}),
+                              ("timing_wall.json", {"timing": "wall"})):
         (tmp_path / name).write_text(json.dumps({"benchmarks": [{**bench, **field_value}]}))
+    (tmp_path / "repeated_name_suite.json").write_text(json.dumps({"benchmarks": [bench, bench]}))
     space = json.loads((DEMO / "pair_space.json").read_text())
     (tmp_path / "flags_a_number.json").write_text(json.dumps({**space, "flags": 5}))
     stock_a_string = [{**space["flags"][0], "stock": "false"}, *space["flags"][1:]]
     (tmp_path / "stock_a_string.json").write_text(json.dumps({**space, "flags": stock_a_string}))
+    empty_flag_name = [{**space["flags"][0], "name": ""}, *space["flags"][1:]]
+    (tmp_path / "empty_flag_name.json").write_text(json.dumps({**space, "flags": empty_flag_name}))
+    for name, levels in (("no_base_levels.json", []),
+                         ("repeated_base_level.json", ["O1", "O3", "O3"])):
+        (tmp_path / name).write_text(json.dumps({**space, "base_levels": levels}))
     for field in ("model", "suite", "flag_space"):
         name = overrides.get(field)
         if name and not Path(name).is_absolute():  # one of the files above
@@ -694,6 +710,8 @@ BASELINE = HEADER + "1,1111,O3,crc32,1.0,ok,baseline\n"
         ("report", BASELINE + "1,1111,O3,fir,2.0,ok,probe\n"),
         ("report", (BASELINE, BASELINE)),
         ("report", HEADER + "1,1111,O3,crc32,1.0,ok,probe\n"),
+        ("report", "program,fold,ratio,error\n"),
+        ("report", BASELINE + "3,0111,O3,crc32,2.0,ok,probe\n"),
         ("predict-1nn", None),
         ("predict-1nn", '{"program": "crc32", "trace": "crc32.trace"}'),
         ("predict-1nn", '["crc32"]'),
@@ -701,6 +719,7 @@ BASELINE = HEADER + "1,1111,O3,crc32,1.0,ok,baseline\n"
         ("predict-1nn", '[{"program": "crc32"}]'),
         ("predict-1nn", '[{"program": "crc32", "trace": "crc32.trace", "benchmark": ["x"]}]'),
         ("predict-1nn", '[{"program": "crc32", "trace": "outside.trace"}]'),
+        ("predict-1nn", '[{"program": "adpcm", "trace": "crc32.trace"}]'),
         ("features", FEATURES + "fir,8,12,30,2\n"),
         ("features", FEATURES + "adpcm,8,x,30,2\n"),
         ("features", FEATURES + "adpcm,8,12,30\n"),
@@ -709,11 +728,12 @@ BASELINE = HEADER + "1,1111,O3,crc32,1.0,ok,baseline\n"
     ids=["report-missing-trace", "report-header-only-trace", "report-short-row",
          "report-level-outside-space", "report-rows-disagree-on-config",
          "report-rows-disagree-on-annotation", "report-two-traces-one-stem",
-         "report-no-baseline-first",
+         "report-no-baseline-first", "report-not-a-trace", "report-sequence-skips-one",
          "predict-1nn-missing-manifest",
          "predict-1nn-manifest-not-a-list", "predict-1nn-record-not-an-object",
          "predict-1nn-record-without-program", "predict-1nn-record-without-trace",
          "predict-1nn-benchmark-not-a-string", "predict-1nn-trace-level-outside-space",
+         "predict-1nn-program-not-in-features",
          "features-repeated-program", "features-not-a-number", "features-wrong-width",
          "features-not-finite"],
 )
@@ -932,13 +952,14 @@ def test_failed_compiles_count_as_evaluations(tmp_path, capsys, built_campaigns)
     assert replay == (0, sum(cold))
 
 
-def _stub_copy(tmp_path: Path) -> Path:
+def _stub_copy(tmp_path: Path, **overrides) -> Path:
     """A config for the stub campaign whose suite and stub scripts are copies
     in ``tmp_path``, free to edit."""
     shutil.copytree(DEMO / "stub", tmp_path / "stub")
     shutil.copy(DEMO / "stub_suite.json", tmp_path / "suite.json")
     return write_config(tmp_path / "c.json", flag_space=str(DEMO / "stub_space.json"),
-                        mode="external", model=None, suite="suite.json", n_configs=6)
+                        mode="external", model=None, suite="suite.json", n_configs=6,
+                        **overrides)
 
 
 def test_changed_run_command_runs_binaries_again(tmp_path, built_campaigns):
@@ -1155,6 +1176,40 @@ def test_xval_demo(tmp_path, demo_config, tradeoff_space):
         held_out = {p for p, f in folds["assignment"].items() if f == i}
         seen = {b for rec in trace.records for b in rec.measurements}
         assert not (seen & held_out)
+
+
+def test_xval_names_every_benchmark_whose_reference_fails(tmp_path, capsys):
+    (tmp_path / "suite.json").write_text(json.dumps({"benchmarks": [
+        {"name": name, "compile_command": "python3 -S -c 'import sys; sys.exit(1)' {flags} {out}",
+         "run_command": "{bin}"} for name in ("alpha", "beta")]}))
+    config = write_config(tmp_path / "c.json", mode="external", suite="suite.json", model=None,
+                          flag_space=str(DEMO / "stub_space.json"), k=2)
+    assert main(["xval", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == ("flagtuner: campaign failed: baseline configuration "
+                                       "failed on: alpha (compile_error), beta (compile_error)\n")
+
+
+def test_external_xval_completes_every_fold_when_probes_fail(tmp_path):
+    """Each fold's elimination asks again for the stock pairs that the
+    reference pass measured, so a fold finds them cached and ok; probes that
+    fail to compile only lose."""
+    config = _stub_copy(tmp_path, k=2)
+    (tmp_path / "wrap.py").write_text(
+        "import runpy, sys\n"
+        "if '-fno-unroll-loops' in sys.argv:\n"
+        "    sys.exit(1)\n"
+        "runpy.run_path('stub/stubcc.py', run_name='__main__')\n")
+    suite = json.loads((tmp_path / "suite.json").read_text())
+    for bench in suite["benchmarks"]:
+        bench["compile_command"] = "python3 -S wrap.py {flags} --out {out}"
+    (tmp_path / "suite.json").write_text(json.dumps(suite))
+    out = tmp_path / "o"
+    assert main(["xval", "--config", str(config), "--out", str(out)]) == 0
+    assert "compile_error" in {status for status, _, _ in _cached_outcomes(out / "cache.jsonl")}
+    with open(out / "xval_report.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert sorted(row["program"] for row in rows) == ["alpha", "beta", "overall_mean"]
+    assert [row["error"] for row in rows] == ["", "", ""]
 
 
 # ---------------------------------------------------------------------------

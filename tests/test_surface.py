@@ -23,12 +23,12 @@ SOURCES.append(REPO / "scripts" / "run_demo.py")
 UNREACHED = {
     "rip": "acceptance criterion 01 checks the RIP arithmetic on it",
     "best_known": "acceptance criterion 03 reads the best-known time through it",
-    "test_set": "acceptance criterion 08 reads held-out programs through FoldPlan.test_set",
     "enumerate_configurations": "the benchmark's tracer wraps it; tests use it as brute force",
     "get_failure": "the benchmark's tracer wraps EvalCache.get_failure",
     "read_final_config": "the benchmark's tracer wraps it; tests read configs with it",
     "counters": "the benchmark's worker reads Campaign.counters",
     "_make": "Measurement._replace calls it; overridden so that it runs the checks too",
+    "error": "argparse calls _Parser.error on a usage error",
 }
 
 
