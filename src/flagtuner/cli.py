@@ -192,7 +192,7 @@ class Campaign:
 
     cfg: CampaignConfig
     out: Path
-    space: object
+    space: FlagSpace
     evaluator: SyntheticEvaluator | CommandEvaluator
     benchmarks: list[str]
     identity: dict
@@ -221,9 +221,10 @@ def _load_inputs(
     cfg: CampaignConfig,
 ) -> tuple[FlagSpace, SyntheticModel | list[Benchmark], list[str]]:
     """The flag space, the model (checked against the space) or suite, which
-    must hold a benchmark and no name with a '/' or NUL, and the benchmarks
-    the config selects: its ``benchmarks`` (default: all available), which
-    must hold ``benchmark`` and, for ``xval``, at least ``k`` names."""
+    must hold a benchmark and no name that is empty or holds a '/' or NUL,
+    and the benchmarks the config selects: its ``benchmarks`` (default: all
+    available), which must hold ``benchmark`` and, for ``xval``, at least
+    ``k`` names."""
     space = _load_space(cfg.flag_space)
     source = cfg.model if cfg.mode == "synthetic" else cfg.suite
     try:
@@ -238,14 +239,16 @@ def _load_inputs(
         raise ConfigError(f"{source}: {exc}") from exc
     if not available:
         raise ConfigError(f"{source}: no benchmarks")
-    unnamable = [b for b in available if "/" in b or "\0" in b]  # names go into file names
+    # names go into file names
+    unnamable = [b for b in available if not b or "/" in b or "\0" in b]
     if unnamable:
-        raise ConfigError(f"{source}: a benchmark name must hold no '/' or NUL: {unnamable}")
+        raise ConfigError(
+            f"{source}: a benchmark name must be non-empty and hold no '/' or NUL: {unnamable}")
     benchmarks = available if cfg.benchmarks is None else list(cfg.benchmarks)
     missing = [b for b in benchmarks if b not in available]
     if missing:
         raise ConfigError(f"unknown benchmarks in config: {missing}")
-    if cfg.benchmark and cfg.benchmark not in benchmarks:
+    if cfg.benchmark is not None and cfg.benchmark not in benchmarks:
         raise ConfigError(f"unknown benchmark: {[cfg.benchmark]}")
     if cfg.command == "xval" and cfg.k > len(benchmarks):
         raise ConfigError(f"k={cfg.k} is above the {len(benchmarks)} selected benchmarks")
@@ -257,7 +260,7 @@ def _params(cfg: CampaignConfig, benchmarks: list[str]) -> dict:
     if cfg.command == "ric":
         return {"n_configs": cfg.n_configs}
     if cfg.command == "ce":  # the benchmarks it tunes, one by one
-        return {"benchmarks": [cfg.benchmark] if cfg.benchmark else benchmarks}
+        return {"benchmarks": benchmarks if cfg.benchmark is None else [cfg.benchmark]}
     suite = {"threshold_t": cfg.threshold_t, "aggregate": cfg.aggregate}
     return {"k": cfg.k, **suite} if cfg.command == "xval" else suite
 

@@ -120,8 +120,7 @@ class Measurement(_MeasurementFields):
 
     A tuple underneath, because campaigns build one per probe and a tuple
     is built far faster than a frozen dataclass; every way to build one,
-    ``_make`` and ``_replace`` too, runs the checks. It equals only
-    another ``Measurement``, never a plain tuple.
+    ``_make`` and ``_replace`` too, runs the checks.
     """
 
     __slots__ = ()
@@ -140,17 +139,6 @@ class Measurement(_MeasurementFields):
     @classmethod
     def _make(cls, iterable) -> Measurement:
         return cls(*iterable)
-
-    def __eq__(self, other):
-        if type(other) is type(self):
-            return tuple.__eq__(self, other)
-        return False if isinstance(other, tuple) else NotImplemented
-
-    def __ne__(self, other):
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    __hash__ = tuple.__hash__
 
     @property
     def ok(self) -> bool:

@@ -27,7 +27,7 @@ from statistics import fmean
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 from flagtuner.evaluator import Measurement
-from flagtuner.flagspace import Configuration, FlagSpace, _check_member, toggle
+from flagtuner.flagspace import Configuration, FlagSpace, toggle
 
 
 class CampaignError(RuntimeError):
@@ -69,9 +69,6 @@ class CampaignTrace:
     def __len__(self) -> int:
         return len(self.records)
 
-    def __iter__(self):
-        return iter(self.records)
-
 
 @dataclass
 class CEState:
@@ -107,15 +104,10 @@ def rip(t_toggled: float, t_base: float) -> float:
     return (t_toggled - t_base) / t_base * 100.0
 
 
-def sample_ric(space: FlagSpace, rng: int | random.Random) -> Configuration:
-    """Draw one random configuration: uniform base level, each flag on with p=1/2.
-
-    Passing an int seeds a fresh generator; passing a Random advances it,
-    which is how a campaign draws a reproducible sequence.
-    """
-    r = random.Random(rng) if isinstance(rng, int) else rng
-    level = space.base_levels[r.randrange(len(space.base_levels))]
-    assignment = tuple(r.random() < 0.5 for _ in space.flags)
+def sample_ric(space: FlagSpace, rng: random.Random) -> Configuration:
+    """Draw one random configuration: uniform base level, each flag on with p=1/2."""
+    level = space.base_levels[rng.randrange(len(space.base_levels))]
+    assignment = tuple(rng.random() < 0.5 for _ in space.flags)
     return Configuration(level, assignment)
 
 
@@ -225,7 +217,6 @@ def _eliminate(
     """
     trace = trace if trace is not None else CampaignTrace()
     state = state if state is not None else CEState()
-    _check_member(space, B)
     batch = evaluator.evaluate_many([(B, b) for b in benches])
     ref_meas = dict(zip(benches, batch, strict=True))
     trace.append(B, ref_meas, "baseline")

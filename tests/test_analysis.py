@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from flagtuner.analysis import (
     FeatureVector,
+    FoldPlan,
     compare_to_baseline,
     floored_best_so_far,
     load_features,
@@ -405,8 +406,43 @@ def test_load_features_rejects_ragged_rows(tmp_path):
         load_features(path)
 
 
+def test_load_features_skips_blank_rows(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("program,x\na,1\n\nb,2\n")
+    assert load_features(path) == [FeatureVector("a", (1.0,)), FeatureVector("b", (2.0,))]
+
+
 def test_load_features_requires_header(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("a,1,2\n")
     with pytest.raises(ValueError):
         load_features(path)
+
+
+# ---------------------------------------------------------------------------
+# argument checks of the library calls
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call, message", [
+    (lambda space, model: floored_best_so_far(_trace([{"a": 1.0}]), {"a": 0.0}),
+     "reference time for 'a' must be finite and > 0"),
+    (lambda space, model: FoldPlan(1, {"a": 0}), "k must be >= 2"),
+    (lambda space, model: make_folds(["a", "a", "b"], 2, 0), "program names must be unique"),
+    (lambda space, model: run_xval(space, ["a", "b"], SyntheticEvaluator(space, model), 0.0,
+                                   "mean", FoldPlan(2, {"a": 0, "c": 1})),
+     "fold plan does not cover exactly the given benchmarks"),
+    (lambda space, model: SyntheticEvaluator(space, model, max_evals=0),
+     "max_evals must be >= 1"),
+    (lambda space, model: model.time_for(space, space.stock_config(), "nope"),
+     "benchmark 'nope' not modeled"),
+    (lambda space, model: per_benchmark_optimum(space, model, "a", base_level="O9"),
+     "unknown base level 'O9'"),
+    (lambda space, model: run_ric(space, [], SyntheticEvaluator(space, model), 1, 0),
+     "need at least one benchmark"),
+], ids=["floored-best-so-far-zero-reference", "fold-plan-k-1", "make-folds-repeated-program",
+        "run-xval-plan-off-the-benchmarks", "synthetic-max-evals-0", "time-for-unknown-benchmark",
+        "oracle-unknown-base-level", "run-ric-no-benchmarks"])
+def test_library_calls_reject_bad_arguments(call, message):
+    space, model = space_of(1), model_of({"a": {}, "b": {}})
+    with pytest.raises(ValueError, match=message):
+        call(space, model)

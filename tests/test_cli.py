@@ -614,6 +614,8 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
         ("ric", {"flag_space": "empty_flag_name.json"}, []),
         ("ric", {"flag_space": "no_base_levels.json"}, []),
         ("ric", {"flag_space": "repeated_base_level.json"}, []),
+        ("ce", {**TRADEOFF, "benchmark": ""}, []),
+        ("ce", {"model": "empty_name_model.json"}, []),
     ],
     ids=["ce-benchmark", "ric-benchmarks", "ric-unknown-flag", "oracle-unknown-flag",
          "oracle-non-positive", "suite-ce-aggregate", "suite-ce-negative-threshold",
@@ -631,7 +633,8 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
          "ce-model-benchmark-with-slash", "ric-suite-benchmark-with-slash",
          "suite-ce-infinite-threshold-option", "oracle-infinite-threshold-option",
          "ric-bad-mode", "ric-suite-repeated-name", "ric-suite-empty-name", "ric-timing-wall",
-         "ric-empty-flag-name", "ric-no-base-levels", "ric-repeated-base-level"],
+         "ric-empty-flag-name", "ric-no-base-levels", "ric-repeated-base-level",
+         "ce-empty-benchmark", "ce-model-empty-benchmark-name"],
 )
 def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, extra):
     _pair_model(tmp_path, "unknown_flag.json", flag_delta={"ivopts": -5.0, "zz": 1.0})
@@ -647,8 +650,9 @@ def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, e
     (tmp_path / "benchmark_list.json").write_text('{"benchmarks": []}')
     (tmp_path / "string_entries.json").write_text('{"benchmarks": ["x"]}')
     model = json.loads((DEMO / "pair_model.json").read_text())
-    model["benchmarks"] = {"a/b": model["benchmarks"]["cover"]}
-    (tmp_path / "slash_name_model.json").write_text(json.dumps(model))
+    for name, bench_name in (("slash_name_model.json", "a/b"), ("empty_name_model.json", "")):
+        named = {**model, "benchmarks": {bench_name: model["benchmarks"]["cover"]}}
+        (tmp_path / name).write_text(json.dumps(named))
     for name, bench_name, commands in (
             ("input_in_run.json", "b", ("cc {flags} -o {out}", "{bin} {input}")),
             ("bin_in_compile.json", "b", ("cc {flags} -o {bin}", "{bin}")),

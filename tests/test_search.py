@@ -74,14 +74,14 @@ def test_rip_rejects_nonpositive_base():
 
 def test_sample_empty_space():
     space = space_of(0, levels=("O1", "O2", "O3"))
-    config = sample_ric(space, 1)
+    config = sample_ric(space, random.Random(1))
     assert config.assignment == ()
     assert config.base_level in space.base_levels
 
 
 def test_sample_deterministic_per_seed():
     space = space_of(5, levels=("O1", "O2", "O3"))
-    assert sample_ric(space, 7) == sample_ric(space, 7)
+    assert sample_ric(space, random.Random(7)) == sample_ric(space, random.Random(7))
     rng_a, rng_b = random.Random(3), random.Random(3)
     seq_a = [sample_ric(space, rng_a) for _ in range(20)]
     seq_b = [sample_ric(space, rng_b) for _ in range(20)]
@@ -424,7 +424,7 @@ def test_elimination_score_is_the_final_configurations_aggregate(rng, threshold_
     config, _ = _eliminate(space, benches, ev, B, AGGREGATES[aggregate], threshold_t, trace,
                            state)
     # the final configuration is the baseline or the last accepted toggle
-    final = [rec for rec in trace
+    final = [rec for rec in trace.records
              if rec.annotation == "baseline" or rec.annotation.startswith("accepted")][-1]
     assert final.config == config
     base = trace.records[0].measurements
@@ -480,7 +480,7 @@ def test_suite_ce_stalls_at_zero_threshold():
     config, trace = run_suite_ce(space, ["b0", "b1"], SyntheticEvaluator(space, model), 0.0,
                                  "mean", state=state)
     assert (config.bitstring, state.score) == ("1111", 1.0)
-    assert not [rec for rec in trace if rec.annotation.startswith("accepted")]
+    assert not [rec for rec in trace.records if rec.annotation.startswith("accepted")]
     stock = space.stock_config()
     reference = {b: model.time_for(space, stock, b) for b in ("b0", "b1")}
     optimum, best = suite_constrained_optimum(space, model, ["b0", "b1"], 0.0, reference)
