@@ -370,6 +370,11 @@ def _fill(template: str, flags: list[str] | None = None, **values) -> list[str]:
     return argv
 
 
+# Linux's MAX_ARG_STRLEN: the bytes one argument of a command may take, its NUL
+# included; a longer one fails the exec with E2BIG
+_MAX_ARG_STRLEN = 131072
+
+
 def _kill_group(proc: subprocess.Popen) -> None:
     with contextlib.suppress(ProcessLookupError):  # the group is gone
         os.killpg(proc.pid, signal.SIGKILL)
@@ -438,10 +443,14 @@ class CommandEvaluator(_CachedEvaluator):
     Each suite entry gets a toolchain fingerprint once, at construction
     (``_toolchain_fingerprint``); every cache key of the entry is taken
     under it, so an edited command or toolchain file is not answered from
-    a stale cache. ``compilations`` counts compiler invocations; a digest
-    hit runs nothing and is answered as a configuration hit is. Each binary
-    is deleted from ``build_dir`` once it has been digested and run, or has
-    failed.
+    a stale cache. A suite whose compile command could render one argument
+    longer than Linux lets a command carry (``{flags}`` inside a longer
+    argument, at each flag's longer spelling and the longest level) is
+    rejected there too, before any compile. ``compilations`` counts
+    compiler invocations; a digest hit runs nothing and is answered as a
+    configuration hit is. ``evaluate_many`` compiles one chunk of pairs
+    ahead while a chunk runs under reported timing; each binary is deleted
+    from ``build_dir`` once it has been digested and run, or has failed.
     """
 
     def __init__(
@@ -465,8 +474,21 @@ class CommandEvaluator(_CachedEvaluator):
         self.workdir = workdir
         # commands may run with a different cwd, so the binary path must be absolute
         self.build_dir = Path(build_dir).resolve()
+
+        def size(arg: str) -> int:
+            return len(os.fsencode(arg)) + 1  # the NUL
+
+        # the longest rendering: the longest level, each flag's longer spelling
+        longest = [max((f"-{level}" for level in space.base_levels), key=size)]
+        longest += (max(f.on, f.off, key=size) for f in space.flags)
+        for b in suite:
+            over = max(map(size, _fill(b.compile_command, longest, out=self._out_path(b.name, ""))))
+            if over > _MAX_ARG_STRLEN:  # every compile would fail with E2BIG
+                raise ValueError(f"benchmark {b.name}: a compile argument can take {over} bytes, "
+                                 f"past the {_MAX_ARG_STRLEN} one argument may hold")
         self.compilations = 0
-        # compiles joined by _build_ahead, by (benchmark, configuration key)
+        # the compiles evaluate_many submitted, by (benchmark, configuration
+        # key), until their pair is measured
         self._prebuilt: dict[tuple[str, str], Future] = {}
         # the commands running now, in any thread
         self._running: set[subprocess.Popen] = set()
@@ -480,72 +502,106 @@ class CommandEvaluator(_CachedEvaluator):
         """The measurements of independent ``pairs``, in order, each from
         ``evaluate``.
 
-        Pairs go through in chunks holding at most one compile per CPU, and
-        a spent budget interrupts before a chunk is built. A
-        chunk's compiles are the pairs whose configuration the cache does not
-        hold when the chunk starts, each distinct pair once; ``_build_ahead``
-        runs them, a lone one too, before the chunk's first ``evaluate``,
-        which then uses the prebuilt binary. As a pair is only compiled when
-        its configuration is missed, the compiles, runs and hits are those of
-        evaluating the pairs one by one. Digests and timed runs stay in the
-        main thread, in order, so a timed run never overlaps a compile or
-        another run that flagtuner started. A chunk that ends early deletes
-        the binaries it built ahead, so ``build_dir`` never holds more than
-        one chunk of binaries.
+        Pairs go through in chunks holding at most one compile per CPU. A
+        chunk's compiles are its pairs whose configuration neither the cache
+        holds nor the chunk before it builds, each distinct pair once, so the
+        chunks, compiles, runs and hits are those of evaluating the pairs one
+        by one. ``_build_ahead`` submits them to one thread pool, made at the
+        first miss, and a chunk's compiles all end before its first
+        ``evaluate`` uses a prebuilt binary. When every benchmark reports its
+        own time, the next chunk is submitted before this one runs, unless
+        this chunk could spend the budget; otherwise it is built once this
+        chunk is done, after a budget check. Digests and runs stay in the
+        main thread, in order, so no two runs overlap, and under external
+        timing a run overlaps no compile either. However the batch ends, the
+        compiles still running are killed and waited for and the binaries
+        not yet run are deleted, so ``build_dir`` holds at most two chunks
+        of binaries.
         """
         width = len(os.sched_getaffinity(0))
-        start = 0
-        while start < len(pairs):
-            self._check_budget()
+        ahead = all(b.timing == TIMING_REPORTED for b in self.suite.values())
+        pool = None
+        chunks: list[tuple[int, dict]] = []  # (end, futures) of the chunk to run, then the next
+
+        def build(start: int) -> None:
+            """Scan the chunk that starts at ``pairs[start]`` and submit its
+            misses; a key in ``_prebuilt`` is the chunk before's, whose
+            outcome is filed before this chunk runs."""
+            nonlocal pool
             misses: dict[tuple[str, str], Configuration] = {}
             end = start
             while end < len(pairs):
                 config, bench_name = pairs[end]
                 key = (bench_name, self._key(config, bench_name))
-                if key not in misses and key not in self.cache:
+                if key not in misses and key not in self._prebuilt and key not in self.cache:
                     if len(misses) == width:
                         break
                     misses[key] = config
                 end += 1
-            try:
-                if misses:  # a pool of no threads raises
-                    self._build_ahead(misses)
+            if misses and pool is None:
+                # imported here: it adds some 7 ms to every start-up otherwise
+                from concurrent.futures import ThreadPoolExecutor
+
+                pool = ThreadPoolExecutor(width)
+            futures = self._build_ahead(pool, misses)
+            self._prebuilt.update(futures)
+            chunks.append((end, futures))
+
+        start = 0
+        try:
+            while start < len(pairs):
+                if not chunks:
+                    self._check_budget()
+                    build(start)
+                end, futures = chunks[0]
+                if ahead and end < len(pairs) and self.used + len(futures) < self.max_evals:
+                    build(end)
+                if futures:
+                    from concurrent.futures import wait
+
+                    wait(futures.values())
                 for config, bench_name in pairs[start:end]:
                     yield self.evaluate(config, bench_name)
-            finally:
-                for key in misses:
+                chunks.pop(0)
+                start = end
+        finally:
+            if pool is not None:
+                self._stop([f for _, futures in chunks for f in futures.values()])
+                pool.shutdown()
+            for _, futures in chunks:
+                for key in futures:
                     self._prebuilt.pop(key, None)
                     self._out_path(*key).unlink(missing_ok=True)
-            start = end
 
-    def _build_ahead(self, misses: dict[tuple[str, str], Configuration]) -> None:
-        """Compile ``misses`` on a thread pool, join it and file the futures in
-        ``_prebuilt``. A Ctrl-C, which the threads never see, files none: it
-        kills every running compile's process group and waits for them first."""
-        # imported here: it adds some 7 ms to every start-up otherwise
-        from concurrent.futures import ThreadPoolExecutor, wait
+    def _build_ahead(self, pool, misses: dict[tuple[str, str], Configuration]) -> dict:
+        """Submit the compiles of ``misses`` to ``pool``: their futures, by key.
+        The one way a compile starts; ``compilations`` counts each."""
+        futures = {}
+        for key, config in misses.items():
+            self.compilations += 1
+            bench, out_path = self.suite[key[0]], self._out_path(*key)
+            futures[key] = pool.submit(self._compile, config, bench, out_path)
+        return futures
 
-        with ThreadPoolExecutor(len(misses)) as pool:
-            pending = []
-            try:
-                for key, config in misses.items():
-                    self.compilations += 1
-                    bench, out_path = self.suite[key[0]], self._out_path(*key)
-                    pending.append(pool.submit(self._compile, config, bench, out_path))
-                wait(pending)
-            except BaseException:
-                while pending:  # a thread may start its command after a sweep
-                    for proc in list(self._running):
-                        _kill_group(proc)
-                    pending = wait(pending, timeout=0.05).not_done
-                raise
-        self._prebuilt.update(zip(misses, pending))
+    def _stop(self, futures: list) -> None:
+        """Cancel the ``futures`` not started, kill every running compile's
+        process group and wait until all of them are done."""
+        from concurrent.futures import wait
+
+        pending = [f for f in futures if not f.cancel() and not f.done()]
+        while pending:  # a thread may start its command after a sweep
+            for proc in list(self._running):
+                _kill_group(proc)
+            pending = wait(pending, timeout=0.05).not_done
 
     def _measure(self, config: Configuration, bench_name: str, key: str) -> Measurement:
         """The outcome of a configuration the cache does not hold.
 
-        ``_build_ahead`` builds the binary (here, unless ``evaluate_many`` did)
-        and an error its compile raised is raised here. The binary's digest is
+        ``_build_ahead`` builds the binary (here, on a pool of its own, unless
+        ``evaluate_many`` did), and an error its compile raised is raised
+        here. A direct build is joined, and an interrupt of the join (a
+        Ctrl-C, which pool threads never see) kills the compile and waits
+        for it before it deletes the binary. The binary's digest is
         looked up before it is run, and a hit is returned as the cache answers
         it; the cache files an outcome that carries a digest under the digest
         as well, so a binary that failed its run is not run again either. The
@@ -553,9 +609,18 @@ class CommandEvaluator(_CachedEvaluator):
         """
         out_path = self._out_path(bench_name, key)
         try:
-            if (bench_name, key) not in self._prebuilt:  # a direct evaluate
-                self._build_ahead({(bench_name, key): config})
-            failed = self._prebuilt.pop((bench_name, key)).result()
+            built = self._prebuilt.pop((bench_name, key), None)
+            if built is None:  # a direct evaluate
+                from concurrent.futures import ThreadPoolExecutor, wait
+
+                with ThreadPoolExecutor(1) as pool:
+                    (built,) = self._build_ahead(pool, {(bench_name, key): config}).values()
+                    try:
+                        wait([built])
+                    except BaseException:
+                        self._stop([built])
+                        raise
+            failed = built.result()
             return failed if failed is not None else self._run(self.suite[bench_name], out_path)
         finally:
             out_path.unlink(missing_ok=True)

@@ -235,17 +235,26 @@ def test_reported_time_that_is_not_finite_is_a_run_error(tmp_path, reported):
         ("run_error", None, "run command did not report a positive time")}
 
 
-def test_argument_list_too_long_fails_the_campaign(tmp_path, capsys):
-    """A ``{flags}`` inside a longer word is one argument, which Linux caps
-    at 128 KiB; no resume could get past it, so the campaign fails."""
-    (tmp_path / "space.json").write_text(json.dumps({
+def _wide_space(path: Path) -> Path:
+    """A space of 8,000 flags: some 160 kB of arguments, past the 128 KiB one
+    argument may hold."""
+    path.write_text(json.dumps({
         "base_levels": ["O3"], "default_baseline": "O3",
         "flags": [{"name": f"flag-number-{i}", "on": f"-fflag-number-{i}",
                    "off": f"-fno-flag-number-{i}"} for i in range(8000)],
     }))
+    return path
+
+
+def test_argument_list_too_long_fails_the_campaign(tmp_path, capsys):
+    """A command line past the kernel's total limit on arguments, though each
+    argument fits, cannot start; no resume could get past it, so the
+    campaign fails."""
+    space = _wide_space(tmp_path / "space.json")
     shutil.copy(DEMO / "stub" / "stubcc.py", tmp_path / "cc.py")
-    config = _one_benchmark_config(tmp_path, {}, "sh -c 'python3 -S cc.py {flags} --out {out}'",
-                                   "true", flag_space=str(tmp_path / "space.json"), n_configs=1)
+    copies = os.sysconf("SC_ARG_MAX") // (8000 * 16) + 1  # a flag takes 16 bytes or more
+    config = _one_benchmark_config(tmp_path, {}, "python3 -S cc.py " + "{flags} " * copies
+                                   + "--out {out}", "true", flag_space=str(space), n_configs=1)
     out = tmp_path / "o"
     for _ in range(2):
         assert main(["ric", "--config", str(config), "--out", str(out)]) == 2
@@ -616,6 +625,8 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
         ("ric", {"flag_space": "repeated_base_level.json"}, []),
         ("ce", {**TRADEOFF, "benchmark": ""}, []),
         ("ce", {"model": "empty_name_model.json"}, []),
+        ("ric", {"mode": "external", "model": None, "suite": "flags_in_one_argument.json",
+                 "flag_space": "wide_space.json"}, []),
     ],
     ids=["ce-benchmark", "ric-benchmarks", "ric-unknown-flag", "oracle-unknown-flag",
          "oracle-non-positive", "suite-ce-aggregate", "suite-ce-negative-threshold",
@@ -634,7 +645,7 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
          "suite-ce-infinite-threshold-option", "oracle-infinite-threshold-option",
          "ric-bad-mode", "ric-suite-repeated-name", "ric-suite-empty-name", "ric-timing-wall",
          "ric-empty-flag-name", "ric-no-base-levels", "ric-repeated-base-level",
-         "ce-empty-benchmark", "ce-model-empty-benchmark-name"],
+         "ce-empty-benchmark", "ce-model-empty-benchmark-name", "ric-argument-too-long"],
 )
 def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, extra):
     _pair_model(tmp_path, "unknown_flag.json", flag_delta={"ivopts": -5.0, "zz": 1.0})
@@ -667,6 +678,9 @@ def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, e
                               ("timing_wall.json", {"timing": "wall"})):
         (tmp_path / name).write_text(json.dumps({"benchmarks": [{**bench, **field_value}]}))
     (tmp_path / "repeated_name_suite.json").write_text(json.dumps({"benchmarks": [bench, bench]}))
+    (tmp_path / "flags_in_one_argument.json").write_text(json.dumps({"benchmarks": [
+        {**bench, "compile_command": "sh -c 'cc {flags} -o {out}'"}]}))
+    _wide_space(tmp_path / "wide_space.json")
     space = json.loads((DEMO / "pair_space.json").read_text())
     (tmp_path / "flags_a_number.json").write_text(json.dumps({**space, "flags": 5}))
     stock_a_string = [{**space["flags"][0], "stock": "false"}, *space["flags"][1:]]

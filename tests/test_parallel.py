@@ -1,5 +1,7 @@
 """The concurrency contract of external evaluation: a batch compiles in
-parallel, and timed runs overlap nothing flagtuner started.
+parallel, no two runs overlap, a chunk compiles while the one before it runs
+when every benchmark reports its own time, and a wall-clocked run overlaps
+nothing flagtuner started.
 
 A logging stub toolchain appends ``kind start end`` (monotonic clock, which
 every process shares) to a log file for each compile and run, so the
@@ -21,7 +23,13 @@ import pytest
 
 import flagtuner
 from flagtuner.cli import main
-from flagtuner.evaluator import Benchmark, CampaignInterrupted, CommandEvaluator
+from flagtuner.evaluator import (
+    Benchmark,
+    CampaignInterrupted,
+    CommandEvaluator,
+    EvalCache,
+    _CachedEvaluator,
+)
 from flagtuner.flagspace import load_flag_space
 from helpers import config_of
 from test_evaluator import _gone_soon
@@ -85,11 +93,12 @@ def distinct_configs(space, n):
     return configs[:n]
 
 
-def test_timed_runs_overlap_nothing(tmp_path, wide):
-    suite = logging_suite(tmp_path)
+def run_ric_and_suite_ce(tmp_path: Path, timing: str) -> None:
+    """``ric`` then ``suite-ce`` on the logging suite under ``timing``."""
     (tmp_path / "suite.json").write_text(json.dumps({"benchmarks": [
-        {"name": b.name, "compile_command": b.compile_command, "run_command": b.run_command}
-        for b in suite
+        {"name": b.name, "compile_command": b.compile_command, "run_command": b.run_command,
+         "timing": timing}
+        for b in logging_suite(tmp_path)
     ]}))
     config = tmp_path / "campaign.json"
     config.write_text(json.dumps({
@@ -98,10 +107,35 @@ def test_timed_runs_overlap_nothing(tmp_path, wide):
     }))
     for command in ("ric", "suite-ce"):
         assert main([command, "--config", str(config), "--out", str(tmp_path / command)]) == 0
+
+
+def test_timed_runs_overlap_nothing(tmp_path, wide):
+    run_ric_and_suite_ce(tmp_path, "external")
     compiles, runs = intervals(tmp_path, "compile"), intervals(tmp_path, "run")
     assert compiles and runs
     assert not [(c, r) for c in compiles for r in runs if overlap(c, r)]
     assert not [(r, s) for i, r in enumerate(runs) for s in runs[i + 1:] if overlap(r, s)]
+
+
+def test_reported_runs_overlap_the_next_chunks_compiles(tmp_path, wide, monkeypatch):
+    """Under reported timing the next chunk compiles while this one runs,
+    so ``build/`` holds up to two chunks of binaries, and never more."""
+    counts = []
+
+    def counting(method):
+        def call(self, *args):
+            result = method(self, *args)
+            counts.append(len(list(self.build_dir.iterdir())))
+            return result
+        return call
+
+    for name in ("_compile", "_run"):
+        monkeypatch.setattr(CommandEvaluator, name, counting(getattr(CommandEvaluator, name)))
+    run_ric_and_suite_ce(tmp_path, "reported")
+    compiles, runs = intervals(tmp_path, "compile"), intervals(tmp_path, "run")
+    assert [(c, r) for c in compiles for r in runs if overlap(c, r)]
+    assert not [(r, s) for i, r in enumerate(runs) for s in runs[i + 1:] if overlap(r, s)]
+    assert counts and max(counts) <= 2 * 4  # two chunks of one compile per (wide) CPU
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs at least 2 CPUs")
@@ -151,6 +185,23 @@ def test_budget_spent_on_a_chunk_boundary_builds_no_further_chunk(tmp_path, spac
             pass
     assert ev.compilations == ev.executions == 4
     assert list(build.iterdir()) == []
+
+
+def test_batch_closed_early_deletes_both_chunks(tmp_path, space, wide):
+    """A batch its caller stops reading after one pair, once the next chunk
+    has been built ahead, deletes the binaries of both chunks."""
+    build = tmp_path / "build"
+    ev = CommandEvaluator(space, logging_suite(tmp_path), workdir=tmp_path, build_dir=build)
+    batch = ev.evaluate_many([(config, "alpha") for config in distinct_configs(space, 8)])
+    assert next(batch).ok
+    deadline = time.monotonic() + 10.0
+    while len(intervals(tmp_path, "compile")) < 8:  # the next chunk's compiles end
+        assert time.monotonic() < deadline, "the next chunk was not built ahead"
+        time.sleep(0.01)
+    assert len(list(build.iterdir())) == 3 + 4
+    batch.close()
+    assert (ev.compilations, ev.executions) == (8, 1)
+    assert list(build.iterdir()) == [] and ev._prebuilt == {}
 
 
 def test_cli_budget_interrupt_leaves_build_empty(tmp_path, wide):
@@ -216,6 +267,42 @@ def test_interrupted_direct_evaluate_files_no_compile(tmp_path, space, monkeypat
     assert ev.compilations == 2
 
 
+def test_pipelined_batch_equals_one_by_one(tmp_path, space, wide, monkeypatch):
+    """Chunks built ahead give the measurements, counters and cache bytes of
+    evaluating the pairs one by one, with configurations that the stub
+    compiles to one binary (it drops the prefetch flag) and pairs repeated
+    within a chunk and across chunks; a replay from the warm cache then
+    starts no thread."""
+    configs = [config_of("O3", mask, len(space)) for mask in range(4)]
+    pairs = [(configs[i], bench) for i in (0, 1, 0, 2, 3, 1, 2, 3, 0)
+             for bench in ("alpha", "beta")]
+    evaluators, measured = [], []
+    for name, evaluate_many in (("pipelined", CommandEvaluator.evaluate_many),
+                                ("one_by_one", _CachedEvaluator.evaluate_many)):
+        ev = CommandEvaluator(space, logging_suite(tmp_path), EvalCache(tmp_path / f"{name}.jsonl"),
+                              workdir=tmp_path, build_dir=tmp_path / name)
+        with ev.cache:
+            measured.append(list(evaluate_many(ev, pairs)))
+        evaluators.append(ev)
+    assert measured[0] == measured[1]
+    assert any(m.cached for m in measured[0])
+    pipelined, one_by_one = ([ev.compilations, ev.executions, ev.cache_hits, ev.used]
+                             for ev in evaluators)
+    assert pipelined == one_by_one
+    assert one_by_one[0] == 8 and one_by_one[1] == 4  # half the binaries are digest hits
+    assert ((tmp_path / "pipelined.jsonl").read_bytes()
+            == (tmp_path / "one_by_one.jsonl").read_bytes())
+
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread) or start(thread))
+    with EvalCache(tmp_path / "pipelined.jsonl") as cache:
+        replay = CommandEvaluator(space, logging_suite(tmp_path), cache, workdir=tmp_path,
+                                  build_dir=tmp_path / "replay")
+        assert all(m.cached for m in replay.evaluate_many(pairs))
+    assert (replay.compilations, started) == (0, [])
+
+
 def test_stub_ric_counters_hold_in_parallel(tmp_path, wide):
     out = tmp_path / "o"
     assert main(["ric", "--config", STUB_CAMPAIGN, "--out", str(out)]) == 0
@@ -231,6 +318,20 @@ def test_cli_import_leaves_the_pool_module_out():
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "set()\n"
+
+
+def test_warm_replay_leaves_the_pool_module_out(tmp_path):
+    """A campaign the cache answers whole compiles nothing, so it neither
+    starts a pool nor imports one."""
+    out = tmp_path / "o"
+    argv = ["ric", "--config", STUB_CAMPAIGN, "--out", str(out)]
+    assert main(argv) == 0
+    src = str(Path(flagtuner.__file__).resolve().parents[1])
+    code = ("import sys; from flagtuner.cli import main; code = main(sys.argv[1:]); "
+            "print(code, 'concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 # a compiler that records its pid, then takes its time
@@ -282,6 +383,77 @@ def test_ctrl_c_mid_chunk_kills_the_compiles(tmp_path):
         assert list((out / "build").iterdir()) == []
     finally:
         for pid in pids:  # each compile leads a process group of its own
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(pid, signal.SIGKILL)
+        child.kill()
+        child.wait()
+
+
+# a compiler that takes the next number in started/ and records its pid
+# there: the first chunk's four build at once, every later one slowly
+NUMBERED_CC = """\
+import os, sys, time
+n = 0
+while True:
+    try:
+        fd = os.open(os.path.join("started", str(n)), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        break
+    except FileExistsError:
+        n += 1
+os.write(fd, str(os.getpid()).encode())
+os.close(fd)
+time.sleep(0 if n < 4 else 3)
+open(sys.argv[-1], "w").write(" ".join(sys.argv[1:-1]))
+"""
+
+# a benchmark that records its pid, then takes its time to report one
+SLOW_RUN = """\
+import os, time
+open(os.path.join("runs", str(os.getpid())), "w").close()
+time.sleep(3)
+print(1.0)
+"""
+
+
+def test_ctrl_c_mid_run_kills_the_next_chunks_compiles(tmp_path):
+    """A Ctrl-C while a chunk runs and the next chunk builds ahead kills the
+    run and every compile, and deletes both chunks' binaries."""
+    (tmp_path / "cc.py").write_text(NUMBERED_CC)
+    (tmp_path / "run.py").write_text(SLOW_RUN)
+    for name in ("started", "runs"):
+        (tmp_path / name).mkdir()
+    (tmp_path / "space.json").write_text(json.dumps({
+        "base_levels": ["O3"], "default_baseline": "O3",
+        "flags": [{"name": f"f{i}", "on": f"-ff{i}", "off": f"-fno-f{i}"} for i in range(10)],
+    }))
+    (tmp_path / "suite.json").write_text(json.dumps({"benchmarks": [
+        {"name": "alpha", "compile_command": "python3 -S cc.py {flags} {out}",
+         "run_command": "python3 -S run.py {bin}"}
+    ]}))
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps({"flag_space": str(tmp_path / "space.json"),
+                                  "mode": "external", "suite": "suite.json", "n_configs": 8}))
+    out = tmp_path / "o"
+    src = str(Path(flagtuner.__file__).resolve().parents[1])
+    child = subprocess.Popen(
+        [sys.executable, "-c", FOUR_CPUS, "ric", "--config", str(config), "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src}, stderr=subprocess.DEVNULL,
+    )
+    pids: list[int] = []
+    try:
+        deadline = time.monotonic() + 10.0
+        while len(pids) < 8 + 1:  # both chunks' compiles and a run
+            assert time.monotonic() < deadline, "the next chunk never started to build"
+            time.sleep(0.01)
+            pids = [int(p.read_text() or 0) for p in (tmp_path / "started").iterdir()]
+            pids += [int(p.name) for p in (tmp_path / "runs").iterdir()]
+            pids = [pid for pid in pids if pid]  # a compile between its open and its write
+        child.send_signal(signal.SIGINT)
+        assert child.wait(timeout=1.0) == 3
+        assert all(_gone_soon(pid) for pid in pids)
+        assert list((out / "build").iterdir()) == []
+    finally:
+        for pid in pids:  # each command leads a process group of its own
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(pid, signal.SIGKILL)
         child.kill()
