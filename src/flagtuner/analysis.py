@@ -271,7 +271,7 @@ def load_features(path: str | Path) -> list[FeatureVector]:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
-            if header is None or header[0].strip().lower() != "program":
+            if not header or header[0].strip().lower() != "program":
                 raise ValueError("feature table must start with a 'program,...' header")
             for row in reader:
                 if not row:

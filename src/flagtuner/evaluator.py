@@ -62,6 +62,10 @@ class CampaignInterrupted(RuntimeError):
     """Raised by an evaluator when its evaluation budget is spent."""
 
 
+# the longest timeout a command's wait takes: poll() gets it as a C int of ms
+_MAX_TIMEOUT = (2**31 - 1) / 1000
+
+
 @dataclass(frozen=True)
 class Benchmark:
     """One benchmark: command templates plus measurement policy.
@@ -89,8 +93,9 @@ class Benchmark:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("benchmark name must be non-empty")
-        if not self.timeout > 0:  # NaN as well
-            raise ValueError(f"benchmark {self.name}: timeout must be > 0")
+        if not 0 < self.timeout <= _MAX_TIMEOUT:  # NaN as well
+            raise ValueError(f"benchmark {self.name}: timeout must be > 0 and "
+                             f"<= {_MAX_TIMEOUT} s")
         if self.repeat_runs < 1:
             raise ValueError(f"benchmark {self.name}: repeat_runs must be >= 1")
         if self.timing not in (TIMING_REPORTED, TIMING_EXTERNAL):
@@ -242,9 +247,11 @@ class EvalCache:
                     rec = json.loads(line) if parsed is None else parsed[i]
                     meas = Measurement(status=rec["status"],
                                        time=json_field(rec, "time", float, None),
-                                       digest=rec["digest"], cached=True,
-                                       detail=rec.get("detail", ""))
-                    self._store(rec["benchmark"], rec["key"], meas)
+                                       # a digest may be null, but not absent
+                                       digest=json_field(rec, "digest", str, rec["digest"]),
+                                       cached=True, detail=json_field(rec, "detail", str, ""))
+                    self._store(json_field(rec, "benchmark", str), json_field(rec, "key", str),
+                                meas)
                 except (ValueError, KeyError, TypeError) as exc:
                     raise ValueError(f"{self.path}: line {n} is not a cache record "
                                      f"({type(exc).__name__}: {exc})") from exc
@@ -448,9 +455,11 @@ class CommandEvaluator(_CachedEvaluator):
     argument, at each flag's longer spelling and the longest level) is
     rejected there too, before any compile. ``compilations`` counts
     compiler invocations; a digest hit runs nothing and is answered as a
-    configuration hit is. ``evaluate_many`` compiles one chunk of pairs
-    ahead while a chunk runs under reported timing; each binary is deleted
-    from ``build_dir`` once it has been digested and run, or has failed.
+    configuration hit is. ``evaluate_many`` compiles a chunk of pairs on a
+    thread pool, the next chunk while one runs under reported timing; a
+    direct ``evaluate`` compiles its pair in the calling thread. Each binary
+    is deleted from ``build_dir`` once it has been digested and run, or has
+    failed.
     """
 
     def __init__(
@@ -506,17 +515,17 @@ class CommandEvaluator(_CachedEvaluator):
         chunk's compiles are its pairs whose configuration neither the cache
         holds nor the chunk before it builds, each distinct pair once, so the
         chunks, compiles, runs and hits are those of evaluating the pairs one
-        by one. ``_build_ahead`` submits them to one thread pool, made at the
-        first miss, and a chunk's compiles all end before its first
-        ``evaluate`` uses a prebuilt binary. When every benchmark reports its
-        own time, the next chunk is submitted before this one runs, unless
-        this chunk could spend the budget; otherwise it is built once this
-        chunk is done, after a budget check. Digests and runs stay in the
-        main thread, in order, so no two runs overlap, and under external
-        timing a run overlaps no compile either. However the batch ends, the
-        compiles still running are killed and waited for and the binaries
-        not yet run are deleted, so ``build_dir`` holds at most two chunks
-        of binaries.
+        by one. They are submitted to one thread pool, made at the first
+        miss, and a chunk's compiles all end before its first ``evaluate``
+        uses a prebuilt binary. When every benchmark reports its own time,
+        the next chunk is submitted before this one runs, unless this chunk
+        could spend the budget; otherwise it is built once this chunk is
+        done, after a budget check. Digests and runs stay in the main thread,
+        in order, so no two runs overlap, and under external timing a run
+        overlaps no compile either. However the batch ends, the compiles not
+        yet started are cancelled, those still running (which never see a
+        Ctrl-C) are killed and waited for, and the binaries not yet run are
+        deleted, so ``build_dir`` holds at most two chunks of binaries.
         """
         width = len(os.sched_getaffinity(0))
         ahead = all(b.timing == TIMING_REPORTED for b in self.suite.values())
@@ -524,9 +533,10 @@ class CommandEvaluator(_CachedEvaluator):
         chunks: list[tuple[int, dict]] = []  # (end, futures) of the chunk to run, then the next
 
         def build(start: int) -> None:
-            """Scan the chunk that starts at ``pairs[start]`` and submit its
-            misses; a key in ``_prebuilt`` is the chunk before's, whose
-            outcome is filed before this chunk runs."""
+            """Scan the chunk that starts at ``pairs[start]``, then submit the
+            compile of each miss, counted in ``compilations``; a key in
+            ``_prebuilt`` is the chunk before's, whose outcome is filed before
+            this chunk runs."""
             nonlocal pool
             misses: dict[tuple[str, str], Configuration] = {}
             end = start
@@ -543,7 +553,10 @@ class CommandEvaluator(_CachedEvaluator):
                 from concurrent.futures import ThreadPoolExecutor
 
                 pool = ThreadPoolExecutor(width)
-            futures = self._build_ahead(pool, misses)
+            self.compilations += len(misses)
+            futures = {key: pool.submit(self._compile, config, self.suite[key[0]],
+                                        self._out_path(*key))
+                       for key, config in misses.items()}
             self._prebuilt.update(futures)
             chunks.append((end, futures))
 
@@ -566,62 +579,43 @@ class CommandEvaluator(_CachedEvaluator):
                 start = end
         finally:
             if pool is not None:
-                self._stop([f for _, futures in chunks for f in futures.values()])
+                from concurrent.futures import wait
+
+                pending = [f for _, futures in chunks for f in futures.values()
+                           if not f.cancel() and not f.done()]
+                while pending:  # a thread may start its command after a sweep
+                    for proc in list(self._running):
+                        _kill_group(proc)
+                    pending = wait(pending, timeout=0.05).not_done
                 pool.shutdown()
             for _, futures in chunks:
                 for key in futures:
                     self._prebuilt.pop(key, None)
                     self._out_path(*key).unlink(missing_ok=True)
 
-    def _build_ahead(self, pool, misses: dict[tuple[str, str], Configuration]) -> dict:
-        """Submit the compiles of ``misses`` to ``pool``: their futures, by key.
-        The one way a compile starts; ``compilations`` counts each."""
-        futures = {}
-        for key, config in misses.items():
-            self.compilations += 1
-            bench, out_path = self.suite[key[0]], self._out_path(*key)
-            futures[key] = pool.submit(self._compile, config, bench, out_path)
-        return futures
-
-    def _stop(self, futures: list) -> None:
-        """Cancel the ``futures`` not started, kill every running compile's
-        process group and wait until all of them are done."""
-        from concurrent.futures import wait
-
-        pending = [f for f in futures if not f.cancel() and not f.done()]
-        while pending:  # a thread may start its command after a sweep
-            for proc in list(self._running):
-                _kill_group(proc)
-            pending = wait(pending, timeout=0.05).not_done
-
     def _measure(self, config: Configuration, bench_name: str, key: str) -> Measurement:
         """The outcome of a configuration the cache does not hold.
 
-        ``_build_ahead`` builds the binary (here, on a pool of its own, unless
-        ``evaluate_many`` did), and an error its compile raised is raised
-        here. A direct build is joined, and an interrupt of the join (a
-        Ctrl-C, which pool threads never see) kills the compile and waits
-        for it before it deletes the binary. The binary's digest is
-        looked up before it is run, and a hit is returned as the cache answers
-        it; the cache files an outcome that carries a digest under the digest
-        as well, so a binary that failed its run is not run again either. The
-        measured time is the minimum over ``repeat_runs`` timed executions.
+        The binary is the one ``evaluate_many`` built, and an error its
+        compile raised is raised here; for a direct ``evaluate`` it is
+        compiled here, in the calling thread, where an interrupt kills the
+        compile (``_run_command``) before the binary is deleted. The
+        binary's digest is looked up before it is run, and a hit is returned
+        as the cache answers it; the cache files an outcome that carries a
+        digest under the digest as well, so a binary that failed its run is
+        not run again either. The measured time is the minimum over
+        ``repeat_runs`` timed executions.
         """
+        bench = self.suite[bench_name]
         out_path = self._out_path(bench_name, key)
         try:
             built = self._prebuilt.pop((bench_name, key), None)
-            if built is None:  # a direct evaluate
-                from concurrent.futures import ThreadPoolExecutor, wait
-
-                with ThreadPoolExecutor(1) as pool:
-                    (built,) = self._build_ahead(pool, {(bench_name, key): config}).values()
-                    try:
-                        wait([built])
-                    except BaseException:
-                        self._stop([built])
-                        raise
-            failed = built.result()
-            return failed if failed is not None else self._run(self.suite[bench_name], out_path)
+            if built is not None:
+                failed = built.result()
+            else:  # a direct evaluate
+                self.compilations += 1
+                failed = self._compile(config, bench, out_path)
+            return failed if failed is not None else self._run(bench, out_path)
         finally:
             out_path.unlink(missing_ok=True)
 
@@ -629,7 +623,8 @@ class CommandEvaluator(_CachedEvaluator):
         self, config: Configuration, bench: Benchmark, out_path: Path
     ) -> Measurement | None:
         """Build ``out_path``: None once the binary exists, else the compile
-        error. Runs on a pool thread of ``_build_ahead``."""
+        error. Runs on a pool thread of ``evaluate_many``, or in the thread
+        of a direct ``evaluate``."""
         self.build_dir.mkdir(parents=True, exist_ok=True)
         argv = _fill(bench.compile_command, render_args(self.space, config), out=out_path)
         try:

@@ -627,6 +627,7 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
         ("ce", {"model": "empty_name_model.json"}, []),
         ("ric", {"mode": "external", "model": None, "suite": "flags_in_one_argument.json",
                  "flag_space": "wide_space.json"}, []),
+        ("ric", {"mode": "external", "model": None, "suite": "timeout_too_large.json"}, []),
     ],
     ids=["ce-benchmark", "ric-benchmarks", "ric-unknown-flag", "oracle-unknown-flag",
          "oracle-non-positive", "suite-ce-aggregate", "suite-ce-negative-threshold",
@@ -645,7 +646,8 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
          "suite-ce-infinite-threshold-option", "oracle-infinite-threshold-option",
          "ric-bad-mode", "ric-suite-repeated-name", "ric-suite-empty-name", "ric-timing-wall",
          "ric-empty-flag-name", "ric-no-base-levels", "ric-repeated-base-level",
-         "ce-empty-benchmark", "ce-model-empty-benchmark-name", "ric-argument-too-long"],
+         "ce-empty-benchmark", "ce-model-empty-benchmark-name", "ric-argument-too-long",
+         "suite-timeout-too-large"],
 )
 def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, extra):
     _pair_model(tmp_path, "unknown_flag.json", flag_delta={"ivopts": -5.0, "zz": 1.0})
@@ -674,6 +676,8 @@ def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, e
     for name, field_value in (("repeat_runs_fractional.json", {"repeat_runs": 2.9}),
                               ("timeout_a_string.json", {"timeout": "30"}),
                               ("timeout_nan.json", {"timeout": float("nan")}),  # written NaN
+                              # poll() takes it as a C int of milliseconds
+                              ("timeout_too_large.json", {"timeout": 2147483.648}),
                               ("empty_name_suite.json", {"name": ""}),
                               ("timing_wall.json", {"timing": "wall"})):
         (tmp_path / name).write_text(json.dumps({"benchmarks": [{**bench, **field_value}]}))
@@ -742,6 +746,7 @@ BASELINE = HEADER + "1,1111,O3,crc32,1.0,ok,baseline\n"
         ("features", FEATURES + "adpcm,8,x,30,2\n"),
         ("features", FEATURES + "adpcm,8,12,30\n"),
         ("features", FEATURES + "adpcm,8,12,inf,2\n"),
+        ("features", "\n" + FEATURES),
     ],
     ids=["report-missing-trace", "report-header-only-trace", "report-short-row",
          "report-level-outside-space", "report-rows-disagree-on-config",
@@ -753,7 +758,7 @@ BASELINE = HEADER + "1,1111,O3,crc32,1.0,ok,baseline\n"
          "predict-1nn-benchmark-not-a-string", "predict-1nn-trace-level-outside-space",
          "predict-1nn-program-not-in-features",
          "features-repeated-program", "features-not-a-number", "features-wrong-width",
-         "features-not-finite"],
+         "features-not-finite", "features-blank-first-line"],
 )
 def test_rejected_input_creates_nothing(tmp_path, demo_dir, capsys, command, text):
     """A missing or misshapen trace, training manifest or feature table, or
@@ -771,7 +776,7 @@ def test_rejected_input_creates_nothing(tmp_path, demo_dir, capsys, command, tex
             p.write_text(t)
     if command == "report":
         argv = ["report", *map(str, paths)]
-    elif command == "features":  # the demo's table with one row appended
+    elif command == "features":  # the demo's table, a row appended or a blank line first
         argv = ["predict-1nn", str(path), str(tmp_path / "manifest.json"), "fir"]
     else:
         argv = ["predict-1nn", str(demo_dir / "features.csv"), str(path), "fir"]
@@ -780,7 +785,8 @@ def test_rejected_input_creates_nothing(tmp_path, demo_dir, capsys, command, tex
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     if command == "features":
-        assert err[0].startswith(f"flagtuner: {path}: line 7: ")
+        line = 1 if text.startswith("\n") else 7
+        assert err[0].startswith(f"flagtuner: {path}: line {line}: ")
     assert not out.exists()
 
 

@@ -462,9 +462,16 @@ def test_corrupt_middle_line_still_raises(tmp_path):
     # the failed open released its lock
     with pytest.raises(ValueError):
         EvalCache(path)
-    # complete JSON lines that are not records
+    # complete JSON lines that are not records: a record's benchmark and key
+    # are strings, its detail a string or absent, its digest a string or null
     ok_true = b'{"benchmark": "a", "key": "k", "digest": "k", "status": "ok", "time": true}\n'
-    for line in (b'{"benchmark": "cover"}\n', b"5\n", b'"x"\n', b"[1]\n", ok_true):
+    good = {"benchmark": "a", "key": "k", "digest": "d", "status": "run_error", "detail": "x"}
+    wrong = [{**good, name: value} for name, value in (
+        ("detail", 5), ("detail", ["x"]), ("benchmark", 5), ("key", None), ("key", 7),
+        ("digest", 5), ("digest", False))]
+    wrong.append({name: value for name, value in good.items() if name != "digest"})
+    for line in (b'{"benchmark": "cover"}\n', b"5\n", b'"x"\n', b"[1]\n", ok_true,
+                 *(json.dumps(rec).encode() + b"\n" for rec in wrong)):
         path.write_bytes(record + line + record)
         with pytest.raises(ValueError, match=r"cache\.jsonl: line 2 is not a cache record"):
             EvalCache(path)
@@ -876,3 +883,8 @@ def test_benchmark_validation():
         Benchmark(name="x", compile_command="c", run_command="r", timeout=math.nan)
     with pytest.raises(ValueError):
         Benchmark(name="x", compile_command="c", run_command="r", repeat_runs=0)
+    # poll() takes a command's timeout as a C int of milliseconds
+    Benchmark(name="x", compile_command="c", run_command="r", timeout=2147483.647)
+    for timeout in (2147483.648, math.inf):
+        with pytest.raises(ValueError, match="timeout must be > 0 and <= 2147483.647 s"):
+            Benchmark(name="x", compile_command="c", run_command="r", timeout=timeout)

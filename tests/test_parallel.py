@@ -8,7 +8,6 @@ every process shares) to a log file for each compile and run, so the
 intervals can be checked after the fact.
 """
 
-import concurrent.futures
 import contextlib
 import json
 import os
@@ -223,10 +222,8 @@ def test_compile_that_raises_leaves_build_empty(tmp_path, space, wide):
     assert list(build.iterdir()) == []
 
 
-def test_every_compile_runs_on_the_pool(tmp_path, space, monkeypatch):
-    """A lone miss of a chunk, and a pair passed straight to ``evaluate``,
-    are compiled by ``_build_ahead`` as a chunk's misses are."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+def compile_threads(monkeypatch) -> list[threading.Thread]:
+    """The thread of each ``_compile`` from now on, in order."""
     threads = []
     compile_on = CommandEvaluator._compile
 
@@ -235,36 +232,87 @@ def test_every_compile_runs_on_the_pool(tmp_path, space, monkeypatch):
         return compile_on(self, *args)
 
     monkeypatch.setattr(CommandEvaluator, "_compile", compile_)
+    return threads
+
+
+def test_batch_compiles_run_on_the_pool(tmp_path, space, monkeypatch):
+    """A batch compiles on pool threads, a chunk's lone miss too."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    threads = compile_threads(monkeypatch)
     ev = CommandEvaluator(space, logging_suite(tmp_path), workdir=tmp_path,
                           build_dir=tmp_path / "build")
-    a, b, c = distinct_configs(space, 3)
+    a, b = distinct_configs(space, 2)
     assert all(m.ok for m in ev.evaluate_many([(a, "alpha"), (b, "alpha")]))
-    assert ev.evaluate(c, "alpha").ok
-    assert ev.compilations == len(threads) == 3
+    assert ev.compilations == len(threads) == 2
     assert threading.main_thread() not in threads
     assert list((tmp_path / "build").iterdir()) == []
 
 
-def test_interrupted_direct_evaluate_files_no_compile(tmp_path, space, monkeypatch):
-    """A Ctrl-C while ``evaluate`` waits for its compile leaves nothing
-    behind that a later ``evaluate`` of the pair would take as built."""
-    joined, interrupted = concurrent.futures.wait, []
-
-    def ctrl_c_once(pending, timeout=None):
-        if timeout is None and not interrupted:
-            interrupted.append(True)
-            raise KeyboardInterrupt
-        return joined(pending, timeout)
-
-    monkeypatch.setattr(concurrent.futures, "wait", ctrl_c_once)
+def test_direct_evaluate_compiles_in_the_calling_thread(tmp_path, space, monkeypatch):
+    """A pair passed straight to ``evaluate`` is compiled where it is
+    evaluated, and no thread is started for it."""
+    threads = compile_threads(monkeypatch)
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread) or start(thread))
     ev = CommandEvaluator(space, logging_suite(tmp_path), workdir=tmp_path,
                           build_dir=tmp_path / "build")
-    config = space.stock_config()
-    with pytest.raises(KeyboardInterrupt):
-        ev.evaluate(config, "alpha")
+    assert ev.evaluate(space.stock_config(), "alpha").ok
+    assert (ev.compilations, threads, started) == (1, [threading.main_thread()], [])
     assert list((tmp_path / "build").iterdir()) == []
-    assert ev.evaluate(config, "alpha").ok
-    assert ev.compilations == 2
+
+
+# a compiler whose first build appends its pid to pids.txt, then takes its time
+FIRST_SLOW_CC = """\
+import os, sys, time
+first = not os.path.exists("pids.txt")
+with open("pids.txt", "a") as fh:
+    fh.write(f"{os.getpid()}\\n")
+time.sleep(3 if first else 0)
+open(sys.argv[-1], "w").write(" ".join(sys.argv[1:-1]))
+"""
+
+
+def test_interrupted_direct_evaluate_files_no_compile(tmp_path, space):
+    """A Ctrl-C while ``evaluate`` compiles in the calling thread kills the
+    compile at once and leaves nothing behind that a later ``evaluate`` of
+    the pair would take as built or measured."""
+    (tmp_path / "cc.py").write_text(FIRST_SLOW_CC)
+    pids_file = tmp_path / "pids.txt"
+    ev = CommandEvaluator(space, [Benchmark("alpha", "python3 -S cc.py {flags} {out}",
+                                            "python3 -S -c 'print(1.0)'")],
+                          workdir=tmp_path, build_dir=tmp_path / "build")
+    sent: list[float] = []
+
+    def ctrl_c_once_the_compile_runs():
+        deadline = time.monotonic() + 10.0
+        while not (pids_file.exists() and pids_file.read_text().endswith("\n")):
+            if time.monotonic() > deadline:
+                return  # the test fails: no KeyboardInterrupt
+            time.sleep(0.01)
+        sent.append(time.monotonic())
+        os.kill(os.getpid(), signal.SIGINT)
+
+    helper = threading.Thread(target=ctrl_c_once_the_compile_runs)
+    config = space.stock_config()
+    helper.start()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            ev.evaluate(config, "alpha")
+        raised = time.monotonic()
+        helper.join()
+        (pid,) = map(int, pids_file.read_text().split())
+        assert raised - sent[0] < 1.0
+        assert _gone_soon(pid)
+        assert list((tmp_path / "build").iterdir()) == []
+        assert ev.cache.entries == {} and ev.compilations == 1
+        assert ev.evaluate(config, "alpha").ok
+        assert ev.compilations == 2
+    finally:
+        helper.join()
+        for pid in map(int, pids_file.read_text().split() if pids_file.exists() else []):
+            with contextlib.suppress(ProcessLookupError):  # a compile leads its own group
+                os.killpg(pid, signal.SIGKILL)
 
 
 def test_pipelined_batch_equals_one_by_one(tmp_path, space, wide, monkeypatch):
