@@ -37,7 +37,7 @@ def write_text(path: str | Path, text: str) -> None:
     """Replace ``path`` with ``text`` through a temp file that never outlives
     the call, unless ``path`` holds those bytes already: a replay rewrites
     every artifact unchanged, and a rename over an existing file costs far
-    more than reading it."""
+    more than reading it. An ``OSError`` names a file, ``path`` if no other."""
     path = Path(path)
     data = text.encode("utf-8")
     tmp = path.with_name(f".{path.name}.tmp")
@@ -45,6 +45,10 @@ def write_text(path: str | Path, text: str) -> None:
         if not (path.exists() and path.read_bytes() == data):
             tmp.write_bytes(data)
             os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename is None:  # a failed write names no file
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        raise
     finally:
         tmp.unlink(missing_ok=True)
 

@@ -13,6 +13,8 @@ Exit codes: 0 success, 1 usage/parse error, 2 campaign failure,
 3 interrupted with a valid checkpoint. An OSError once a campaign is built
 interrupts it (3), or fails it (2) if the checkpoint cannot be written or
 if it is E2BIG, a command too long to start, which no resume gets past.
+``oracle``, ``report`` and ``predict-1nn`` fail (2) when an artifact
+cannot be written, once their output directory exists.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import errno
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
 from functools import partial
@@ -307,6 +310,17 @@ def _write_summary(out: Path, lines: list[str]) -> None:
         print(line)
 
 
+@contextmanager
+def _writing_artifacts():
+    """Where ``oracle``, ``report`` and ``predict-1nn`` write, once their out
+    dir exists: an ``OSError`` there fails the command, where one reading
+    their inputs is a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise CampaignError(f"cannot write artifacts: {exc}") from exc
+
+
 def _baseline_reference(trace: CampaignTrace) -> dict[str, float]:
     if not trace.records:
         raise ValueError("trace has no records")
@@ -481,10 +495,6 @@ def cmd_oracle(args) -> int:
         t, config = per_benchmark_optimum(space, model, b, max_flags=args.max_flags)
         rows.append([b, repr(t), repr(reference[b]), repr(t / reference[b]),
                      config.base_level, config.bitstring])
-    out.mkdir(parents=True, exist_ok=True)
-    header = ["benchmark", "best_time", "ref_time", "ratio", "base_level", "bitstring"]
-    write_csv(out / "oracle_per_benchmark.csv", header, rows)
-
     constrained = suite_constrained_optimum(
         space, model, benchmarks, cfg.threshold_t, reference,
         base_level=stock.base_level, aggregate_fn=AGGREGATES[cfg.aggregate],
@@ -500,11 +510,15 @@ def cmd_oracle(args) -> int:
         "bitstring": config.bitstring,
         "args": render_args(space, config),
     }
-    write_json(out / "oracle_constrained.json", data)
-    _write_summary(
-        out,
-        [f"oracle: benchmarks={len(benchmarks)} constrained_aggregate={agg:.6g}"],
-    )
+    out.mkdir(parents=True, exist_ok=True)
+    header = ["benchmark", "best_time", "ref_time", "ratio", "base_level", "bitstring"]
+    with _writing_artifacts():
+        write_csv(out / "oracle_per_benchmark.csv", header, rows)
+        write_json(out / "oracle_constrained.json", data)
+        _write_summary(
+            out,
+            [f"oracle: benchmarks={len(benchmarks)} constrained_aggregate={agg:.6g}"],
+        )
     return EXIT_OK
 
 
@@ -523,16 +537,17 @@ def cmd_report(args) -> int:
     table = compare_to_baseline(named, reference)
     series = [(name, floored_best_so_far(trace, reference)) for name, trace in named]
     out.mkdir(parents=True, exist_ok=True)
-    write_compare(out / "compare.csv", table)
-    for name, points in series:
-        write_series(out / f"{name}.series.csv", points)
-    _write_summary(
-        out,
-        [
-            f"report: benchmarks={len(table.rows)} mean_ratio={table.mean_ratio:.6g} "
-            f"mean_ratio_floored={table.mean_ratio_floored:.6g}"
-        ],
-    )
+    with _writing_artifacts():
+        write_compare(out / "compare.csv", table)
+        for name, points in series:
+            write_series(out / f"{name}.series.csv", points)
+        _write_summary(
+            out,
+            [
+                f"report: benchmarks={len(table.rows)} mean_ratio={table.mean_ratio:.6g} "
+                f"mean_ratio_floored={table.mean_ratio_floored:.6g}"
+            ],
+        )
     return EXIT_OK
 
 
@@ -563,11 +578,12 @@ def cmd_predict_1nn(args) -> int:
         training.append((features[program], performance_table(trace, benchmark)))
     config = predict_1nn(features[args.query], training)
     out.mkdir(parents=True, exist_ok=True)
-    write_final_config(out / "predicted.config.json", space, config)
-    _write_summary(
-        out,
-        [f"predict-1nn {args.query}: {' '.join(render_args(space, config))}"],
-    )
+    with _writing_artifacts():
+        write_final_config(out / "predicted.config.json", space, config)
+        _write_summary(
+            out,
+            [f"predict-1nn {args.query}: {' '.join(render_args(space, config))}"],
+        )
     return EXIT_OK
 
 

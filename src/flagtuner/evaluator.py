@@ -76,8 +76,9 @@ class Benchmark:
     argument that is exactly ``{flags}`` becomes one argument per flag, and
     a placeholder inside an argument is filled in there (``{flags}``
     space-joined), so no value is split again. Each template is filled in
-    once when the benchmark is made, so one that a campaign could not fill
-    is rejected as the suite loads. With ``timing="reported"``
+    once when the benchmark is made, so one that a campaign could not fill,
+    that splits into no argument or that holds a NUL is rejected as the
+    suite loads. With ``timing="reported"``
     the run command must print a single floating-point time in seconds,
     finite and above 0, on its last output line; with ``timing="external"``
     the harness wall-clocks the process instead.
@@ -101,10 +102,15 @@ class Benchmark:
         if self.timing not in (TIMING_REPORTED, TIMING_EXTERNAL):
             raise ValueError(f"benchmark {self.name}: bad timing {self.timing!r}")
         try:
-            _fill(self.compile_command, ["-O3"], out=Path("x"))
-            _fill(self.run_command, bin=Path("x"))
+            argvs = {"compile_command": _fill(self.compile_command, ["-O3"], out=Path("x")),
+                     "run_command": _fill(self.run_command, bin=Path("x"))}
         except (KeyError, IndexError, ValueError, AttributeError, TypeError) as exc:
             raise ValueError(f"benchmark {self.name}: unfillable template: {exc!r}") from None
+        for key, argv in argvs.items():  # no exec takes an empty argv or a NUL
+            if not argv:
+                raise ValueError(f"benchmark {self.name}: {key} is empty")
+            if "\0" in getattr(self, key):
+                raise ValueError(f"benchmark {self.name}: {key} holds a NUL")
 
 
 class _MeasurementFields(NamedTuple):

@@ -88,10 +88,14 @@ class FlagSpace:
                 raise FlagSpaceError(
                     f"flag {f.name!r}: enabled and disabled forms must differ"
                 )
+            if "\0" in f.on + f.off:  # no exec takes it in an argument
+                raise FlagSpaceError(f"flag {f.name!r}: a form must hold no NUL")
         if not self.base_levels:
             raise FlagSpaceError("base_levels must be non-empty")
         if len(set(self.base_levels)) != len(self.base_levels):
             raise FlagSpaceError("base_levels must be unique")
+        if any("\0" in level for level in self.base_levels):  # rendered as -<level>
+            raise FlagSpaceError("base_levels must hold no NUL")
         if self.default_baseline not in self.base_levels:
             raise FlagSpaceError(
                 f"default_baseline {self.default_baseline!r} not in base_levels"

@@ -1,8 +1,9 @@
 """Exhaustive brute-force optima over small flag spaces.
 
-Enumerates every base level x 2^n flag assignment against a synthetic
-model. This is the independent ground truth that heuristic searches are
-checked against; it never goes near the search code paths.
+Scores every base level x 2^n flag assignment of a synthetic model, less
+the levels a rounding bound proves slower at every assignment. This is the
+independent ground truth that heuristic searches are checked against; it
+never goes near the search code paths.
 
 Assignments are scored in blocks of consecutive bitmasks by ``_Scorer``,
 which is bit-identical to ``SyntheticModel.time_for``. Both read the same
@@ -19,6 +20,7 @@ a numpy stand-in, within a derived rounding bound, cannot rule out.
 
 from __future__ import annotations
 
+from functools import cache, reduce
 from statistics import fmean
 from typing import Iterator, Sequence
 
@@ -61,6 +63,14 @@ def _levels(space: FlagSpace, base_level: str | None) -> tuple[str, ...]:
     return (base_level,)
 
 
+@cache
+def _low_bits(low: int) -> np.ndarray:
+    """Row j: whether bit j of each offset of a block of 2^low masks is set."""
+    table = ((np.arange(1 << low) >> np.arange(low)[:, None]) & 1).astype(bool)
+    table.flags.writeable = False  # shared by every scorer
+    return table
+
+
 class _Scorer:
     """One benchmark's times, block by block, bit for bit equal to ``time_for``.
 
@@ -82,20 +92,13 @@ class _Scorer:
         _, self._base, self._deltas, pairs = model._terms_for(space, bench_name)
         self._low = low = min(len(space), BLOCK_SIZE.bit_length() - 1)
         self.block = 1 << low
+        bits = _low_bits(low)
         self._pairs = []  # (delta, [(high bit, state)], low-bit mask or None)
         for a, state_a, b, state_b, delta in pairs:
             states = {a: state_a, b: state_b}
             high = [(j, s) for j, s in states.items() if j >= low]
-            tested = [(j, s) for j, s in states.items() if j < low]
-            self._pairs.append((delta, high, self._mask(tested) if tested else None))
-
-    def _mask(self, tested: list[tuple[int, bool]]) -> np.ndarray:
-        """The offsets of a block whose low bits ``tested`` hold their states."""
-        offsets = np.arange(self.block)
-        mask = np.ones(self.block, dtype=bool)
-        for j, state in tested:
-            mask &= ((offsets >> j) & 1) == state
-        return mask
+            masks = [bits[j] if s else ~bits[j] for j, s in states.items() if j < low]
+            self._pairs.append((delta, high, reduce(np.logical_and, masks) if masks else None))
 
     def prefix(self, level: str) -> np.ndarray:
         """Base term plus the enabled low-flag deltas of every offset, in
@@ -181,11 +184,28 @@ def per_benchmark_optimum(
     base_level: str | None = None,
     max_flags: int = DEFAULT_MAX_FLAGS,
 ) -> tuple[float, Configuration]:
-    """Exact minimum time and its configuration for one benchmark."""
+    """Exact minimum time and its configuration for one benchmark.
+
+    Levels differ only in the base term, and a sum of N terms added in turn
+    is within gamma_N A of its exact value, A the sum of their magnitudes
+    (Higham, Accuracy and Stability of Numerical Algorithms, 4.2; gamma_N =
+    N u / (1 - N u); gamma_{N-1} would do, and the margin covers the
+    rounding of the bound itself). So a level whose base exceeds the least
+    by more than 2 gamma_N A is slower at every mask and is not scored; the
+    result, ties included, is the same.
+    """
     _check_cap(space, max_flags)
     scorer = _Scorer(space, model, bench_name)
+    levels = _levels(space, base_level)
+    bases = [scorer._base[level] for level in levels]
+    n = 1 + len(scorer._deltas) + len(scorer._pairs)
+    a = (max(map(abs, bases)) + sum(map(abs, scorer._deltas))
+         + sum(abs(pair[0]) for pair in scorer._pairs))
+    slack = 2 * n * _U / (1 - n * _U) * a
     best = None
-    for level in _levels(space, base_level):
+    for level, base in zip(levels, bases):
+        if base - min(bases) > slack:  # False for a NaN, which is scored
+            continue
         prefix = scorer.prefix(level)
         for start in range(0, 2 ** len(space), scorer.block):
             times = scorer.times(prefix, start)

@@ -208,10 +208,13 @@ def quantised_models(
         ]
         worst = sum(min(0.0, d) for d in [*deltas.values(), *(p[4] for p in pairs)])
         benches[f"b{b}"] = {
-            # multipliers are >= 1, so every time is at least the margin above 0
+            # multipliers are at least 1 - 2^-53, so every time is about the
+            # margin above 0 or more
             "base": rng.randint(1, 40) / 10 - worst,
+            # 1 + 2^-52 and 1 - 2^-53 put levels within the oracle's rounding bound
             "multipliers": {
-                level: rng.choice([1.1, 1.3, 2.0]) for level in levels if rng.random() < 0.5
+                level: rng.choice([1.1, 1.3, 2.0, 1.0 + 2**-52, 1.0 - 2**-53])
+                for level in levels if rng.random() < 0.5
             },
             "deltas": deltas,
             "pairs": pairs,

@@ -628,6 +628,12 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
         ("ric", {"mode": "external", "model": None, "suite": "flags_in_one_argument.json",
                  "flag_space": "wide_space.json"}, []),
         ("ric", {"mode": "external", "model": None, "suite": "timeout_too_large.json"}, []),
+        ("ric", {"mode": "external", "model": None, "suite": "empty_run_command.json"}, []),
+        ("ric", {"mode": "external", "model": None, "suite": "empty_compile_command.json"}, []),
+        ("ric", {"mode": "external", "model": None, "suite": "nul_in_run_command.json"}, []),
+        ("ric", {"mode": "external", "model": None, "suite": "nul_in_compile_command.json"}, []),
+        ("ric", {"flag_space": "nul_in_flag_form.json"}, []),
+        ("ric", {"flag_space": "nul_in_base_level.json"}, []),
     ],
     ids=["ce-benchmark", "ric-benchmarks", "ric-unknown-flag", "oracle-unknown-flag",
          "oracle-non-positive", "suite-ce-aggregate", "suite-ce-negative-threshold",
@@ -647,7 +653,9 @@ TRADEOFF = {"flag_space": str(DEMO / "tradeoff_space.json"),
          "ric-bad-mode", "ric-suite-repeated-name", "ric-suite-empty-name", "ric-timing-wall",
          "ric-empty-flag-name", "ric-no-base-levels", "ric-repeated-base-level",
          "ce-empty-benchmark", "ce-model-empty-benchmark-name", "ric-argument-too-long",
-         "suite-timeout-too-large"],
+         "suite-timeout-too-large", "ric-empty-run-command", "ric-empty-compile-command",
+         "ric-nul-in-run-command", "ric-nul-in-compile-command", "ric-nul-in-flag-form",
+         "ric-nul-in-base-level"],
 )
 def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, extra):
     _pair_model(tmp_path, "unknown_flag.json", flag_delta={"ivopts": -5.0, "zz": 1.0})
@@ -679,7 +687,12 @@ def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, e
                               # poll() takes it as a C int of milliseconds
                               ("timeout_too_large.json", {"timeout": 2147483.648}),
                               ("empty_name_suite.json", {"name": ""}),
-                              ("timing_wall.json", {"timing": "wall"})):
+                              ("timing_wall.json", {"timing": "wall"}),
+                              ("empty_run_command.json", {"run_command": " "}),
+                              ("empty_compile_command.json", {"compile_command": ""}),
+                              ("nul_in_run_command.json", {"run_command": "{bin} a\0b"}),
+                              ("nul_in_compile_command.json",
+                               {"compile_command": "cc {flags} -o {out} -DX=\0"})):
         (tmp_path / name).write_text(json.dumps({"benchmarks": [{**bench, **field_value}]}))
     (tmp_path / "repeated_name_suite.json").write_text(json.dumps({"benchmarks": [bench, bench]}))
     (tmp_path / "flags_in_one_argument.json").write_text(json.dumps({"benchmarks": [
@@ -691,8 +704,11 @@ def test_rejected_config_creates_nothing(tmp_path, capsys, command, overrides, e
     (tmp_path / "stock_a_string.json").write_text(json.dumps({**space, "flags": stock_a_string}))
     empty_flag_name = [{**space["flags"][0], "name": ""}, *space["flags"][1:]]
     (tmp_path / "empty_flag_name.json").write_text(json.dumps({**space, "flags": empty_flag_name}))
+    nul_in_form = [{**space["flags"][0], "off": "-fno-\0x"}, *space["flags"][1:]]
+    (tmp_path / "nul_in_flag_form.json").write_text(json.dumps({**space, "flags": nul_in_form}))
     for name, levels in (("no_base_levels.json", []),
-                         ("repeated_base_level.json", ["O1", "O3", "O3"])):
+                         ("repeated_base_level.json", ["O1", "O3", "O3"]),
+                         ("nul_in_base_level.json", ["O1\0", "O3"])):
         (tmp_path / name).write_text(json.dumps({**space, "base_levels": levels}))
     for field in ("model", "suite", "flag_space"):
         name = overrides.get(field)
@@ -1285,6 +1301,30 @@ def test_predict_1nn_unknown_query(tmp_path, demo_dir, trained_manifest):
         ]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("command, first_artifact", [
+    ("oracle", "oracle_per_benchmark.csv"),
+    ("report", "compare.csv"),
+    ("predict-1nn", "predicted.config.json"),
+])
+def test_unwritable_artifact_fails_the_command_naming_it(tmp_path, demo_config, demo_dir,
+                                                         trained_manifest, command, first_artifact):
+    """Inputs read and out dir made, a write that fails is exit 2, not a usage error."""
+    space = ["--space", str(demo_dir / "tradeoff_space.json")]
+    argv = {
+        "oracle": ["oracle", "--config", demo_config("tradeoff")],
+        "report": ["report", str(tmp_path / "ce_out" / "ce_crc32.trace"), *space],
+        "predict-1nn": ["predict-1nn", str(demo_dir / "features.csv"), str(trained_manifest),
+                        "fir", *space],
+    }[command]
+    out = tmp_path / "o"
+    proc = _run_with_file_limit([*argv, "--out", str(out)], 10)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "flagtuner: campaign failed: cannot write artifacts: "
+        f"[Errno 27] File too large: '{out / first_artifact}'"]
+    assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -888,3 +888,15 @@ def test_benchmark_validation():
     for timeout in (2147483.648, math.inf):
         with pytest.raises(ValueError, match="timeout must be > 0 and <= 2147483.647 s"):
             Benchmark(name="x", compile_command="c", run_command="r", timeout=timeout)
+
+
+@pytest.mark.parametrize("field, template, problem", [
+    ("compile_command", "", "is empty"),
+    ("run_command", " \t", "is empty"),
+    ("compile_command", "cc {flags} -o {out}\0", "holds a NUL"),
+    ("run_command", "{bin} '\0'", "holds a NUL"),
+])
+def test_template_without_argv_or_with_nul_is_rejected_by_name(field, template, problem):
+    templates = {"compile_command": "cc {flags} -o {out}", "run_command": "{bin}", field: template}
+    with pytest.raises(ValueError, match=f"^benchmark x: {field} {problem}$"):
+        Benchmark(name="x", **templates)

@@ -54,6 +54,48 @@ def test_zero_flags_picks_best_base_level():
     assert config == Configuration("O2", ())
 
 
+def _scored_levels(monkeypatch) -> list[str]:
+    """The levels ``_Scorer.prefix`` is called for, listed as the calls come."""
+    levels = []
+    prefix = oracle._Scorer.prefix
+
+    def counted(self, level):
+        levels.append(level)
+        return prefix(self, level)
+
+    monkeypatch.setattr(oracle._Scorer, "prefix", counted)
+    return levels
+
+
+@pytest.mark.parametrize("multipliers, best_level", [
+    ({"O1": 1.0, "O2": 1.0, "O3": 1.0}, "O1"),
+    # the bases 1 + 2^-52, 1 - 2^-53 and 1 all round to 2.0 once f0 adds 1.0
+    ({"O1": 1.0 + 2**-52, "O2": 1.0 - 2**-53, "O3": 1.0}, "O1"),
+    # 1 + 2^-51 plus 1.0 is 2 + 2^-51, one ulp above the others' 2.0
+    ({"O1": 1.0 + 2**-51, "O2": 1.0, "O3": 1.0}, "O2"),
+])
+def test_levels_a_few_ulp_apart_are_all_scored(monkeypatch, multipliers, best_level):
+    space = space_of(1, levels=("O1", "O2", "O3"))
+    # f0 off adds 5.0 through a pair that names it twice
+    model = model_of({"b": {"base": 1.0, "multipliers": multipliers, "deltas": {"f0": 1.0},
+                            "pairs": [("f0", "f0", False, False, 5.0)]}})
+    scored = _scored_levels(monkeypatch)
+    got = per_benchmark_optimum(space, model, "b")
+    assert scored == ["O1", "O2", "O3"]
+    assert got == scalar_per_benchmark(space, model, "b") == (2.0, config_of(best_level, 1, 1))
+
+
+def test_only_the_cheapest_level_is_scored_when_the_others_are_far_slower(monkeypatch):
+    space = space_of(6, levels=("O1", "O2", "O3"))
+    model = model_of({"b": {"multipliers": {"O1": 1.3, "O2": 1.05, "O3": 1.0},
+                            "deltas": {f"f{i}": (-1.0) ** i * (i + 1) for i in range(6)},
+                            "pairs": [("f0", "f5", False, True, -3.0)]}})
+    scored = _scored_levels(monkeypatch)
+    got = per_benchmark_optimum(space, model, "b")
+    assert scored == ["O3"]
+    assert got == scalar_per_benchmark(space, model, "b")
+
+
 def test_pair_dependency_optimum():
     space, model = pair_dependency_model()
     t, config = per_benchmark_optimum(space, model, "cover")
