@@ -461,11 +461,11 @@ class CommandEvaluator(_CachedEvaluator):
     argument, at each flag's longer spelling and the longest level) is
     rejected there too, before any compile. ``compilations`` counts
     compiler invocations; a digest hit runs nothing and is answered as a
-    configuration hit is. ``evaluate_many`` compiles a chunk of pairs on a
-    thread pool, the next chunk while one runs under reported timing; a
-    direct ``evaluate`` compiles its pair in the calling thread. Each binary
-    is deleted from ``build_dir`` once it has been digested and run, or has
-    failed.
+    configuration hit is. ``evaluate_many`` compiles a window of the pairs
+    ahead on a thread pool, under reported timing while the pairs before
+    them run; a direct ``evaluate`` compiles its pair in the calling
+    thread. Each binary is deleted from ``build_dir`` once it has been
+    digested and run, or has failed.
     """
 
     def __init__(
@@ -502,8 +502,8 @@ class CommandEvaluator(_CachedEvaluator):
                 raise ValueError(f"benchmark {b.name}: a compile argument can take {over} bytes, "
                                  f"past the {_MAX_ARG_STRLEN} one argument may hold")
         self.compilations = 0
-        # the compiles evaluate_many submitted, by (benchmark, configuration
-        # key), until their pair is measured
+        # evaluate_many's window: the compiles it submitted, by (benchmark,
+        # configuration key), until their pair is measured
         self._prebuilt: dict[tuple[str, str], Future] = {}
         # the commands running now, in any thread
         self._running: set[subprocess.Popen] = set()
@@ -517,87 +517,59 @@ class CommandEvaluator(_CachedEvaluator):
         """The measurements of independent ``pairs``, in order, each from
         ``evaluate``.
 
-        Pairs go through in chunks holding at most one compile per CPU. A
-        chunk's compiles are its pairs whose configuration neither the cache
-        holds nor the chunk before it builds, each distinct pair once, so the
-        chunks, compiles, runs and hits are those of evaluating the pairs one
-        by one. They are submitted to one thread pool, made at the first
-        miss, and a chunk's compiles all end before its first ``evaluate``
-        uses a prebuilt binary. When every benchmark reports its own time,
-        the next chunk is submitted before this one runs, unless this chunk
-        could spend the budget; otherwise it is built once this chunk is
-        done, after a budget check. Digests and runs stay in the main thread,
-        in order, so no two runs overlap, and under external timing a run
-        overlaps no compile either. However the batch ends, the compiles not
-        yet started are cancelled, those still running (which never see a
-        Ctrl-C) are killed and waited for, and the binaries not yet run are
-        deleted, so ``build_dir`` holds at most two chunks of binaries.
+        Compiles go through one window, ``_prebuilt``: before each pair the
+        pairs ahead are scanned in order, and each miss (a configuration that
+        neither the cache nor the window holds) is submitted once, counted in
+        ``compilations``, to a pool of one thread per CPU made at the first
+        miss. The window holds at most two compiles per CPU, and takes a miss
+        only while ``used`` plus its size is below ``max_evals``, so the
+        compiles, runs and hits are those of evaluating the pairs one by one.
+        Digests and runs stay in the main thread, in order, so no two runs
+        overlap. When every benchmark reports its own time, the window is
+        topped up before each pair, which runs once its own compile is done
+        (``_measure``); otherwise it is refilled only when empty, and all its
+        compiles end before its first run, so a run overlaps no compile
+        either. However the batch ends, compiles not yet started are
+        cancelled, those running (which never see a Ctrl-C) are killed and
+        waited for, and unrun binaries are deleted, so ``build_dir`` holds at
+        most two per CPU.
         """
         width = len(os.sched_getaffinity(0))
-        ahead = all(b.timing == TIMING_REPORTED for b in self.suite.values())
+        reported = all(b.timing == TIMING_REPORTED for b in self.suite.values())
         pool = None
-        chunks: list[tuple[int, dict]] = []  # (end, futures) of the chunk to run, then the next
-
-        def build(start: int) -> None:
-            """Scan the chunk that starts at ``pairs[start]``, then submit the
-            compile of each miss, counted in ``compilations``; a key in
-            ``_prebuilt`` is the chunk before's, whose outcome is filed before
-            this chunk runs."""
-            nonlocal pool
-            misses: dict[tuple[str, str], Configuration] = {}
-            end = start
-            while end < len(pairs):
-                config, bench_name = pairs[end]
-                key = (bench_name, self._key(config, bench_name))
-                if key not in misses and key not in self._prebuilt and key not in self.cache:
-                    if len(misses) == width:
-                        break
-                    misses[key] = config
-                end += 1
-            if misses and pool is None:
-                # imported here: it adds some 7 ms to every start-up otherwise
-                from concurrent.futures import ThreadPoolExecutor
-
-                pool = ThreadPoolExecutor(width)
-            self.compilations += len(misses)
-            futures = {key: pool.submit(self._compile, config, self.suite[key[0]],
-                                        self._out_path(*key))
-                       for key, config in misses.items()}
-            self._prebuilt.update(futures)
-            chunks.append((end, futures))
-
-        start = 0
+        scanned = 0  # the pairs before pairs[scanned] are measured, cached or in the window
         try:
-            while start < len(pairs):
-                if not chunks:
-                    self._check_budget()
-                    build(start)
-                end, futures = chunks[0]
-                if ahead and end < len(pairs) and self.used + len(futures) < self.max_evals:
-                    build(end)
-                if futures:
-                    from concurrent.futures import wait
+            for config, bench_name in pairs:
+                if reported or not self._prebuilt:
+                    while (scanned < len(pairs) and len(self._prebuilt) < 2 * width
+                           and self.used + len(self._prebuilt) < self.max_evals):
+                        ahead, name = pairs[scanned]
+                        key = (name, self._key(ahead, name))
+                        if key not in self._prebuilt and key not in self.cache:
+                            if pool is None:
+                                # imported with the pool, which every use of wait follows:
+                                # at module level it adds some 7 ms to every start-up
+                                from concurrent.futures import ThreadPoolExecutor, wait
 
-                    wait(futures.values())
-                for config, bench_name in pairs[start:end]:
-                    yield self.evaluate(config, bench_name)
-                chunks.pop(0)
-                start = end
+                                pool = ThreadPoolExecutor(width)
+                            self.compilations += 1
+                            self._prebuilt[key] = pool.submit(self._compile, ahead, self.suite[name],
+                                                              self._out_path(*key))
+                        scanned += 1
+                    if not reported and self._prebuilt:
+                        wait(self._prebuilt.values())
+                yield self.evaluate(config, bench_name)
         finally:
             if pool is not None:
-                from concurrent.futures import wait
-
-                pending = [f for _, futures in chunks for f in futures.values()
-                           if not f.cancel() and not f.done()]
+                pending = [f for f in self._prebuilt.values() if not f.cancel() and not f.done()]
                 while pending:  # a thread may start its command after a sweep
                     for proc in list(self._running):
                         _kill_group(proc)
                     pending = wait(pending, timeout=0.05).not_done
                 pool.shutdown()
-            for _, futures in chunks:
-                for key in futures:
-                    self._prebuilt.pop(key, None)
-                    self._out_path(*key).unlink(missing_ok=True)
+            for key in self._prebuilt:
+                self._out_path(*key).unlink(missing_ok=True)
+            self._prebuilt.clear()
 
     def _measure(self, config: Configuration, bench_name: str, key: str) -> Measurement:
         """The outcome of a configuration the cache does not hold.

@@ -1,7 +1,8 @@
 """The concurrency contract of external evaluation: a batch compiles in
-parallel, no two runs overlap, a chunk compiles while the one before it runs
-when every benchmark reports its own time, and a wall-clocked run overlaps
-nothing flagtuner started.
+parallel through a window of at most two compiles per CPU, no two runs
+overlap, when every benchmark reports its own time a pair runs as soon as
+its own binary is built while the window keeps compiling, and a
+wall-clocked run overlaps nothing flagtuner started.
 
 A logging stub toolchain appends ``kind start end`` (monotonic clock, which
 every process shares) to a log file for each compile and run, so the
@@ -31,7 +32,7 @@ from flagtuner.evaluator import (
 )
 from flagtuner.flagspace import load_flag_space
 from helpers import config_of
-from test_evaluator import _gone_soon
+from test_evaluator import _gone_soon, _running
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 STUB_CAMPAIGN = str(DEMO / "stub_campaign.json")
@@ -42,7 +43,7 @@ start = time.monotonic()
 kind, args = sys.argv[1], sys.argv[2:]
 if kind == "compile":
     cut = args.index("--out")
-    time.sleep(0.3 if "-O2" in args else 0.1)  # so a chunk's compiles end apart
+    time.sleep(0.3 if "-O2" in args else 0.1)  # so a batch's compiles end apart
     with open(args[cut + 1], "w") as fh:
         fh.write(" ".join(a for a in args[:cut] if "prefetch" not in a))
 else:
@@ -56,8 +57,12 @@ os.write(log, f"{kind} {start} {end}\\n".encode())
 '''
 
 
-def logging_suite(tmp_path: Path) -> list[Benchmark]:
-    (tmp_path / "stub.py").write_text(STUB)
+# the logging stub with one straggler: a compile at -O2 takes 1.5 s, any other 0.05 s
+STRAGGLER_STUB = STUB.replace("0.3 if", "1.5 if").replace("else 0.1)", "else 0.05)")
+
+
+def logging_suite(tmp_path: Path, stub: str = STUB) -> list[Benchmark]:
+    (tmp_path / "stub.py").write_text(stub)
     return [
         Benchmark(name, "python3 -S stub.py compile {flags} --out {out}",
                   "python3 -S stub.py run {bin}", timeout=30.0)
@@ -147,6 +152,20 @@ def test_compiles_of_one_batch_overlap(tmp_path, space):
     assert overlap(first, second)
 
 
+def test_a_pair_runs_once_its_own_binary_is_built(tmp_path, space, monkeypatch):
+    """Under reported timing a straggler compile holds up only its own pair:
+    the pair before it runs while it still compiles."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    ev = CommandEvaluator(space, logging_suite(tmp_path, STRAGGLER_STUB), workdir=tmp_path,
+                          build_dir=tmp_path / "build")
+    pairs = [(config_of(level, mask, len(space)), "alpha")
+             for level, mask in (("O3", 0), ("O2", 0), ("O3", 1), ("O2", 1))]
+    assert all(m.ok for m in ev.evaluate_many(pairs))
+    straggler = max(intervals(tmp_path, "compile"), key=lambda c: c[1] - c[0])
+    assert straggler[1] - straggler[0] > 1.0
+    assert intervals(tmp_path, "run")[0][0] < straggler[1]
+
+
 def test_configuration_twice_in_one_batch_compiles_once(tmp_path, space, wide):
     ev = CommandEvaluator(space, logging_suite(tmp_path), workdir=tmp_path,
                           build_dir=tmp_path / "build")
@@ -165,8 +184,7 @@ def test_budget_interrupt_mid_chunk_leaves_build_empty(tmp_path, space, wide):
     with pytest.raises(CampaignInterrupted):
         for _ in ev.evaluate_many(pairs):
             pass
-    assert ev.compilations == 4  # the whole chunk was built ahead
-    assert ev.executions == 1
+    assert ev.compilations == ev.executions == 1  # nothing is built past the budget
     assert list(build.iterdir()) == []
 
 
@@ -210,7 +228,17 @@ def test_cli_budget_interrupt_leaves_build_empty(tmp_path, wide):
     assert list((out / "build").iterdir()) == []
 
 
-def test_compile_that_raises_leaves_build_empty(tmp_path, space, wide):
+def test_compile_that_raises_leaves_build_empty(tmp_path, space, wide, monkeypatch):
+    """A compiler that cannot start raises at its own pair, and leaves no
+    compile of the batch running and no binary behind."""
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self.pid)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
     build = tmp_path / "build"
     missing = Benchmark("missing", "no-such-compiler-anywhere {flags} -o {out}", "true")
     ev = CommandEvaluator(space, [missing, *logging_suite(tmp_path)], workdir=tmp_path,
@@ -218,7 +246,7 @@ def test_compile_that_raises_leaves_build_empty(tmp_path, space, wide):
     config = space.stock_config()
     with pytest.raises(FileNotFoundError):
         list(ev.evaluate_many([(config, "missing"), (config, "alpha")]))
-    assert len(intervals(tmp_path, "compile")) == 1  # alpha was built ahead
+    assert not [pid for pid in started if _running(pid)]  # finished, or killed and reaped
     assert list(build.iterdir()) == []
 
 
