@@ -10,11 +10,12 @@ byte-reproducible for identical inputs and seed; timestamps go only to
 run.log.
 
 Exit codes: 0 success, 1 usage/parse error, 2 campaign failure,
-3 interrupted with a valid checkpoint. An OSError once a campaign is built
-interrupts it (3), or fails it (2) if the checkpoint cannot be written or
-if it is E2BIG, a command too long to start, which no resume gets past.
-``oracle``, ``report`` and ``predict-1nn`` fail (2) when an artifact
-cannot be written, once their output directory exists.
+3 interrupted with a valid checkpoint. Every command reads and checks its
+inputs before it creates its output directory, so a bad input exits 1 and
+creates nothing. Once the directory exists, a final artifact that cannot be
+written, or a cache locked by another campaign, exits 2 with one line. An
+OSError during a campaign's search interrupts it (3), except E2BIG, a
+command too long to start, which no resume gets past (2).
 """
 
 from __future__ import annotations
@@ -312,9 +313,10 @@ def _write_summary(out: Path, lines: list[str]) -> None:
 
 @contextmanager
 def _writing_artifacts():
-    """Where ``oracle``, ``report`` and ``predict-1nn`` write, once their out
-    dir exists: an ``OSError`` there fails the command, where one reading
-    their inputs is a usage error."""
+    """Where every command writes its final artifacts, once its out dir
+    exists: an ``OSError`` there fails the command (exit 2, one line naming
+    the file), where one reading its inputs, before the out dir exists, is a
+    usage error (1)."""
     try:
         yield
     except OSError as exc:
@@ -346,8 +348,9 @@ def _run_campaign(args, body: Callable[[Campaign], list[str]]) -> int:
     returns the summary lines. An interruption, Ctrl-C or a spent
     ``--max-evals`` budget, ends the body early and leaves an interrupted
     checkpoint. So does an ``OSError`` once the campaign is built (a full
-    disk, a compiler that cannot be started); when even the trace or the
-    checkpoint cannot be written, the campaign fails instead. An ``E2BIG``
+    disk, a compiler that cannot be started). The trace, the checkpoint,
+    the summary and the log line are written last, in ``_writing_artifacts``:
+    a write that fails there fails the campaign. An ``E2BIG``
     (a command line past the kernel's limits) fails it at once, with no
     checkpoint, as every resume would meet it again.
     """
@@ -365,7 +368,7 @@ def _run_campaign(args, body: Callable[[Campaign], list[str]]) -> int:
         print(f"flagtuner: {exc}", file=sys.stderr)
         summary = None
     progress = camp.progress if camp.trace is None else {"records": len(camp.trace), **camp.progress}
-    try:
+    with _writing_artifacts():
         if camp.trace is not None:
             write_trace(camp.trace_path, camp.trace)
         status = "interrupted" if summary is None else "complete"
@@ -376,9 +379,6 @@ def _run_campaign(args, body: Callable[[Campaign], list[str]]) -> int:
         else:
             _write_summary(out, summary)
             _log(out, f"{command} complete")
-    except OSError as exc:
-        print(f"flagtuner: campaign failed: {exc}", file=sys.stderr)
-        return EXIT_CAMPAIGN
     if summary is None:
         print(
             f"{command}: interrupted; checkpoint written to {out / 'checkpoint.json'}",
@@ -652,10 +652,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"flagtuner: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CacheLockedError as exc:
-        print(f"flagtuner: {exc}", file=sys.stderr)
-        return EXIT_CAMPAIGN
-    except CampaignError as exc:
+    except (CacheLockedError, CampaignError) as exc:
         print(f"flagtuner: campaign failed: {exc}", file=sys.stderr)
         return EXIT_CAMPAIGN
 

@@ -132,7 +132,9 @@ def test_unwritable_trace_or_checkpoint_fails_the_campaign(tmp_path, demo_config
     out = tmp_path / "o"
     (out / artifact).mkdir(parents=True)  # a directory where the file goes
     assert main(["ric", "--config", demo_config("pair"), "--out", str(out)]) == 2
-    assert "campaign failed" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "flagtuner: campaign failed: cannot write artifacts: "
+        f"[Errno 21] Is a directory: '{out / artifact}'"]
     assert list(out.glob(".*.tmp")) == []
 
 
@@ -276,12 +278,14 @@ def test_unknown_benchmark_in_config(tmp_path):
     assert main(["ric", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
 
 
-def test_locked_cache_is_campaign_failure(tmp_path, demo_config):
+def test_locked_cache_is_campaign_failure(tmp_path, demo_config, capsys):
     out = tmp_path / "o"
     out.mkdir()
     with EvalCache(out / "cache.jsonl"):
         code = main(["ric", "--config", demo_config("pair"), "--out", str(out)])
     assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"flagtuner: campaign failed: cache file {out / 'cache.jsonl'} is locked"]
 
 
 # ---------------------------------------------------------------------------

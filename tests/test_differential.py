@@ -1,14 +1,15 @@
 """External mode equals synthetic mode.
 
-A toolchain backed by the trade-off demo's model (``model_stub.py``) makes
-the external path an exact copy of the synthetic one: its compiler writes
-the rendered arguments, and its run reports, under ``timing: "reported"``,
-the time ``SyntheticModel.time_for`` gives them, from a table this module
-writes. The space adds one flag, ``nop``, that the model has no term for
-and the compiler drops, so configurations that differ only there give one
-binary and external mode answers them from its digest. Campaigns run in
-both modes, uninterrupted and resumed after a spent ``--max-evals``, must
-then write the same artifacts byte for byte.
+A toolchain backed by a demo's model (``model_stub.py``) makes the external
+path an exact copy of the synthetic one: its compiler writes the rendered
+arguments, and its run reports, under ``timing: "reported"``, the time
+``SyntheticModel.time_for`` gives them, from a table this module writes.
+The space adds one flag, ``nop``, that the model has no term for and the
+compiler drops, so configurations that differ only there give one binary
+and external mode answers them from its digest. Campaigns of the trade-off
+demo, and of the pair demo, whose one benchmark has a pair term and three
+base levels, run in both modes, uninterrupted and resumed after a spent
+``--max-evals``, and must then write the same artifacts byte for byte.
 """
 
 import json
@@ -28,6 +29,7 @@ from helpers import config_of
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 STUB = Path(__file__).resolve().parent / "model_stub.py"
 COMMANDS = ("ric", "ce", "suite-ce", "xval")
+PAIR_COMMANDS = ("ric", "ce", "suite-ce")  # xval needs two benchmarks; the pair demo has one
 
 # a campaign's own state, and what the two modes put in it differently: the
 # cache's keys and the checkpoint's input digests
@@ -55,39 +57,51 @@ def cache_hits(out: Path) -> int:
     return int(re.search(r"cache_hits=(\d+)", last)[1])
 
 
-@pytest.fixture(scope="module")
-def inputs(tmp_path_factory) -> Path:
-    """The trade-off demo with ``nop`` in its space, a synthetic and an
-    external campaign config of it, and the stub's time table."""
-    root = tmp_path_factory.mktemp("differential")
-    space_data = json.loads((DEMO / "tradeoff_space.json").read_text())
+def build_inputs(root: Path, demo: str, commands: tuple[str, ...]) -> Path:
+    """In ``root``: the demo with ``nop`` in its space, a synthetic and an
+    external campaign config of it with the demo's seed, threshold and
+    aggregate, the stub's time table, and the synthetic artifacts of each
+    of ``commands``."""
+    space_data = json.loads((DEMO / f"{demo}_space.json").read_text())
     space_data["flags"].insert(2, {"name": "nop", "on": "-fnop", "off": "-fno-nop", "stock": False})
     (root / "space.json").write_text(json.dumps(space_data))
     space = load_flag_space(root / "space.json")
-    model = load_synthetic_model(DEMO / "tradeoff_model.json")
+    model = load_synthetic_model(DEMO / f"{demo}_model.json")
     n = len(space)
     with open(root / "table.txt", "w") as fh:
         for bench in model.benchmarks:
-            for mask in range(2 ** n):
-                config = config_of("O3", mask, n)
-                binary = " ".join(a for a in render_args(space, config) if "nop" not in a)
-                fh.write(f"{bench}\t{binary}\t{model.time_for(space, config, bench)!r}\n")
+            for level in space.base_levels:
+                for mask in range(2 ** n):
+                    config = config_of(level, mask, n)
+                    binary = " ".join(a for a in render_args(space, config) if "nop" not in a)
+                    fh.write(f"{bench}\t{binary}\t{model.time_for(space, config, bench)!r}\n")
     stub = f"{shlex.quote(sys.executable)} -S {shlex.quote(str(STUB))}"
     (root / "suite.json").write_text(json.dumps({"benchmarks": [
         {"name": bench, "compile_command": f"{stub} compile {{flags}} --out {{out}}",
          "run_command": f"{stub} run {{bin}} {bench} table.txt", "timing": "reported"}
         for bench in model.benchmarks
     ]}))
-    common = {"flag_space": str(root / "space.json"), "seed": 7, "n_configs": 8,
-              "threshold_t": 5.0, "aggregate": "mean", "k": 3}
+    campaign = json.loads((DEMO / f"{demo}_campaign.json").read_text())
+    common = {"flag_space": str(root / "space.json"), "n_configs": 8, "k": 3,
+              **{key: campaign[key] for key in ("seed", "threshold_t", "aggregate")}}
     (root / "synthetic.json").write_text(json.dumps(
-        {**common, "mode": "synthetic", "model": str(DEMO / "tradeoff_model.json")}))
+        {**common, "mode": "synthetic", "model": str(DEMO / f"{demo}_model.json")}))
     (root / "external.json").write_text(json.dumps(
         {**common, "mode": "external", "suite": "suite.json"}))
-    for command in COMMANDS:
+    for command in commands:
         assert main([command, "--config", str(root / "synthetic.json"),
                      "--out", str(root / "synthetic" / command)]) == 0
     return root
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory) -> Path:
+    return build_inputs(tmp_path_factory.mktemp("tradeoff"), "tradeoff", COMMANDS)
+
+
+@pytest.fixture(scope="module")
+def pair_inputs(tmp_path_factory) -> Path:
+    return build_inputs(tmp_path_factory.mktemp("pair"), "pair", PAIR_COMMANDS)
 
 
 @pytest.fixture
@@ -96,13 +110,23 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-def test_external_campaign_writes_the_synthetic_artifacts(inputs, tmp_path, two_cpus, command):
-    out = tmp_path / command
+def check_external_campaign(inputs: Path, out: Path, command: str) -> None:
     assert main([command, "--config", str(inputs / "external.json"), "--out", str(out)]) == 0
     assert artifacts(out) == artifacts(inputs / "synthetic" / command)
     assert cache_hits(out) > cache_hits(inputs / "synthetic" / command)  # digest hits
     assert list((out / "build").iterdir()) == []
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_external_campaign_writes_the_synthetic_artifacts(inputs, tmp_path, two_cpus, command):
+    check_external_campaign(inputs, tmp_path / command, command)
+
+
+@pytest.mark.parametrize("command", PAIR_COMMANDS)
+def test_external_pair_campaign_writes_the_synthetic_artifacts(pair_inputs, tmp_path, two_cpus,
+                                                               command):
+    """The pair demo's pair term and its levels reach the external path."""
+    check_external_campaign(pair_inputs, tmp_path / command, command)
 
 
 @pytest.mark.parametrize("max_evals", [1, 4, 5])

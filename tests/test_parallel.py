@@ -86,8 +86,8 @@ def space():
 
 @pytest.fixture
 def wide(monkeypatch):
-    """Four CPUs as the evaluator sees them, so chunks hold up to four
-    compiles on any machine."""
+    """Four CPUs as the evaluator sees them, so the window holds up to
+    eight compiles, two per CPU, on any machine."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
 
 
@@ -122,8 +122,9 @@ def test_timed_runs_overlap_nothing(tmp_path, wide):
 
 
 def test_reported_runs_overlap_the_next_chunks_compiles(tmp_path, wide, monkeypatch):
-    """Under reported timing the next chunk compiles while this one runs,
-    so ``build/`` holds up to two chunks of binaries, and never more."""
+    """Under reported timing the window keeps compiling the pairs ahead
+    while a pair runs, so ``build/`` holds up to two binaries per CPU, and
+    never more."""
     counts = []
 
     def counting(method):
@@ -139,7 +140,7 @@ def test_reported_runs_overlap_the_next_chunks_compiles(tmp_path, wide, monkeypa
     compiles, runs = intervals(tmp_path, "compile"), intervals(tmp_path, "run")
     assert [(c, r) for c in compiles for r in runs if overlap(c, r)]
     assert not [(r, s) for i, r in enumerate(runs) for s in runs[i + 1:] if overlap(r, s)]
-    assert counts and max(counts) <= 2 * 4  # two chunks of one compile per (wide) CPU
+    assert counts and max(counts) <= 2 * 4  # a full window: two compiles per (wide) CPU
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs at least 2 CPUs")
@@ -177,6 +178,9 @@ def test_configuration_twice_in_one_batch_compiles_once(tmp_path, space, wide):
 
 
 def test_budget_interrupt_mid_chunk_leaves_build_empty(tmp_path, space, wide):
+    """A budget of one lets the window take one of four misses: the second
+    pair interrupts with nothing submitted for it, and ``build/`` ends
+    empty."""
     build = tmp_path / "build"
     ev = CommandEvaluator(space, logging_suite(tmp_path), workdir=tmp_path, build_dir=build,
                           max_evals=1)
@@ -189,8 +193,9 @@ def test_budget_interrupt_mid_chunk_leaves_build_empty(tmp_path, space, wide):
 
 
 def test_budget_spent_on_a_chunk_boundary_builds_no_further_chunk(tmp_path, space, wide):
-    """A budget spent on the last pair of one chunk interrupts before the
-    next chunk is compiled ahead."""
+    """A budget of four lets the window take four of eight misses: the
+    fifth pair interrupts before anything is submitted for it, so every
+    binary built was run."""
     build = tmp_path / "build"
     ev = CommandEvaluator(space, logging_suite(tmp_path), workdir=tmp_path, build_dir=build,
                           max_evals=4)
@@ -205,17 +210,17 @@ def test_budget_spent_on_a_chunk_boundary_builds_no_further_chunk(tmp_path, spac
 
 
 def test_batch_closed_early_deletes_both_chunks(tmp_path, space, wide):
-    """A batch its caller stops reading after one pair, once the next chunk
-    has been built ahead, deletes the binaries of both chunks."""
+    """A batch its caller stops reading after one pair, once every compile
+    the window submitted has ended, deletes the binaries left unrun."""
     build = tmp_path / "build"
     ev = CommandEvaluator(space, logging_suite(tmp_path), workdir=tmp_path, build_dir=build)
     batch = ev.evaluate_many([(config, "alpha") for config in distinct_configs(space, 8)])
     assert next(batch).ok
     deadline = time.monotonic() + 10.0
-    while len(intervals(tmp_path, "compile")) < 8:  # the next chunk's compiles end
-        assert time.monotonic() < deadline, "the next chunk was not built ahead"
+    while len(intervals(tmp_path, "compile")) < 8:  # the window's compiles end
+        assert time.monotonic() < deadline, "the window's compiles did not end"
         time.sleep(0.01)
-    assert len(list(build.iterdir())) == 3 + 4
+    assert len(list(build.iterdir())) == 8 - 1  # 8 submitted less 1 run
     batch.close()
     assert (ev.compilations, ev.executions) == (8, 1)
     assert list(build.iterdir()) == [] and ev._prebuilt == {}
@@ -264,7 +269,7 @@ def compile_threads(monkeypatch) -> list[threading.Thread]:
 
 
 def test_batch_compiles_run_on_the_pool(tmp_path, space, monkeypatch):
-    """A batch compiles on pool threads, a chunk's lone miss too."""
+    """A batch compiles on pool threads, a lone miss in the window too."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     threads = compile_threads(monkeypatch)
     ev = CommandEvaluator(space, logging_suite(tmp_path), workdir=tmp_path,
@@ -344,10 +349,10 @@ def test_interrupted_direct_evaluate_files_no_compile(tmp_path, space):
 
 
 def test_pipelined_batch_equals_one_by_one(tmp_path, space, wide, monkeypatch):
-    """Chunks built ahead give the measurements, counters and cache bytes of
-    evaluating the pairs one by one, with configurations that the stub
+    """A window built ahead gives the measurements, counters and cache bytes
+    of evaluating the pairs one by one, with configurations that the stub
     compiles to one binary (it drops the prefetch flag) and pairs repeated
-    within a chunk and across chunks; a replay from the warm cache then
+    within one window and across windows; a replay from the warm cache then
     starts no thread."""
     configs = [config_of("O3", mask, len(space)) for mask in range(4)]
     pairs = [(configs[i], bench) for i in (0, 1, 0, 2, 3, 1, 2, 3, 0)
@@ -430,7 +435,7 @@ def test_ctrl_c_mid_chunk_kills_the_compiles(tmp_path):
     (tmp_path / "cc.py").write_text(SLOW_CC)
     (tmp_path / "pids").mkdir()
     # no flags: the stock and the sampled configuration are one, so the
-    # first chunk holds one compile per benchmark
+    # window holds one compile per benchmark
     (tmp_path / "space.json").write_text(json.dumps(
         {"base_levels": ["O3"], "default_baseline": "O3", "flags": []}))
     (tmp_path / "suite.json").write_text(json.dumps({"benchmarks": [
@@ -466,7 +471,7 @@ def test_ctrl_c_mid_chunk_kills_the_compiles(tmp_path):
 
 
 # a compiler that takes the next number in started/ and records its pid
-# there: the first chunk's four build at once, every later one slowly
+# there: the first four build at once, every later one slowly
 NUMBERED_CC = """\
 import os, sys, time
 n = 0
@@ -492,8 +497,9 @@ print(1.0)
 
 
 def test_ctrl_c_mid_run_kills_the_next_chunks_compiles(tmp_path):
-    """A Ctrl-C while a chunk runs and the next chunk builds ahead kills the
-    run and every compile, and deletes both chunks' binaries."""
+    """A Ctrl-C while a pair runs and the window still compiles the pairs
+    ahead kills the run and every compile, and deletes every binary left
+    unrun."""
     (tmp_path / "cc.py").write_text(NUMBERED_CC)
     (tmp_path / "run.py").write_text(SLOW_RUN)
     for name in ("started", "runs"):
@@ -518,8 +524,8 @@ def test_ctrl_c_mid_run_kills_the_next_chunks_compiles(tmp_path):
     pids: list[int] = []
     try:
         deadline = time.monotonic() + 10.0
-        while len(pids) < 8 + 1:  # both chunks' compiles and a run
-            assert time.monotonic() < deadline, "the next chunk never started to build"
+        while len(pids) < 8 + 1:  # 8 submitted, a full window, and 1 run
+            assert time.monotonic() < deadline, "the window never filled"
             time.sleep(0.01)
             pids = [int(p.read_text() or 0) for p in (tmp_path / "started").iterdir()]
             pids += [int(p.name) for p in (tmp_path / "runs").iterdir()]
