@@ -5,10 +5,13 @@ byte-identical files. Timestamps never appear in artifacts (they belong in
 the run log), so replaying a campaign against a warm cache rewrites the
 same bytes.
 
-Every artifact goes through ``write_text``, which writes it whole to a temp
-file in the same directory and renames that over the old file, so a killed
-process leaves the old file or the new one, never a torn one. As with the
-cache, nothing is fsynced: the promise does not cover a power loss.
+Every file a command writes, but the cache, is written here. An artifact
+goes through ``write_text``, which writes it whole to a temp file in the
+same directory and renames that over the old file, so a killed process
+leaves the old file or the new one, never a torn one; the run log grows by
+``append_line``. As with the cache, nothing is fsynced: the promise does
+not cover a power loss. A write that fails fails the command: any
+``OSError`` becomes a ``CampaignError`` naming the file (exit 2).
 
 Trace files are CSV with one line per (tested configuration, benchmark)
 measurement: sequence, config bitstring, base level, benchmark, time,
@@ -22,35 +25,50 @@ import csv
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable
 
 from flagtuner.analysis import CompareTable
 from flagtuner.evaluator import Measurement
 from flagtuner.flagspace import Configuration, FlagSpace, _check_member, render_args
-from flagtuner.search import CampaignTrace, CEState
+from flagtuner.search import CampaignError, CampaignTrace, CEState
 
 TRACE_COLUMNS = ["sequence", "bitstring", "base_level", "benchmark", "time", "status", "annotation"]
+
+
+@contextmanager
+def _writing(path: str | Path):
+    """Where ``path`` is written: an ``OSError`` there fails the command."""
+    try:
+        yield
+    except OSError as exc:
+        # a failed write, unlike a failed open, names no file
+        named = exc if exc.filename is not None else OSError(exc.errno, exc.strerror, str(path))
+        raise CampaignError(f"cannot write artifacts: {named}") from exc
 
 
 def write_text(path: str | Path, text: str) -> None:
     """Replace ``path`` with ``text`` through a temp file that never outlives
     the call, unless ``path`` holds those bytes already: a replay rewrites
     every artifact unchanged, and a rename over an existing file costs far
-    more than reading it. An ``OSError`` names a file, ``path`` if no other."""
+    more than reading it."""
     path = Path(path)
     data = text.encode("utf-8")
     tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        if not (path.exists() and path.read_bytes() == data):
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
-    except OSError as exc:
-        if exc.filename is None:  # a failed write names no file
-            raise OSError(exc.errno, exc.strerror, str(path)) from exc
-        raise
-    finally:
-        tmp.unlink(missing_ok=True)
+    with _writing(path):
+        try:
+            if not (path.exists() and path.read_bytes() == data):
+                tmp.write_bytes(data)
+                os.replace(tmp, path)
+        finally:  # inside _writing: the temp name may be a directory
+            tmp.unlink(missing_ok=True)
+
+
+def append_line(path: str | Path, line: str) -> None:
+    """Append ``line`` to ``path``, as the run log grows."""
+    with _writing(path), open(path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
 
 
 def write_json(path: str | Path, data) -> None:

@@ -12,10 +12,10 @@ run.log.
 Exit codes: 0 success, 1 usage/parse error, 2 campaign failure,
 3 interrupted with a valid checkpoint. Every command reads and checks its
 inputs before it creates its output directory, so a bad input exits 1 and
-creates nothing. Once the directory exists, a final artifact that cannot be
-written, or a cache locked by another campaign, exits 2 with one line. An
-OSError during a campaign's search interrupts it (3), except E2BIG, a
-command too long to start, which no resume gets past (2).
+creates nothing. Once the directory exists, any file it cannot write, run.log
+too, or a cache locked by another campaign, exits 2 with one line. An
+OSError of the cache or toolchain during a search interrupts it (3), but
+an E2BIG, a command too long to start, which no resume gets past, exits 2.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import errno
 import json
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
 from functools import partial
@@ -43,6 +42,7 @@ from flagtuner.analysis import (
     run_xval,
 )
 from flagtuner.artifacts import (
+    append_line,
     file_digest,
     read_checkpoint,
     read_trace,
@@ -301,26 +301,13 @@ def build_campaign(
 
 
 def _log(out: Path, message: str) -> None:
-    with open(out / "run.log", "a", encoding="utf-8") as fh:
-        fh.write(f"{datetime.now().isoformat()} {message}\n")
+    append_line(out / "run.log", f"{datetime.now().isoformat()} {message}")
 
 
 def _write_summary(out: Path, lines: list[str]) -> None:
     write_text(out / "summary.txt", "\n".join(lines) + "\n")
     for line in lines:
         print(line)
-
-
-@contextmanager
-def _writing_artifacts():
-    """Where every command writes its final artifacts, once its out dir
-    exists: an ``OSError`` there fails the command (exit 2, one line naming
-    the file), where one reading its inputs, before the out dir exists, is a
-    usage error (1)."""
-    try:
-        yield
-    except OSError as exc:
-        raise CampaignError(f"cannot write artifacts: {exc}") from exc
 
 
 def _baseline_reference(trace: CampaignTrace) -> dict[str, float]:
@@ -347,12 +334,12 @@ def _run_campaign(args, body: Callable[[Campaign], list[str]]) -> int:
     artifacts, records in the campaign what the checkpoint needs and
     returns the summary lines. An interruption, Ctrl-C or a spent
     ``--max-evals`` budget, ends the body early and leaves an interrupted
-    checkpoint. So does an ``OSError`` once the campaign is built (a full
-    disk, a compiler that cannot be started). The trace, the checkpoint,
-    the summary and the log line are written last, in ``_writing_artifacts``:
-    a write that fails there fails the campaign. An ``E2BIG``
-    (a command line past the kernel's limits) fails it at once, with no
-    checkpoint, as every resume would meet it again.
+    checkpoint. So does an ``OSError`` from the cache or the toolchain (a
+    full disk, a compiler that cannot be started); a failed write of an
+    artifact or the run log fails the campaign instead (``artifacts``). An
+    ``E2BIG`` (a command line past the kernel's limits) fails it at once,
+    with no checkpoint, as every resume would meet it again. The trace, the
+    checkpoint, the summary and the log line are written last.
     """
     command = args.command
     cfg, out = _load_config(args, command)
@@ -368,23 +355,20 @@ def _run_campaign(args, body: Callable[[Campaign], list[str]]) -> int:
         print(f"flagtuner: {exc}", file=sys.stderr)
         summary = None
     progress = camp.progress if camp.trace is None else {"records": len(camp.trace), **camp.progress}
-    with _writing_artifacts():
-        if camp.trace is not None:
-            write_trace(camp.trace_path, camp.trace)
-        status = "interrupted" if summary is None else "complete"
-        write_checkpoint(out / "checkpoint.json", status=status, state=camp.state,
-                         progress=progress, **camp.identity)
-        if summary is None:
-            _log(out, f"{command} interrupted, progress {json.dumps(progress)}")
-        else:
-            _write_summary(out, summary)
-            _log(out, f"{command} complete")
+    if camp.trace is not None:
+        write_trace(camp.trace_path, camp.trace)
+    status = "interrupted" if summary is None else "complete"
+    write_checkpoint(out / "checkpoint.json", status=status, state=camp.state,
+                     progress=progress, **camp.identity)
     if summary is None:
+        _log(out, f"{command} interrupted, progress {json.dumps(progress)}")
         print(
             f"{command}: interrupted; checkpoint written to {out / 'checkpoint.json'}",
             file=sys.stderr,
         )
         return EXIT_INTERRUPTED
+    _write_summary(out, summary)
+    _log(out, f"{command} complete")
     return EXIT_OK
 
 
@@ -510,13 +494,12 @@ def cmd_oracle(args) -> int:
     }
     out.mkdir(parents=True, exist_ok=True)
     header = ["benchmark", "best_time", "ref_time", "ratio", "base_level", "bitstring"]
-    with _writing_artifacts():
-        write_csv(out / "oracle_per_benchmark.csv", header, rows)
-        write_json(out / "oracle_constrained.json", data)
-        _write_summary(
-            out,
-            [f"oracle: benchmarks={len(benchmarks)} constrained_aggregate={agg:.6g}"],
-        )
+    write_csv(out / "oracle_per_benchmark.csv", header, rows)
+    write_json(out / "oracle_constrained.json", data)
+    _write_summary(
+        out,
+        [f"oracle: benchmarks={len(benchmarks)} constrained_aggregate={agg:.6g}"],
+    )
     return EXIT_OK
 
 
@@ -535,17 +518,16 @@ def cmd_report(args) -> int:
     table = compare_to_baseline(named, reference)
     series = [(name, floored_best_so_far(trace, reference)) for name, trace in named]
     out.mkdir(parents=True, exist_ok=True)
-    with _writing_artifacts():
-        write_compare(out / "compare.csv", table)
-        for name, points in series:
-            write_series(out / f"{name}.series.csv", points)
-        _write_summary(
-            out,
-            [
-                f"report: benchmarks={len(table.rows)} mean_ratio={table.mean_ratio:.6g} "
-                f"mean_ratio_floored={table.mean_ratio_floored:.6g}"
-            ],
-        )
+    write_compare(out / "compare.csv", table)
+    for name, points in series:
+        write_series(out / f"{name}.series.csv", points)
+    _write_summary(
+        out,
+        [
+            f"report: benchmarks={len(table.rows)} mean_ratio={table.mean_ratio:.6g} "
+            f"mean_ratio_floored={table.mean_ratio_floored:.6g}"
+        ],
+    )
     return EXIT_OK
 
 
@@ -576,12 +558,11 @@ def cmd_predict_1nn(args) -> int:
         training.append((features[program], performance_table(trace, benchmark)))
     config = predict_1nn(features[args.query], training)
     out.mkdir(parents=True, exist_ok=True)
-    with _writing_artifacts():
-        write_final_config(out / "predicted.config.json", space, config)
-        _write_summary(
-            out,
-            [f"predict-1nn {args.query}: {' '.join(render_args(space, config))}"],
-        )
+    write_final_config(out / "predicted.config.json", space, config)
+    _write_summary(
+        out,
+        [f"predict-1nn {args.query}: {' '.join(render_args(space, config))}"],
+    )
     return EXIT_OK
 
 

@@ -1,4 +1,5 @@
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import flagtuner.artifacts as artifacts
 from flagtuner.artifacts import TRACE_COLUMNS, read_trace, write_csv, write_json, write_trace
 from flagtuner.evaluator import Measurement
 from flagtuner.flagspace import Configuration
-from flagtuner.search import CampaignTrace
+from flagtuner.search import CampaignError, CampaignTrace
 from helpers import csv_reference, space_of
 
 
@@ -42,7 +43,7 @@ def test_failed_replace_removes_the_temp_file(tmp_path, monkeypatch):
         raise OSError("replace refused")
 
     monkeypatch.setattr(artifacts.os, "replace", refuse)
-    with pytest.raises(OSError):
+    with pytest.raises(CampaignError, match=f"^cannot write artifacts: .*{re.escape(repr(str(path)))}$"):
         write_json(path, {"old": False})
     assert path.read_text(encoding="utf-8") == '{\n  "old": true\n}\n'
     assert os.listdir(tmp_path) == ["summary.json"]

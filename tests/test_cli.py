@@ -126,16 +126,39 @@ def test_full_disk_without_room_for_a_checkpoint_fails_the_campaign(tmp_path, de
     assert not (out / "checkpoint.json").exists()
 
 
-@pytest.mark.parametrize("artifact", ["checkpoint.json", "ric.trace"])
+# the campaign, and the demo it runs, that writes each artifact
+_WRITERS = {
+    "checkpoint.json": ("ric", "pair"),
+    "ric.trace": ("ric", "pair"),
+    ".ric.trace.tmp": ("ric", "pair"),  # write_text's temp name
+    "ric.best.json": ("ric", "pair"),
+    "run.log": ("ric", "pair"),
+    "ce_cover.config.json": ("ce", "pair"),
+    "suite_ce.config.json": ("suite-ce", "pair"),
+    "folds.json": ("xval", "tradeoff"),
+    "xval_report.csv": ("xval", "tradeoff"),
+}
+
+
+@pytest.mark.parametrize("artifact", list(_WRITERS))
 def test_unwritable_trace_or_checkpoint_fails_the_campaign(tmp_path, demo_config, capsys,
                                                            artifact):
+    """Any file a campaign writes, run.log too, that cannot be written fails
+    it with one line, and once it can be, a rerun writes what a clean run does."""
+    command, demo = _WRITERS[artifact]
+    argv = [command, "--config", demo_config(demo)]
     out = tmp_path / "o"
     (out / artifact).mkdir(parents=True)  # a directory where the file goes
-    assert main(["ric", "--config", demo_config("pair"), "--out", str(out)]) == 2
+    assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "flagtuner: campaign failed: cannot write artifacts: "
         f"[Errno 21] Is a directory: '{out / artifact}'"]
-    assert list(out.glob(".*.tmp")) == []
+    assert set(out.glob(".*.tmp")) <= {out / artifact}
+
+    (out / artifact).rmdir()
+    assert main([*argv, "--out", str(out)]) == 0
+    assert main([*argv, "--out", str(tmp_path / "clean")]) == 0
+    assert _resumable_artifacts(out) == _resumable_artifacts(tmp_path / "clean")
 
 
 def _processes_in(directory: Path) -> list[int]:
