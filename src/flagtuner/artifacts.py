@@ -43,8 +43,9 @@ def _writing(path: str | Path):
     try:
         yield
     except OSError as exc:
-        # a failed write, unlike a failed open, names no file
-        named = exc if exc.filename is not None else OSError(exc.errno, exc.strerror, str(path))
+        # a failed write, unlike a failed open, names no file; its own text
+        # stays, with or without an errno
+        named = exc if exc.filename is not None else f"{exc}: {str(path)!r}"
         raise CampaignError(f"cannot write artifacts: {named}") from exc
 
 

@@ -16,6 +16,12 @@ and the constant high flags and the pair terms are added on top in
 tie still goes to the first configuration enumerated. The constrained
 optimum calls its Python ``aggregate_fn`` only on the configurations that
 a numpy stand-in, within a derived rounding bound, cannot rule out.
+
+Both optima go through one block loop, ``_scan``, which scores each
+benchmark's block at a level once and records each benchmark's first
+minimum there as well. So one pass over the constrained level serves both:
+``per_benchmark_optimum`` takes the minima the constrained pass recorded
+and scores only the other levels that can win.
 """
 
 from __future__ import annotations
@@ -176,6 +182,39 @@ def _check_cap(space: FlagSpace, max_flags: int) -> None:
         )
 
 
+Minima = dict[str, tuple[float, Configuration]]  # first minimum (time, configuration) by level
+
+
+def _scan(space: FlagSpace, model: SyntheticModel, benchmarks: Sequence[str],
+          levels: Sequence[str], step=None) -> dict[str, Minima]:
+    """The one block loop: each of ``benchmarks`` at each of ``levels``,
+    block by block in enumeration order, each block scored once.
+
+    Returns each benchmark's first minimum at each level; ``step(level,
+    start, times)``, if given, also sees every block, one row of ``times``
+    per benchmark.
+    """
+    n = len(space)
+    scorers = [_Scorer(space, model, b) for b in benchmarks]
+    block = scorers[0].block  # the same for every scorer
+    times = np.empty((len(scorers), block))
+    minima: dict[str, Minima] = {b: {} for b in benchmarks}
+    for level in levels:
+        prefixes = [(s, s.prefix(level)) for s in scorers]
+        best = [None] * len(scorers)
+        for start in range(0, 2**n, block):
+            for row, (scorer, prefix) in zip(times, prefixes):
+                row[:] = scorer.times(prefix, start)
+            for k, i in enumerate(times.argmin(axis=1).tolist()):
+                if best[k] is None or times[k, i] < best[k][0]:
+                    best[k] = (float(times[k, i]), start + i)
+            if step is not None:
+                step(level, start, times)
+        for b, (t, mask) in zip(benchmarks, best):
+            minima[b][level] = (t, _config(level, mask, n))
+    return minima
+
+
 def per_benchmark_optimum(
     space: FlagSpace,
     model: SyntheticModel,
@@ -183,8 +222,13 @@ def per_benchmark_optimum(
     *,
     base_level: str | None = None,
     max_flags: int = DEFAULT_MAX_FLAGS,
+    scored: Minima | None = None,
 ) -> tuple[float, Configuration]:
     """Exact minimum time and its configuration for one benchmark.
+
+    ``scored`` holds the first minimum of levels already scored, as
+    ``suite_constrained_optimum`` records them in ``minima``; those levels
+    are not scored again.
 
     Levels differ only in the base term, and a sum of N terms added in turn
     is within gamma_N A of its exact value, A the sum of their magnitudes
@@ -195,26 +239,25 @@ def per_benchmark_optimum(
     result, ties included, is the same.
     """
     _check_cap(space, max_flags)
-    scorer = _Scorer(space, model, bench_name)
+    _, base, deltas, pairs = model._terms_for(space, bench_name)
     levels = _levels(space, base_level)
-    bases = [scorer._base[level] for level in levels]
-    n = 1 + len(scorer._deltas) + len(scorer._pairs)
-    a = (max(map(abs, bases)) + sum(map(abs, scorer._deltas))
-         + sum(abs(pair[0]) for pair in scorer._pairs))
+    n = 1 + len(deltas) + len(pairs)
+    a = (max(abs(base[level]) for level in levels) + sum(map(abs, deltas))
+         + sum(abs(pair[4]) for pair in pairs))
     slack = 2 * n * _U / (1 - n * _U) * a
+    least = min(base[level] for level in levels)
+    # False for a NaN, which is scored
+    levels = [level for level in levels if not base[level] - least > slack]
+    minima = dict(scored or {})
+    unscored = [level for level in levels if level not in minima]
+    if unscored:
+        minima.update(_scan(space, model, [bench_name], unscored)[bench_name])
     best = None
-    for level, base in zip(levels, bases):
-        if base - min(bases) > slack:  # False for a NaN, which is scored
-            continue
-        prefix = scorer.prefix(level)
-        for start in range(0, 2 ** len(space), scorer.block):
-            times = scorer.times(prefix, start)
-            i = int(np.argmin(times))
-            if best is None or times[i] < best[0]:
-                best = (float(times[i]), level, start + i)
+    for level in levels:  # strict <: a tie goes to the first level
+        if best is None or minima[level][0] < best[0]:
+            best = minima[level]
     assert best is not None
-    best_time, level, mask = best
-    return best_time, _config(level, mask, len(space))
+    return best
 
 
 def suite_constrained_optimum(
@@ -227,41 +270,41 @@ def suite_constrained_optimum(
     base_level: str | None = None,
     aggregate_fn=fmean,
     max_flags: int = DEFAULT_MAX_FLAGS,
+    minima: dict[str, Minima] | None = None,
 ) -> tuple[float, Configuration] | None:
     """Best aggregate ratio subject to the per-benchmark threshold bound.
 
     A configuration is feasible when every benchmark's time stays at or
     below (1 + t/100) x its reference time. Returns None when nothing is
     feasible (possible only if the reference itself is excluded by
-    ``base_level``). A block drops each configuration at its first
-    benchmark over the bound; ``aggregate_fn`` then runs, over Python floats
-    and in enumeration order, on the feasible configurations that
+    ``base_level``). ``aggregate_fn`` runs, over Python floats and in
+    enumeration order, on the feasible configurations of a block that
     ``_candidates`` keeps, so the result is the exhaustive loop's, ties
     included, while the Python calls do not grow with the feasible count.
+
+    The pass scores every benchmark at every level it visits, so it finds
+    each benchmark's first minimum there too; a ``minima`` dict receives
+    them by benchmark, for ``per_benchmark_optimum``'s ``scored``.
     """
     _check_cap(space, max_flags)
-    bound = {b: (1.0 + threshold_t / 100.0) * reference[b] for b in benchmarks}
-    scorers = {b: _Scorer(space, model, b) for b in benchmarks}
-    block = scorers[benchmarks[0]].block
+    bounds = np.array([[(1.0 + threshold_t / 100.0) * reference[b]] for b in benchmarks])
     refs = np.array([[reference[b]] for b in benchmarks])
-    times = np.empty((len(benchmarks), block))  # one row per benchmark
     best = None
-    for level in _levels(space, base_level):
-        prefixes = {b: scorers[b].prefix(level) for b in benchmarks}
-        for start in range(0, 2 ** len(space), block):
-            feasible = np.ones(block, dtype=bool)
-            for row, b in zip(times, benchmarks):
-                row[:] = scorers[b].times(prefixes[b], start)
-                feasible &= row <= bound[b]
-                if not feasible.any():
-                    break
-            if not feasible.any():
-                continue
-            ratios = times / refs
-            for i in _candidates(ratios, feasible, aggregate_fn).tolist():
-                agg = aggregate_fn(ratios[:, i].tolist())
-                if best is None or agg < best[0]:
-                    best = (agg, level, start + i)
+
+    def step(level: str, start: int, times: np.ndarray) -> None:
+        nonlocal best
+        feasible = (times <= bounds).all(axis=0)
+        if not feasible.any():
+            return
+        ratios = times / refs
+        for i in _candidates(ratios, feasible, aggregate_fn).tolist():
+            agg = aggregate_fn(ratios[:, i].tolist())
+            if best is None or agg < best[0]:
+                best = (agg, level, start + i)
+
+    found = _scan(space, model, benchmarks, _levels(space, base_level), step)
+    if minima is not None:
+        minima.update(found)
     if best is None:
         return None
     agg, level, mask = best

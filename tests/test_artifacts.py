@@ -43,7 +43,8 @@ def test_failed_replace_removes_the_temp_file(tmp_path, monkeypatch):
         raise OSError("replace refused")
 
     monkeypatch.setattr(artifacts.os, "replace", refuse)
-    with pytest.raises(CampaignError, match=f"^cannot write artifacts: .*{re.escape(repr(str(path)))}$"):
+    message = f"^cannot write artifacts: replace refused: {re.escape(repr(str(path)))}$"
+    with pytest.raises(CampaignError, match=message):
         write_json(path, {"old": False})
     assert path.read_text(encoding="utf-8") == '{\n  "old": true\n}\n'
     assert os.listdir(tmp_path) == ["summary.json"]

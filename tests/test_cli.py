@@ -1146,6 +1146,7 @@ def test_oracle_enforces_flag_cap(tmp_path, demo_config):
         ["oracle", "--config", demo_config("pair"), "--out", str(tmp_path / "o"), "--max-flags", "1"]
     )
     assert code == 1
+    assert not (tmp_path / "o").exists()  # the cap is checked before any scoring or mkdir
 
 
 # ---------------------------------------------------------------------------

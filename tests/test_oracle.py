@@ -1,10 +1,15 @@
+import csv
+import json
+import tempfile
+from pathlib import Path
 from statistics import fmean, geometric_mean
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from flagtuner import oracle
+from flagtuner.cli import main
 from flagtuner.flagspace import Configuration
 from flagtuner.oracle import (
     enumerate_configurations,
@@ -271,3 +276,109 @@ def test_default_cap_admits_17_flags_and_rejects_23():
         per_benchmark_optimum(space, model, "b")
     with pytest.raises(ValueError, match="cap of 22"):
         suite_constrained_optimum(space, model, ["b"], 0.0, {"b": 77.0})
+
+
+def run_oracle(root: Path, space, model, *, threshold_t=0.0, aggregate="mean"):
+    """The ``oracle`` command's per-benchmark rows and constrained optimum on
+    ``space`` and ``model``, written out as JSON under ``root``. A pair that
+    names a flag outside the space never matches, so it is left out: the
+    command rejects it."""
+    names = {f.name for f in space.flags}
+    (root / "space.json").write_text(json.dumps({
+        "base_levels": list(space.base_levels),
+        "default_baseline": space.default_baseline,
+        "flags": [{"name": f.name, "on": f.on, "off": f.off, "stock": f.stock}
+                  for f in space.flags],
+    }))
+    (root / "model.json").write_text(json.dumps({"benchmarks": {
+        b: {"base_time": bm.base_time, "level_multiplier": bm.level_multiplier,
+            "flag_delta": bm.flag_delta,
+            "pair_delta": [{"flags": [p.flag_a, p.flag_b], "when": [p.state_a, p.state_b],
+                            "delta": p.delta}
+                           for p in bm.pair_delta if {p.flag_a, p.flag_b} <= names]}
+        for b, bm in model.benchmarks.items()
+    }}))
+    (root / "campaign.json").write_text(json.dumps({
+        "flag_space": "space.json", "mode": "synthetic", "model": "model.json",
+        "cache": "cache.jsonl", "seed": 1, "n_configs": 1,
+        "threshold_t": threshold_t, "aggregate": aggregate,
+    }))
+    out = root / "out"
+    assert main(["oracle", "--config", str(root / "campaign.json"), "--out", str(out)]) == 0
+    with open(out / "oracle_per_benchmark.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return rows, json.loads((out / "oracle_constrained.json").read_text(encoding="utf-8"))
+
+
+# a wins at O1, a non-stock level; b at O3, the stock level, is far slower
+# than at O1 and O2, so its optimum does not score O3, though the constrained
+# optimum does; O1 and O2 tie for b, and every level ties for c
+_LEVELS_WIN_TIE_AND_PRUNE = (
+    space_of(3, levels=("O1", "O2", "O3")),
+    model_of({
+        "a": {"multipliers": {"O1": 0.9}, "deltas": {"f0": -1.0, "f2": 2.0},
+              "pairs": [("f0", "f1", False, True, -3.0)]},
+        "b": {"multipliers": {"O3": 1.3}, "deltas": {"f1": 1.5, "f2": -0.5}},
+        "c": {"deltas": {"f0": 0.5, "f1": -1.0, "f2": -1.0},
+              "pairs": [("f1", "f2", True, True, 1.0)]},
+    }),
+)
+
+
+@given(
+    quantised_models(),
+    st.sampled_from([1, 2, 3, None]),
+    st.sampled_from(["mean", "geomean"]),
+    st.sampled_from([0.0, 1.0, 5.0]),
+)
+@example(_LEVELS_WIN_TIE_AND_PRUNE, 1, "mean", 0.0)
+@example(_LEVELS_WIN_TIE_AND_PRUNE, 2, "geomean", 5.0)
+@example(_LEVELS_WIN_TIE_AND_PRUNE, 3, "mean", 1.0)
+@example(_LEVELS_WIN_TIE_AND_PRUNE, None, "geomean", 0.0)
+def test_oracle_command_equals_scalar_brute_force(instance, block, aggregate, t):
+    space, model = instance
+    benches = model.benchmark_names
+    stock = space.stock_config()
+    refs = {b: model.time_for(space, stock, b) for b in benches}
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as root:
+        # None: a block above 2^n, so the whole space is one block
+        mp.setattr(oracle, "BLOCK_SIZE", 2 ** len(space) + 1 if block is None else block)
+        rows, constrained = run_oracle(Path(root), space, model, threshold_t=t,
+                                       aggregate=aggregate)
+    expected = []
+    for b in benches:
+        best, config = scalar_per_benchmark(space, model, b)
+        expected.append([b, repr(best), repr(refs[b]), repr(best / refs[b]),
+                         config.base_level, config.bitstring])
+    assert rows == expected
+    agg, config = scalar_constrained(space, model, benches, t, refs, stock.base_level,
+                                     AGGREGATES[aggregate])
+    assert (constrained["aggregate_ratio"], constrained["base_level"],
+            constrained["bitstring"]) == (agg, config.base_level, config.bitstring)
+
+
+def test_oracle_scores_each_block_once(tmp_path, monkeypatch):
+    """16 flags, 10 benchmarks, and O1 and O2 far slower than O3, the stock
+    level: the constrained pass scores each benchmark's 2^16 / 2^13 blocks at
+    O3 once, and the per-benchmark optima take their O3 minima from it."""
+    n = 16
+    space = space_of(n, levels=("O1", "O2", "O3"))
+    model = model_of({
+        f"b{k}": {"multipliers": {"O1": 1.3, "O2": 1.1},
+                  "deltas": {f"f{i}": ((i * 7 + k) % 11 - 5) / 10 for i in range(n)},
+                  "pairs": [(f"f{k}", f"f{k + 3}", False, True, -0.7)]}
+        for k in range(10)
+    })
+    calls = []
+    times = oracle._Scorer.times
+
+    def counted(self, prefix, start):
+        calls.append(start)
+        return times(self, prefix, start)
+
+    monkeypatch.setattr(oracle._Scorer, "times", counted)
+    scored = _scored_levels(monkeypatch)
+    rows, _ = run_oracle(tmp_path, space, model, threshold_t=1.0)
+    assert len(calls) == 10 * 2**n // oracle.BLOCK_SIZE == 80
+    assert scored == ["O3"] * 10
+    assert [row[4] for row in rows] == ["O3"] * 10
