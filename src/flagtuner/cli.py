@@ -9,13 +9,8 @@ configuration, resume checkpoint and a summary. Artifact files are
 byte-reproducible for identical inputs and seed; timestamps go only to
 run.log.
 
-Exit codes: 0 success, 1 usage/parse error, 2 campaign failure,
-3 interrupted with a valid checkpoint. Every command reads and checks its
-inputs before it creates its output directory, so a bad input exits 1 and
-creates nothing. Once the directory exists, any file it cannot write, run.log
-too, or a cache locked by another campaign, exits 2 with one line. An
-OSError of the cache or toolchain during a search interrupts it (3), but
-an E2BIG, a command too long to start, which no resume gets past, exits 2.
+Exit codes: 0 success, 1 usage error or rejected input, 2 campaign
+failure, 3 interrupted with a valid checkpoint; ``main`` gives the rule.
 """
 
 from __future__ import annotations
@@ -72,6 +67,7 @@ from flagtuner.flagspace import (
     json_field,
     json_value,
     load_flag_space,
+    nul_or_surrogate,
     render_args,
 )
 from flagtuner.search import (
@@ -89,10 +85,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CAMPAIGN = 2
 EXIT_INTERRUPTED = 3
-
-
-class ConfigError(ValueError):
-    """Bad campaign config file or inconsistent resume request."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,7 +151,7 @@ def _load_config(args, command: str) -> tuple[CampaignConfig, Path]:
         if cfg.benchmarks is not None and not (names and len(set(names)) == len(names)):
             raise ValueError("benchmarks must be a non-empty list of distinct names")
     except (OSError, ValueError) as exc:  # a missing file or malformed JSON too
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     if args.seed is not None:
         cfg.seed = args.seed
     if getattr(args, "threshold", None) is not None:
@@ -168,18 +160,18 @@ def _load_config(args, command: str) -> tuple[CampaignConfig, Path]:
         if getattr(cfg, key) is not None:
             setattr(cfg, key, path.parent / getattr(cfg, key))
             if key != "out_dir" and not getattr(cfg, key).exists():
-                raise ConfigError(f"{path}: {key} file not found: {getattr(cfg, key)}")
+                raise ValueError(f"{path}: {key} file not found: {getattr(cfg, key)}")
     if cfg.aggregate not in AGGREGATES:
-        raise ConfigError(f"{path}: unknown aggregate {cfg.aggregate!r}")
+        raise ValueError(f"{path}: unknown aggregate {cfg.aggregate!r}")
     if not 0 <= cfg.threshold_t < math.inf:  # NaN as well
-        raise ConfigError(f"{path}: threshold_t must be finite and >= 0, got {cfg.threshold_t}")
+        raise ValueError(f"{path}: threshold_t must be finite and >= 0, got {cfg.threshold_t}")
     if cfg.n_configs < 1:
-        raise ConfigError(f"{path}: n_configs must be >= 1, got {cfg.n_configs}")
+        raise ValueError(f"{path}: n_configs must be >= 1, got {cfg.n_configs}")
     if cfg.k < 2:
-        raise ConfigError(f"{path}: k must be >= 2, got {cfg.k}")
+        raise ValueError(f"{path}: k must be >= 2, got {cfg.k}")
     max_evals = getattr(args, "max_evals", None)
     if max_evals is not None and max_evals < 1:
-        raise ConfigError(f"--max-evals must be >= 1, got {max_evals}")
+        raise ValueError(f"--max-evals must be >= 1, got {max_evals}")
     return cfg, Path(args.out) if args.out else (cfg.out_dir or Path("out"))
 
 
@@ -218,17 +210,17 @@ def _load_space(path: str | Path) -> FlagSpace:
     try:
         return load_flag_space(path)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_inputs(
     cfg: CampaignConfig,
 ) -> tuple[FlagSpace, SyntheticModel | list[Benchmark], list[str]]:
     """The flag space, the model (checked against the space) or suite, which
-    must hold a benchmark and no name that is empty or holds a '/' or NUL,
-    and the benchmarks the config selects: its ``benchmarks`` (default: all
-    available), which must hold ``benchmark`` and, for ``xval``, at least
-    ``k`` names."""
+    must hold a benchmark and no name that is empty or holds a '/', a NUL or
+    a lone surrogate, and the benchmarks the config selects: its
+    ``benchmarks`` (default: all available), which must hold ``benchmark``
+    and, for ``xval``, at least ``k`` names."""
     space = _load_space(cfg.flag_space)
     source = cfg.model if cfg.mode == "synthetic" else cfg.suite
     try:
@@ -240,22 +232,22 @@ def _load_inputs(
             model_or_suite = load_suite(source)
             available = [b.name for b in model_or_suite]
     except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
+        raise ValueError(f"{source}: {exc}") from exc
     if not available:
-        raise ConfigError(f"{source}: no benchmarks")
+        raise ValueError(f"{source}: no benchmarks")
     # names go into file names
-    unnamable = [b for b in available if not b or "/" in b or "\0" in b]
+    unnamable = [b for b in available if not b or "/" in b or nul_or_surrogate(b)]
     if unnamable:
-        raise ConfigError(
-            f"{source}: a benchmark name must be non-empty and hold no '/' or NUL: {unnamable}")
+        raise ValueError(f"{source}: a benchmark name must be non-empty and hold no '/', NUL "
+                         f"or lone surrogate: {unnamable}")
     benchmarks = available if cfg.benchmarks is None else list(cfg.benchmarks)
     missing = [b for b in benchmarks if b not in available]
     if missing:
-        raise ConfigError(f"unknown benchmarks in config: {missing}")
+        raise ValueError(f"unknown benchmarks in config: {missing}")
     if cfg.benchmark is not None and cfg.benchmark not in benchmarks:
-        raise ConfigError(f"unknown benchmark: {[cfg.benchmark]}")
+        raise ValueError(f"unknown benchmark: {[cfg.benchmark]}")
     if cfg.command == "xval" and cfg.k > len(benchmarks):
-        raise ConfigError(f"k={cfg.k} is above the {len(benchmarks)} selected benchmarks")
+        raise ValueError(f"k={cfg.k} is above the {len(benchmarks)} selected benchmarks")
     return space, model_or_suite, benchmarks
 
 
@@ -272,10 +264,9 @@ def _params(cfg: CampaignConfig, benchmarks: list[str]) -> dict:
 def build_campaign(
     cfg: CampaignConfig, out: Path, max_evals: int | None = None, resume: str | None = None
 ) -> Campaign:
-    """Check every input, a ``resume`` checkpoint too, which must hold the
-    campaign's identity: the same command, seed, digests of the input files
-    as loaded here, and parameters. Then create the out dir and open the
-    cache, so a rejected config leaves nothing behind."""
+    """The campaign of ``cfg``, every input checked, a ``resume`` checkpoint
+    too, which must hold the campaign's identity: the same command, seed,
+    digests of the input files as loaded here, and parameters."""
     space, model_or_suite, benchmarks = _load_inputs(cfg)
     identity = {"command": cfg.command, "seed": cfg.seed, "inputs": input_digests(cfg),
                 "params": _params(cfg, benchmarks)}
@@ -286,28 +277,20 @@ def build_campaign(
                 if json_field(ck, key, type(value)) != value:
                     raise ValueError(f"checkpoint {key} {ck[key]} != requested {key} {value}")
         except ValueError as exc:  # malformed JSON too
-            raise ConfigError(f"{resume}: {exc}") from exc
+            raise ValueError(f"{resume}: {exc}") from exc
     cache_path = out / cfg.cache  # an absolute cache path stays as it is
     if cache_path.is_dir() or out.resolve().is_relative_to(cache_path.resolve()):
-        raise ConfigError(f"cache {cfg.cache!r} names a directory, not a file")
+        raise ValueError(f"cache {cfg.cache!r} names a directory, not a file")
     if cfg.mode == "synthetic":
         evaluator = SyntheticEvaluator(space, model_or_suite, max_evals=max_evals)
     else:
         evaluator = CommandEvaluator(space, model_or_suite, workdir=cfg.suite.parent,
                                      build_dir=out / "build", max_evals=max_evals)
-    out.mkdir(parents=True, exist_ok=True)
-    evaluator.cache = EvalCache(cache_path)
     return Campaign(cfg, out, space, evaluator, benchmarks, identity)
 
 
 def _log(out: Path, message: str) -> None:
     append_line(out / "run.log", f"{datetime.now().isoformat()} {message}")
-
-
-def _write_summary(out: Path, lines: list[str]) -> None:
-    write_text(out / "summary.txt", "\n".join(lines) + "\n")
-    for line in lines:
-        print(line)
 
 
 def _baseline_reference(trace: CampaignTrace) -> dict[str, float]:
@@ -326,50 +309,52 @@ def _baseline_reference(trace: CampaignTrace) -> dict[str, float]:
 # Campaign commands: ric, ce, suite-ce, xval
 # ---------------------------------------------------------------------------
 
-def _run_campaign(args, body: Callable[[Campaign], list[str]]) -> int:
+def _run_campaign(args, body: Callable[[Campaign], list[str]]) -> tuple[Path, Callable]:
     """The lifecycle the campaign commands share.
 
-    Every input, ``--resume`` too, is checked before the out dir or the
-    cache is touched. ``body`` runs the search, writes the command's own
-    artifacts, records in the campaign what the checkpoint needs and
-    returns the summary lines. An interruption, Ctrl-C or a spent
+    The run opens the cache, and ``body`` runs the search, writes the
+    command's own artifacts, records in the campaign what the checkpoint
+    needs and returns the summary lines. An interruption, Ctrl-C or a spent
     ``--max-evals`` budget, ends the body early and leaves an interrupted
     checkpoint. So does an ``OSError`` from the cache or the toolchain (a
-    full disk, a compiler that cannot be started); a failed write of an
+    full disk, a compiler gone mid-campaign); a failed write of an
     artifact or the run log fails the campaign instead (``artifacts``). An
     ``E2BIG`` (a command line past the kernel's limits) fails it at once,
     with no checkpoint, as every resume would meet it again. The trace, the
-    checkpoint, the summary and the log line are written last.
+    checkpoint and the log line are written last.
     """
     command = args.command
     cfg, out = _load_config(args, command)
     camp = build_campaign(cfg, out, args.max_evals, args.resume)
-    try:
-        with camp.evaluator.cache:
-            summary = body(camp)
-    except (CampaignInterrupted, KeyboardInterrupt):
-        summary = None
-    except OSError as exc:
-        if exc.errno == errno.E2BIG:
-            raise CampaignError(exc) from exc
-        print(f"flagtuner: {exc}", file=sys.stderr)
-        summary = None
-    progress = camp.progress if camp.trace is None else {"records": len(camp.trace), **camp.progress}
-    if camp.trace is not None:
-        write_trace(camp.trace_path, camp.trace)
-    status = "interrupted" if summary is None else "complete"
-    write_checkpoint(out / "checkpoint.json", status=status, state=camp.state,
-                     progress=progress, **camp.identity)
-    if summary is None:
-        _log(out, f"{command} interrupted, progress {json.dumps(progress)}")
-        print(
-            f"{command}: interrupted; checkpoint written to {out / 'checkpoint.json'}",
-            file=sys.stderr,
-        )
-        return EXIT_INTERRUPTED
-    _write_summary(out, summary)
-    _log(out, f"{command} complete")
-    return EXIT_OK
+
+    def run() -> list[str] | None:
+        cache = camp.evaluator.cache = EvalCache(out / cfg.cache)
+        try:
+            with cache:
+                summary = body(camp)
+        except (CampaignInterrupted, KeyboardInterrupt):
+            summary = None
+        except OSError as exc:
+            if exc.errno == errno.E2BIG:
+                raise
+            print(f"flagtuner: {exc}", file=sys.stderr)
+            summary = None
+        records = {} if camp.trace is None else {"records": len(camp.trace)}
+        progress = {**records, **camp.progress}
+        if camp.trace is not None:
+            write_trace(camp.trace_path, camp.trace)
+        status = "interrupted" if summary is None else "complete"
+        write_checkpoint(out / "checkpoint.json", status=status, state=camp.state,
+                         progress=progress, **camp.identity)
+        if summary is None:
+            _log(out, f"{command} interrupted, progress {json.dumps(progress)}")
+            print(f"{command}: interrupted; checkpoint written to {out / 'checkpoint.json'}",
+                  file=sys.stderr)
+        else:
+            _log(out, f"{command} complete")
+        return summary
+
+    return out, run
 
 
 def _ric(camp: Campaign) -> list[str]:
@@ -463,10 +448,10 @@ def _xval(camp: Campaign) -> list[str]:
 # Other commands
 # ---------------------------------------------------------------------------
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> tuple[Path, Callable]:
     cfg, out = _load_config(args, "oracle")
     if cfg.mode != "synthetic":
-        raise ConfigError("oracle requires a synthetic-mode config")
+        raise ValueError("oracle requires a synthetic-mode config")
     space, model, benchmarks = _load_inputs(cfg)
     # imported here: the oracle loads numpy, which no other command needs
     from flagtuner.oracle import per_benchmark_optimum, suite_constrained_optimum
@@ -476,7 +461,7 @@ def cmd_oracle(args) -> int:
 
     # one pass over the stock level gives the constrained optimum and each
     # benchmark's first minimum there, which per_benchmark_optimum then does
-    # not score again; raises, before the out dir exists, above --max-flags
+    # not score again; raises above --max-flags
     minima: dict = {}
     # never None: the stock configuration meets its own times at any t >= 0
     agg, config = suite_constrained_optimum(
@@ -497,23 +482,22 @@ def cmd_oracle(args) -> int:
         "bitstring": config.bitstring,
         "args": render_args(space, config),
     }
-    out.mkdir(parents=True, exist_ok=True)
-    header = ["benchmark", "best_time", "ref_time", "ratio", "base_level", "bitstring"]
-    write_csv(out / "oracle_per_benchmark.csv", header, rows)
-    write_json(out / "oracle_constrained.json", data)
-    _write_summary(
-        out,
-        [f"oracle: benchmarks={len(benchmarks)} constrained_aggregate={agg:.6g}"],
-    )
-    return EXIT_OK
+
+    def run() -> list[str]:
+        header = ["benchmark", "best_time", "ref_time", "ratio", "base_level", "bitstring"]
+        write_csv(out / "oracle_per_benchmark.csv", header, rows)
+        write_json(out / "oracle_constrained.json", data)
+        return [f"oracle: benchmarks={len(benchmarks)} constrained_aggregate={agg:.6g}"]
+
+    return out, run
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> tuple[Path, Callable]:
     out = Path(args.out)
     space = _load_space(args.space)
     names = [Path(p).stem for p in args.traces]
     if len(set(names)) < len(names):  # each names its series file and compare.csv's method
-        raise ConfigError(f"two traces share a file stem: {names}")
+        raise ValueError(f"two traces share a file stem: {names}")
     named = [(name, read_trace(p, space)) for name, p in zip(names, args.traces)]
     ref_trace = named[0][1]
     if args.reference:
@@ -522,26 +506,25 @@ def cmd_report(args) -> int:
 
     table = compare_to_baseline(named, reference)
     series = [(name, floored_best_so_far(trace, reference)) for name, trace in named]
-    out.mkdir(parents=True, exist_ok=True)
-    write_compare(out / "compare.csv", table)
-    for name, points in series:
-        write_series(out / f"{name}.series.csv", points)
-    _write_summary(
-        out,
-        [
+
+    def run() -> list[str]:
+        write_compare(out / "compare.csv", table)
+        for name, points in series:
+            write_series(out / f"{name}.series.csv", points)
+        return [
             f"report: benchmarks={len(table.rows)} mean_ratio={table.mean_ratio:.6g} "
             f"mean_ratio_floored={table.mean_ratio_floored:.6g}"
-        ],
-    )
-    return EXIT_OK
+        ]
+
+    return out, run
 
 
-def cmd_predict_1nn(args) -> int:
+def cmd_predict_1nn(args) -> tuple[Path, Callable]:
     out = Path(args.out)
     space = _load_space(args.space)
     features = {fv.name: fv for fv in load_features(args.features)}
     if args.query not in features:
-        raise ConfigError(f"query program {args.query!r} not in the feature table")
+        raise ValueError(f"query program {args.query!r} not in the feature table")
     manifest_path = Path(args.training)
     records = []  # (program, trace path, benchmark) of each manifest record
     try:
@@ -552,23 +535,22 @@ def cmd_predict_1nn(args) -> int:
             records.append((program, json_field(rec, "trace", str, where=f"[{i}]"),
                             json_field(rec, "benchmark", str, program, f"[{i}]")))
     except (OSError, ValueError) as exc:  # malformed JSON too
-        raise ConfigError(f"{manifest_path}: {exc}") from exc
+        raise ValueError(f"{manifest_path}: {exc}") from exc
     training = []
     for program, trace_file, benchmark in records:
         if program == args.query:
             continue
         if program not in features:
-            raise ConfigError(f"training program {program!r} not in the feature table")
+            raise ValueError(f"training program {program!r} not in the feature table")
         trace = read_trace(manifest_path.parent / trace_file, space)
         training.append((features[program], performance_table(trace, benchmark)))
     config = predict_1nn(features[args.query], training)
-    out.mkdir(parents=True, exist_ok=True)
-    write_final_config(out / "predicted.config.json", space, config)
-    _write_summary(
-        out,
-        [f"predict-1nn {args.query}: {' '.join(render_args(space, config))}"],
-    )
-    return EXIT_OK
+
+    def run() -> list[str]:
+        write_final_config(out / "predicted.config.json", space, config)
+        return [f"predict-1nn {args.query}: {' '.join(render_args(space, config))}"]
+
+    return out, run
 
 
 # ---------------------------------------------------------------------------
@@ -628,17 +610,34 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the phase an error comes in sets the exit code.
+
+    The handler reads and checks every input and creates nothing: an error
+    there exits 1. Then the out dir is created and the run called: an error
+    in either exits 2. Each prints one line. The run returns the summary
+    lines, or None when a campaign was interrupted with a checkpoint (3).
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    failures = (ValueError, OSError, CacheLockedError, CampaignError)
     try:
-        return args.handler(args)
-    except (ValueError, OSError) as exc:
+        out, run = args.handler(args)
+    except failures as exc:
         print(f"flagtuner: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CacheLockedError, CampaignError) as exc:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        summary = run()
+        if summary is None:
+            return EXIT_INTERRUPTED
+        write_text(out / "summary.txt", "\n".join(summary) + "\n")
+    except failures as exc:
         print(f"flagtuner: campaign failed: {exc}", file=sys.stderr)
         return EXIT_CAMPAIGN
+    for line in summary:
+        print(line)
+    return EXIT_OK
 

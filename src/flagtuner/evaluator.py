@@ -38,6 +38,7 @@ from flagtuner.flagspace import (
     _check_member,
     json_field,
     json_value,
+    nul_or_surrogate,
     render_args,
 )
 
@@ -77,8 +78,8 @@ class Benchmark:
     a placeholder inside an argument is filled in there (``{flags}``
     space-joined), so no value is split again. Each template is filled in
     once when the benchmark is made, so one that a campaign could not fill,
-    that splits into no argument or that holds a NUL is rejected as the
-    suite loads. With ``timing="reported"``
+    that splits into no argument or that holds a NUL or a lone surrogate is
+    rejected as the suite loads. With ``timing="reported"``
     the run command must print a single floating-point time in seconds,
     finite and above 0, on its last output line; with ``timing="external"``
     the harness wall-clocks the process instead.
@@ -106,11 +107,12 @@ class Benchmark:
                      "run_command": _fill(self.run_command, bin=Path("x"))}
         except (KeyError, IndexError, ValueError, AttributeError, TypeError) as exc:
             raise ValueError(f"benchmark {self.name}: unfillable template: {exc!r}") from None
-        for key, argv in argvs.items():  # no exec takes an empty argv or a NUL
+        for key, argv in argvs.items():  # no exec takes an empty argv
             if not argv:
                 raise ValueError(f"benchmark {self.name}: {key} is empty")
-            if "\0" in getattr(self, key):
-                raise ValueError(f"benchmark {self.name}: {key} holds a NUL")
+            if nul_or_surrogate(getattr(self, key)):
+                held = "a NUL" if "\0" in getattr(self, key) else "a lone surrogate"
+                raise ValueError(f"benchmark {self.name}: {key} holds {held}")
 
 
 class _MeasurementFields(NamedTuple):
@@ -428,20 +430,25 @@ def _parse_reported_time(stdout: str) -> float | None:
     return reported if 0 < reported < math.inf else None
 
 
+def _program_path(program: str, workdir: str | Path | None) -> str | None:
+    """The file a command whose ``argv[0]`` is ``program`` runs, a bare name
+    as the ``PATH`` resolves it and any other relative to ``workdir``, or
+    None if that is no executable file."""
+    path = shutil.which(program) if os.sep not in program else os.path.join(workdir or ".", program)
+    return path if path and os.path.isfile(path) and os.access(path, os.X_OK) else None
+
+
 def _toolchain_fingerprint(
     bench: Benchmark, workdir: str | Path | None, file_digests: dict[str, str]
 ) -> str:
     """md5 of the entry's fields and of the content of every file its command
-    templates name: ``argv[0]`` as the ``PATH`` resolves a bare name, and any
-    token naming a file relative to ``workdir``. ``file_digests`` memoizes
-    the content digests by path."""
+    templates name: ``argv[0]`` by ``_program_path``, and any other token
+    naming a file relative to ``workdir``. ``file_digests`` memoizes the
+    content digests by path."""
     parts = [repr(bench)]
     for template in (bench.compile_command, bench.run_command):
         for i, token in enumerate(shlex.split(template)):
-            if i == 0 and os.sep not in token:
-                path = shutil.which(token)
-            else:
-                path = os.path.join(workdir or ".", token)
+            path = _program_path(token, workdir) if i == 0 else os.path.join(workdir or ".", token)
             if path is None or not os.path.isfile(path):
                 continue
             if path not in file_digests:
@@ -748,11 +755,13 @@ class SyntheticModel:
     def validate(self, space: FlagSpace) -> None:
         """Reject a model that names a flag outside ``space``, holds a number
         that is not finite, or that some configuration could drive to a
-        time <= 0.
+        time <= 0 or to one that is not finite.
 
-        The time bound is an interval bound: base time x multiplier plus every
-        negative flag and pair delta, at each of the space's levels and at each
-        level the benchmark gives a multiplier for.
+        The time bounds are interval bounds, at each of the space's levels and
+        at each level the benchmark gives a multiplier for: base time x
+        multiplier plus every negative flag and pair delta from below, and
+        |base time x multiplier| plus the magnitude of every delta, the sum
+        the oracle bounds its rounding with, from above.
         """
         known = {f.name for f in space.flags}
         for name, bm in self.benchmarks.items():
@@ -767,12 +776,18 @@ class SyntheticModel:
                 raise ValueError(f"{name}: model numbers must be finite")
             worst_flags = sum(min(0.0, d) for d in bm.flag_delta.values())
             worst_pairs = sum(min(0.0, p.delta) for p in bm.pair_delta)
+            flags_size = sum(map(abs, bm.flag_delta.values()))
+            pairs_size = sum(abs(p.delta) for p in bm.pair_delta)
             for level in dict.fromkeys([*space.base_levels, *bm.level_multiplier]):
                 mult = bm.level_multiplier.get(level, 1.0)
                 if mult <= 0:
                     raise ValueError(f"{name}: multiplier for {level} must be > 0")
+                upper = abs(bm.base_time * mult) + flags_size + pairs_size
+                if not math.isfinite(upper):
+                    raise ValueError(f"{name}: model times can overflow at {level} "
+                                     f"(upper bound {upper})")
                 lower = bm.base_time * mult + worst_flags + worst_pairs
-                if lower <= 0:
+                if not lower > 0:  # NaN as well
                     raise ValueError(
                         f"{name}: model can reach non-positive time at {level} "
                         f"(lower bound {lower})"
@@ -831,7 +846,9 @@ class SyntheticEvaluator(_CachedEvaluator):
 
 
 def load_suite(path: str | Path) -> list[Benchmark]:
-    """The suite in ``path``; a file of the wrong shape raises ``ValueError``."""
+    """The suite in ``path``; a file of the wrong shape, or a command whose
+    program (unless a placeholder names it) is no executable file, raises
+    ``ValueError``."""
     with open(path, encoding="utf-8") as fh:
         data = json_value(json.load(fh), dict, "a suite")
     kinds = get_type_hints(Benchmark)  # each field's JSON kind
@@ -842,4 +859,8 @@ def load_suite(path: str | Path) -> list[Benchmark]:
             f.name: json_field(rec, f.name, kinds[f.name], f.default, f"benchmarks[{i}]")
             for f in fields(Benchmark)
         }))
+        for key in ("compile_command", "run_command"):
+            program = shlex.split(getattr(benches[-1], key))[0]
+            if "{" not in program and _program_path(program, Path(path).parent) is None:
+                raise ValueError(f"benchmarks[{i}].{key}: {program!r} is no executable file")
     return benches

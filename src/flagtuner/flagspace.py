@@ -43,6 +43,16 @@ def json_value(value, kind: type, what: str):
     raise ValueError(f"{what} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
+def nul_or_surrogate(text: str) -> bool:
+    """Whether ``text`` holds a NUL, which no argument of a command can hold,
+    or a lone surrogate, which UTF-8 cannot encode for a command or a file."""
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return True
+    return "\0" in text
+
+
 def json_field(obj: dict, key: str, kind: type, default=MISSING, where: str = ""):
     """``obj[key]`` read by ``json_value``, named ``<where>.<key>``. An absent
     or null field is ``default``, or, with no default, a missing field."""
@@ -81,21 +91,21 @@ class FlagSpace:
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise FlagSpaceError(f"duplicate flag names: {dupes}")
-        if any(not n for n in names):
-            raise FlagSpaceError("flag names must be non-empty")
+        if any(not n or nul_or_surrogate(n) for n in names):  # they reach trace annotations
+            raise FlagSpaceError("flag names must be non-empty and hold no NUL or lone surrogate")
         for f in self.flags:
             if f.on == f.off:
                 raise FlagSpaceError(
                     f"flag {f.name!r}: enabled and disabled forms must differ"
                 )
-            if "\0" in f.on + f.off:  # no exec takes it in an argument
-                raise FlagSpaceError(f"flag {f.name!r}: a form must hold no NUL")
+            if nul_or_surrogate(f.on + f.off):
+                raise FlagSpaceError(f"flag {f.name!r}: a form must hold no NUL or lone surrogate")
         if not self.base_levels:
             raise FlagSpaceError("base_levels must be non-empty")
         if len(set(self.base_levels)) != len(self.base_levels):
             raise FlagSpaceError("base_levels must be unique")
-        if any("\0" in level for level in self.base_levels):  # rendered as -<level>
-            raise FlagSpaceError("base_levels must hold no NUL")
+        if any(map(nul_or_surrogate, self.base_levels)):  # rendered as -<level>
+            raise FlagSpaceError("base_levels must hold no NUL or lone surrogate")
         if self.default_baseline not in self.base_levels:
             raise FlagSpaceError(
                 f"default_baseline {self.default_baseline!r} not in base_levels"

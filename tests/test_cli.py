@@ -199,7 +199,9 @@ def test_hanging_compile_is_killed_and_cached_as_a_compile_error(tmp_path):
     assert _processes_in(tmp_path.resolve()) == []
 
 
-def test_missing_compiler_interrupts_with_checkpoint(tmp_path):
+def test_missing_compiler_is_rejected_and_creates_nothing(tmp_path, capsys):
+    """A program that does not resolve is rejected as the suite loads: no
+    resume could get past it."""
     (tmp_path / "suite.json").write_text(json.dumps({"benchmarks": [
         {"name": "b", "compile_command": "no-such-compiler-anywhere {flags} -o {out}",
          "run_command": "{bin}"},
@@ -207,9 +209,11 @@ def test_missing_compiler_interrupts_with_checkpoint(tmp_path):
     config = write_config(tmp_path / "c.json", mode="external", suite="suite.json", model=None,
                           flag_space=str(DEMO / "stub_space.json"), n_configs=3)
     out = tmp_path / "o"
-    assert main(["ric", "--config", str(config), "--out", str(out)]) == 3
-    assert read_checkpoint(out / "checkpoint.json")["status"] == "interrupted"
-    assert not list((out / "build").iterdir())
+    assert main(["ric", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"flagtuner: {tmp_path / 'suite.json'}: benchmarks[0].compile_command: "
+        "'no-such-compiler-anywhere' is no executable file"]
+    assert not out.exists()
 
 
 def _one_benchmark_config(tmp_path: Path, scripts: dict[str, str], compile_command: str,
@@ -309,6 +313,100 @@ def test_locked_cache_is_campaign_failure(tmp_path, demo_config, capsys):
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
         f"flagtuner: campaign failed: cache file {out / 'cache.jsonl'} is locked"]
+
+
+def _corrupt_cache(out: Path, monkeypatch) -> dict:
+    """A cache in ``out`` whose middle line is not a record."""
+    out.mkdir()
+    record = json.dumps({"benchmark": "cover", "key": "k", "digest": None, "status": "ok",
+                         "time": 1.0, "detail": ""})
+    (out / "cache.jsonl").write_text(f"{record}\nnot a record\n{record}\n")
+    return {}
+
+
+def _cache_under_a_file(out: Path, monkeypatch) -> dict:
+    (out.parent / "file").write_text("")
+    return {"cache": str(out.parent / "file" / "cache.jsonl")}
+
+
+def _search_raising(out: Path, monkeypatch) -> dict:
+    def run_ric(*args, **kwargs):
+        raise ValueError("no search today")
+
+    monkeypatch.setattr("flagtuner.cli.run_ric", run_ric)
+    return {}
+
+
+@pytest.mark.parametrize("arrange", [_corrupt_cache, _cache_under_a_file, _search_raising],
+                         ids=["corrupt-cache-line", "cache-parent-a-file", "search-raises"])
+def test_failure_once_the_out_dir_exists_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
+                                                               arrange):
+    """Whatever fails once the inputs are checked and the out dir created,
+    a cache file included, fails the campaign; no exit 1 leaves files."""
+    out = tmp_path / "o"
+    config = write_config(tmp_path / "c.json", **arrange(out, monkeypatch))
+    assert main(["ric", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("flagtuner: campaign failed: "), err
+    assert out.is_dir()
+
+
+# Models whose base time times a multiplier overflows: A at every level, B at O1 only
+_OVERFLOWING = {
+    "A": {"level_multiplier": {"O1": 10.0, "O2": 10.0, "O3": 10.0}},
+    "B": {"level_multiplier": {"O1": 10.0, "O2": 1.0, "O3": 1.0}},
+}
+
+
+@pytest.mark.parametrize("command", ["ric", "suite-ce", "oracle"])
+@pytest.mark.parametrize("model", list(_OVERFLOWING))
+def test_model_that_can_overflow_creates_nothing(tmp_path, capsys, command, model):
+    path = _pair_model(tmp_path, "model.json", base_time=1e308,
+                       flag_delta={"ivopts": -1e308, "tree-ch": -1e308}, **_OVERFLOWING[model])
+    config = write_config(tmp_path / "c.json", model=path)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"flagtuner: {path}: cover: model times can overflow at O1 (upper bound inf)"]
+    assert not out.exists()
+
+
+def _surrogate_inputs(tmp_path: Path, case: str) -> dict:
+    """Config fields naming inputs in ``tmp_path`` with a lone surrogate
+    where ``case`` says."""
+    model = json.loads((DEMO / "pair_model.json").read_text())
+    space = json.loads((DEMO / "pair_space.json").read_text())
+    cover, flags = model["benchmarks"]["cover"], space["flags"]
+    flag = {"name": "x", "on": "-fx", "off": "-fno-x"}
+    bench = {"name": "b", "compile_command": f"{sys.executable} {{flags}} -o {{out}}",
+             "run_command": "{bin}"}
+    files = {
+        "model-benchmark": ("model", {**model, "benchmarks": {"\ud800x": cover}}),
+        "flag-name": ("flag_space", {**space, "flags": [*flags, {**flag, "name": "\ud800"}]}),
+        "flag-form": ("flag_space", {**space, "flags": [*flags, {**flag, "on": "-f\ud800"}]}),
+        "base-level": ("flag_space", {**space, "base_levels": ["O1", "O2", "O3", "O\udfff"]}),
+        "suite-benchmark": ("suite", {"benchmarks": [{**bench, "name": "\ud800x"}]}),
+        "compile-command": ("suite", {"benchmarks": [
+            {**bench, "compile_command": bench["compile_command"] + " -D\ud800"}]}),
+    }
+    field, data = files[case]
+    (tmp_path / "input.json").write_text(json.dumps(data))
+    external = {"mode": "external", "model": None, "flag_space": str(DEMO / "stub_space.json")}
+    return {**(external if field == "suite" else {}), field: str(tmp_path / "input.json")}
+
+
+@pytest.mark.parametrize("command, case", [
+    ("ric", "model-benchmark"), ("ce", "model-benchmark"), ("oracle", "model-benchmark"),
+    ("ce", "flag-name"), ("ric", "flag-form"), ("ric", "base-level"),
+    ("ric", "suite-benchmark"), ("ce", "suite-benchmark"), ("ric", "compile-command"),
+])
+def test_text_that_utf8_cannot_encode_creates_nothing(tmp_path, capsys, command, case):
+    config = write_config(tmp_path / "c.json", **_surrogate_inputs(tmp_path, case))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "surrogate" in err[0], err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1210,6 +1308,24 @@ def test_report_with_explicit_reference_trace(tmp_path, demo_config, demo_dir):
     )
     assert code == 0
     assert (rep / "ce_cover.series.csv").exists()
+
+
+def test_reference_benchmark_no_trace_measured_is_rejected(tmp_path, capsys):
+    """A benchmark the reference measured and no trace did is a rejected
+    input, found before the out dir exists."""
+    cover = json.loads((DEMO / "pair_model.json").read_text())["benchmarks"]["cover"]
+    (tmp_path / "other.json").write_text(json.dumps({"benchmarks": {"other": cover}}))
+    for name, model in (("pair", DEMO / "pair_model.json"), ("other", tmp_path / "other.json")):
+        config = write_config(tmp_path / f"{name}.config.json", model=str(model), n_configs=3)
+        assert main(["ric", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    rep = tmp_path / "rep"
+    assert main(["report", str(tmp_path / "pair" / "ric.trace"),
+                 "--reference", str(tmp_path / "other" / "ric.trace"),
+                 "--space", str(DEMO / "pair_space.json"), "--out", str(rep)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "flagtuner: no ok measurement for benchmark 'other'"]
+    assert not rep.exists()
 
 
 def test_report_unreadable_trace(tmp_path, demo_dir):

@@ -11,12 +11,16 @@ stub toolchain run under ``python -S``. A sample drawn with a fixed seed
 from all mutations runs in process, and each must raise nothing out of
 ``main`` and exit 0, 1, 2 or 3; an exit 1 prints one line and leaves the
 case's directory as it was, with neither the out dir nor the cache created.
+Beside the sample, the same holds for every case of ``explicit_cases``:
+each string field set to a lone surrogate, and model times that overflow.
 """
 
 import contextlib
 import copy
+import functools
 import io
 import json
+import operator
 import random
 import shlex
 import sys
@@ -51,17 +55,17 @@ def field_paths(data, prefix=()):
         yield from field_paths(value, (*prefix, key))
 
 
-def mutated(data, path, value):
-    """A copy of ``data`` with the field at ``path`` deleted or set to ``value``."""
+def mutated(data, edits):
+    """A copy of ``data`` with the field at each path of ``edits`` deleted or
+    set to its value."""
     data = copy.deepcopy(data)
-    *parents, last = path
-    node = data
-    for key in parents:
-        node = node[key]
-    if value == DELETE:
-        del node[last]
-    else:
-        node[last] = value
+    for path, value in edits:
+        *parents, last = path
+        node = functools.reduce(operator.getitem, parents, data)
+        if value == DELETE:
+            del node[last]
+        else:
+            node[last] = value
     return data
 
 
@@ -89,17 +93,42 @@ def demo_inputs() -> dict[str, dict[str, object]]:
     }
 
 
-def cases(inputs) -> dict[str, list[tuple]]:
-    """Every mutation of each demo, as (file, path, value, command), with
-    the config of the stub demo left as it is."""
-    mutations = {demo: [(name, path, value) for name, data in files.items()
-                        if name != "stub_campaign.json"
-                        for path in field_paths(data) for value in (DELETE, *VALUES)]
-                 for demo, files in inputs.items()}
+def with_commands(mutations: dict[str, list[tuple]]) -> dict[str, list[tuple]]:
+    """Each demo's mutations, as (file, edits), with each command that reads
+    the file: (file, edits, command)."""
     return {"tradeoff": [(*m, command) for m in mutations["tradeoff"]
                          for command in SYNTHETIC_COMMANDS
                          + (SPACE_COMMANDS if m[0] == "tradeoff_space.json" else ())],
             "stub": [(*m, "ric") for m in mutations["stub"]]}
+
+
+def cases(inputs) -> dict[str, list[tuple]]:
+    """Every mutation of one field of each demo, with the config of the stub
+    demo left as it is."""
+    return with_commands({demo: [(name, ((path, value),)) for name, data in files.items()
+                                 if name != "stub_campaign.json"
+                                 for path in field_paths(data) for value in (DELETE, *VALUES)]
+                          for demo, files in inputs.items()})
+
+
+def explicit_cases(inputs) -> dict[str, list[tuple]]:
+    """A lone surrogate, which UTF-8 cannot encode, in each string field,
+    and, for each benchmark of the trade-off model, a base time of 1e308 at
+    a multiplier of 10, alone and with every flag delta at -1e308."""
+    mutations = {demo: [(name, ((path, "\ud800"),)) for name, data in files.items()
+                        if name != "stub_campaign.json" for path in field_paths(data)
+                        if isinstance(functools.reduce(operator.getitem, path, data), str)]
+                 for demo, files in inputs.items()}
+    files = inputs["tradeoff"]
+    levels = files["tradeoff_space.json"]["base_levels"]
+    for bench, model in files["tradeoff_model.json"]["benchmarks"].items():
+        at = ("benchmarks", bench)
+        edits = (((*at, "base_time"), 1e308),
+                 ((*at, "level_multiplier"), dict.fromkeys(levels, 10)))
+        deltas = tuple(((*at, "flag_delta", flag), -1e308) for flag in model["flag_delta"])
+        mutations["tradeoff"] += [("tradeoff_model.json", edits),
+                                  ("tradeoff_model.json", edits + deltas)]
+    return with_commands(mutations)
 
 
 def listing(root: Path) -> list[str]:
@@ -134,10 +163,10 @@ def arguments(command: str, root: Path, files: dict[str, object],
 def check(root: Path, files: dict[str, object], case: tuple,
           training: Path | None) -> str | None:
     """Run ``case`` in ``root`` and say what it broke, if anything."""
-    name, path, value, command = case
+    name, edits, command = case
     root.mkdir()
     for file_name, data in files.items():
-        text = json.dumps(mutated(data, path, value) if file_name == name else data)
+        text = json.dumps(mutated(data, edits) if file_name == name else data)
         (root / file_name).write_text(text)
     out = root / "o"
     before = listing(root)
@@ -160,6 +189,7 @@ def check(root: Path, files: dict[str, object], case: tuple,
 def run_sample(tmp_path: Path, demo: str) -> None:
     inputs = demo_inputs()
     sample = random.Random(SEED).sample(cases(inputs)[demo], SAMPLES[demo])
+    sample += explicit_cases(inputs)[demo]
     training = None if demo != "tradeoff" else training_set(tmp_path / "training", inputs[demo])
     failures = []
     for i, case in enumerate(sample):
