@@ -48,9 +48,7 @@ def floored_best_so_far(
             m = rec.measurements.get(b)
             if m is not None and m.ok and (b not in best or m.time < best[b]):
                 best[b] = m.time
-        value = fmean(
-            min(1.0, best[b] / reference[b]) if b in best else 1.0 for b in benches
-        )
+        value = fmean([min(1.0, best[b] / reference[b]) if b in best else 1.0 for b in benches])
         points.append((rec.seq, value))
     return tuple(points)
 

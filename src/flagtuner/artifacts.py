@@ -113,9 +113,10 @@ def read_trace(path: str | Path, space: FlagSpace) -> CampaignTrace:
         reader = csv.reader(fh)
         if next(reader, None) != TRACE_COLUMNS:
             raise ValueError(f"{path}: not a trace file")
+        last = None  # the sequence text of the row before: equal text is an equal number
         try:
             for seq, bits, level, bench, time, status, annotation in reader:
-                if not trace.records or int(seq) != trace.records[-1].seq:
+                if seq != last and (not trace.records or int(seq) != trace.records[-1].seq):
                     config = Configuration.from_bitstring(level, bits)
                     _check_member(space, config)
                     if trace.append(config, {}, annotation).seq != int(seq):
@@ -123,6 +124,7 @@ def read_trace(path: str | Path, space: FlagSpace) -> CampaignTrace:
                     shared = (bits, level, annotation)
                 elif (bits, level, annotation) != shared:
                     raise ValueError(f"row disagrees with the first row of record {seq}")
+                last = seq
                 trace.records[-1].measurements[bench] = Measurement(
                     status=status, time=float(time) if time else None
                 )

@@ -27,7 +27,7 @@ import signal
 import subprocess
 import time as _time
 from dataclasses import dataclass, field, fields
-from itertools import compress
+from itertools import compress, filterfalse
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence, get_type_hints
@@ -181,6 +181,9 @@ def _config_key(config: Configuration, fingerprint: str = "") -> str:
     return f"cfg:{fingerprint}:{config.key()}" if fingerprint else f"cfg:{config.key()}"
 
 
+# The fields of a cache record, as EvalCache.put writes them
+_RECORD_FIELDS = frozenset(("benchmark", "key", "digest", "status", "time", "detail"))
+
 # Bytes of cache lines that EvalCache reads and parses at once: many records
 # per json.loads, and never the whole file in memory.
 _LOAD_BATCH = 1 << 16
@@ -194,8 +197,10 @@ def _parse_batch(lines: list[bytes]) -> list | None:
     the batch does not parse, None: the lines are parsed one by one, which
     names a bad line."""
     joined = b",".join(lines)
-    if joined.count(b"{") != len(lines) or not all(
-            line[:1] == b"{" and line.endswith(b"}\n") for line in lines):
+    # a newline ends each line and only there, so "}\n,{" is found only where
+    # one line ends with } and the next starts with {
+    if (joined.count(b"{") != len(lines) or joined.count(b"}\n,{") != len(lines) - 1
+            or joined[:1] != b"{" or not joined.endswith(b"}\n")):
         return None
     try:
         return json.loads(b"[" + joined + b"]")
@@ -219,6 +224,12 @@ class EvalCache:
     dropped on load, while a bad line anywhere else still raises. When
     backed by a file, an exclusive advisory lock is held, and taken before
     the file is read, so concurrent campaigns cannot share one cache file.
+
+    The load parses many lines per ``json.loads`` and takes a record as
+    ``put`` writes it after one type test (``_store_well_formed``); the
+    records of one benchmark share one name string, and those of one
+    status one status string. Any other line is read field by field, which
+    accepts older records and names a bad line.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -242,29 +253,64 @@ class EvalCache:
     def _load(self) -> None:
         self._handle.seek(0)
         complete = number = 0
+        strings = dict(zip(STATUSES, STATUSES))  # see _store_well_formed
         while lines := self._handle.readlines(_LOAD_BATCH):
             torn = not lines[-1].endswith(b"\n")  # only the file's last line can be
             if torn:
                 lines.pop()
-            numbered = [(n, line) for n, line in enumerate(lines, number + 1) if line.strip()]
+            records = list(filterfalse(bytes.isspace, lines))  # a blank line is skipped
+            parsed = _parse_batch(records)
+            done = 0 if parsed is None else self._store_well_formed(parsed, strings)
+            if done < len(records):  # the rest field by field, which names a bad line
+                numbers = [n for n, line in enumerate(lines, number + 1) if not line.isspace()]
+                for i in range(done, len(records)):
+                    try:
+                        rec = json.loads(records[i]) if parsed is None else parsed[i]
+                        meas = Measurement(status=rec["status"],
+                                           time=json_field(rec, "time", float, None),
+                                           # a digest may be null, but not absent
+                                           digest=json_field(rec, "digest", str, rec["digest"]),
+                                           cached=True, detail=json_field(rec, "detail", str, ""))
+                        self._store(json_field(rec, "benchmark", str),
+                                    json_field(rec, "key", str), meas)
+                    except (ValueError, KeyError, TypeError) as exc:
+                        raise ValueError(f"{self.path}: line {numbers[i]} is not a cache record "
+                                         f"({type(exc).__name__}: {exc})") from exc
             number += len(lines)
             complete += sum(map(len, lines))
-            parsed = _parse_batch([line for _, line in numbered])
-            for i, (n, line) in enumerate(numbered):
-                try:
-                    rec = json.loads(line) if parsed is None else parsed[i]
-                    meas = Measurement(status=rec["status"],
-                                       time=json_field(rec, "time", float, None),
-                                       # a digest may be null, but not absent
-                                       digest=json_field(rec, "digest", str, rec["digest"]),
-                                       cached=True, detail=json_field(rec, "detail", str, ""))
-                    self._store(json_field(rec, "benchmark", str), json_field(rec, "key", str),
-                                meas)
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise ValueError(f"{self.path}: line {n} is not a cache record "
-                                     f"({type(exc).__name__}: {exc})") from exc
             if torn:
                 self._handle.truncate(complete)
+
+    def _store_well_formed(self, records: list, strings: dict[str, str]) -> int:
+        """Store the leading ``records`` that are well formed, each after one
+        test: the six fields of ``put``, with the types it writes. It stops at
+        the first other record, or at one its ``Measurement`` refuses, and
+        returns how many it stored; ``_load`` reads the rest field by field,
+        which names a bad line. Each benchmark name and status is stored as
+        the one object ``strings`` holds for it."""
+        entries, aliases = self.entries, self.aliases
+        stored = 0
+        for rec in records:
+            if not (type(rec) is dict and rec.keys() == _RECORD_FIELDS
+                    and type(benchmark := rec["benchmark"]) is str
+                    and type(key := rec["key"]) is str
+                    and type(status := rec["status"]) is str
+                    and type(detail := rec["detail"]) is str
+                    and ((digest := rec["digest"]) is None or type(digest) is str)
+                    and ((time := rec["time"]) is None or type(time) is float)):
+                break
+            try:
+                meas = Measurement(strings.setdefault(status, status), time, digest, True, detail)
+            except ValueError:
+                break
+            benchmark = strings.setdefault(benchmark, benchmark)
+            if digest is None or key == digest:  # as _store files it
+                entries[benchmark, key] = meas
+            else:
+                entries.setdefault((benchmark, digest), meas)
+                aliases[benchmark, key] = digest
+            stored += 1
+        return stored
 
     def _store(self, benchmark: str, key: str, measurement: Measurement) -> None:
         digest = measurement.digest
@@ -795,7 +841,11 @@ class SyntheticModel:
 
 
 def load_synthetic_model(path: str | Path) -> SyntheticModel:
-    """The model in ``path``; a file of the wrong shape raises ``ValueError``."""
+    """The model in ``path``; a file of the wrong shape raises ``ValueError``.
+
+    A number that json already read as a finite float, and a pair term of
+    two strings, two booleans and such a float, are taken as they are;
+    anything else is read by ``json_value``, which names what is wrong."""
     with open(path, encoding="utf-8") as fh:
         data = json_value(json.load(fh), dict, "a model")
     benches = {}
@@ -804,6 +854,13 @@ def load_synthetic_model(path: str | Path) -> SyntheticModel:
         raw = json_value(raw, dict, at)
         pairs = []
         for i, rec in enumerate(json_field(raw, "pair_delta", list, [], at)):
+            if (type(rec) is dict and type(flags := rec.get("flags")) is list
+                    and type(when := rec.get("when")) is list and len(flags) == len(when) == 2
+                    and type(flags[0]) is str and type(flags[1]) is str
+                    and type(when[0]) is bool and type(when[1]) is bool
+                    and type(delta := rec.get("delta")) is float and math.isfinite(delta)):
+                pairs.append(PairDelta(*flags, *when, delta))
+                continue
             where = f"{at}.pair_delta[{i}]"
             rec = json_value(rec, dict, where)
             terms = []  # the two flags, then the two states they must be in
@@ -815,13 +872,19 @@ def load_synthetic_model(path: str | Path) -> SyntheticModel:
             pairs.append(PairDelta(*terms, json_field(rec, "delta", float, where=where)))
         benches[name] = BenchmarkModel(
             base_time=json_field(raw, "base_time", float, where=at),
-            level_multiplier={k: json_value(v, float, f"{at}.level_multiplier.{k}")
-                              for k, v in json_field(raw, "level_multiplier", dict, {}, at).items()},
-            flag_delta={k: json_value(v, float, f"{at}.flag_delta.{k}")
-                        for k, v in json_field(raw, "flag_delta", dict, {}, at).items()},
+            level_multiplier=_numbers(raw, "level_multiplier", at),
+            flag_delta=_numbers(raw, "flag_delta", at),
             pair_delta=tuple(pairs),
         )
     return SyntheticModel(benches)
+
+
+def _numbers(raw: dict, key: str, at: str) -> dict[str, float]:
+    """The numbers ``raw[key]`` maps names to, each read by ``json_value``
+    unless it is a finite float already."""
+    return {k: v if type(v) is float and math.isfinite(v)
+            else json_value(v, float, f"{at}.{key}.{k}")
+            for k, v in json_field(raw, key, dict, {}, at).items()}
 
 
 class SyntheticEvaluator(_CachedEvaluator):

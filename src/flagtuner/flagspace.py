@@ -140,9 +140,9 @@ class Configuration:
 
     @classmethod
     def from_bitstring(cls, base_level: str, bits: str) -> Configuration:
-        if any(c not in "01" for c in bits):
+        if bits.strip("01"):
             raise FlagSpaceError(f"bad bitstring {bits!r}")
-        return cls(base_level, tuple(c == "1" for c in bits))
+        return cls(base_level, tuple(map("1".__eq__, bits)))
 
     def key(self) -> str:
         """Stable identity string (level + bitstring) used for cache keys."""

@@ -106,7 +106,7 @@ def cache_read_line_by_line(path: Path) -> EvalCache:
         if line.strip():
             rec = json.loads(line)
             meas = Measurement(status=rec["status"], time=json_field(rec, "time", float, None),
-                               digest=rec["digest"], cached=True, detail=rec.get("detail", ""))
+                               digest=rec["digest"], cached=True, detail=rec.get("detail") or "")
             cache._store(rec["benchmark"], rec["key"], meas)
     return cache
 

@@ -112,3 +112,21 @@ def test_trace_is_the_csv_module_text_and_reads_back(space_trace):
         if not any("\r" in str(field) for row in rows for field in row):
             assert path.read_text(encoding="utf-8") == csv_reference([TRACE_COLUMNS, *rows])
         assert _rows(read_trace(path, space)) == rows
+
+
+@pytest.mark.parametrize("spelling", ["01", "+1", " 1"])
+def test_rows_of_a_record_may_spell_its_number_otherwise(tmp_path, spelling):
+    """A row whose sequence text is not the row before's, but reads as the
+    same number, belongs to the same record; a row that disagrees with its
+    record's first row is still an error naming its line."""
+    path = tmp_path / "ric.trace"
+    head = ",".join(TRACE_COLUMNS) + "\n"
+    path.write_text(f"{head}1,10,O3,a,1.5,ok,probe\n{spelling},10,O3,b,2.5,ok,probe\n"
+                    f"1,10,O3,c,,run_error,probe\n2,01,O3,a,,compile_error,probe\n")
+    trace = read_trace(path, space_of(2))
+    assert [(r.seq, r.config.bitstring, list(r.measurements)) for r in trace.records] == [
+        (1, "10", ["a", "b", "c"]), (2, "01", ["a"])]
+    path.write_text(f"{head}1,10,O3,a,1.5,ok,probe\n{spelling},11,O3,b,2.5,ok,probe\n")
+    message = f"line 3: row disagrees with the first row of record {spelling}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        read_trace(path, space_of(2))

@@ -4,12 +4,14 @@ import json
 import math
 import pickle
 import shlex
+import re
 import subprocess
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flagtuner import evaluator, oracle
 from flagtuner.evaluator import (
@@ -18,6 +20,7 @@ from flagtuner.evaluator import (
     CommandEvaluator,
     EvalCache,
     Measurement,
+    PairDelta,
     SyntheticEvaluator,
     _config_key,
     load_suite,
@@ -184,6 +187,53 @@ def test_load_synthetic_model(demo_dir, tmp_path):
         with pytest.raises(ValueError, match=rf"^benchmarks\.cover\.pair_delta\[0\]\.{key} "
                                              rf"must hold 2 values, got {len(values)}$"):
             load_synthetic_model(tmp_path / "m.json")
+
+
+def _model_text(**raw: str) -> str:
+    """A one-benchmark model file, with each field given written as that
+    raw JSON text."""
+    text = {"base_time": "100.0", "multiplier": "1.5", "flag_delta": "-2.0",
+            "pair_delta": "0.5", "flags": '["f0", "f1"]', "when": "[true, false]", **raw}
+    return ('{"benchmarks": {"b": {"base_time": %(base_time)s, '
+            '"level_multiplier": {"O3": %(multiplier)s}, "flag_delta": {"f0": %(flag_delta)s}, '
+            '"pair_delta": [{"flags": %(flags)s, "when": %(when)s, "delta": %(pair_delta)s}]}}}'
+            % text)
+
+
+_MODEL_NUMBERS = {"base_time": "benchmarks.b.base_time",
+                  "multiplier": "benchmarks.b.level_multiplier.O3",
+                  "flag_delta": "benchmarks.b.flag_delta.f0",
+                  "pair_delta": "benchmarks.b.pair_delta[0].delta"}
+
+
+@pytest.mark.parametrize("raw, message", [
+    *((f"{name}={value}", f"{at} must be a number, got {shown}")
+      for name, at in _MODEL_NUMBERS.items()
+      for value, shown in (('"1.0"', "'1.0'"), ("true", "True"), ("NaN", "nan"),
+                           ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf"))),
+    ('flags=["f0", "f1", "f0"]', "benchmarks.b.pair_delta[0].flags must hold 2 values, got 3"),
+    ("when=[true, false, true]", "benchmarks.b.pair_delta[0].when must hold 2 values, got 3"),
+    ('flags=[1, "f1"]', "benchmarks.b.pair_delta[0].flags must be a string, got 1"),
+    ("when=[true, 0]", "benchmarks.b.pair_delta[0].when must be true or false, got 0"),
+    ('flags="f0"', "benchmarks.b.pair_delta[0].flags must be a list, got 'f0'"),
+])
+def test_model_file_error_names_the_field(tmp_path, raw, message):
+    name, value = raw.split("=", 1)
+    (tmp_path / "m.json").write_text(_model_text(**{name: value}))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_synthetic_model(tmp_path / "m.json")
+
+
+def test_model_file_integers_load_as_floats(tmp_path):
+    (tmp_path / "m.json").write_text(_model_text())
+    (tmp_path / "i.json").write_text(_model_text(base_time="100", multiplier="2",
+                                                 flag_delta="-2", pair_delta="1"))
+    floats, integers = (load_synthetic_model(tmp_path / name) for name in ("m.json", "i.json"))
+    bm = integers.benchmarks["b"]
+    numbers = [bm.base_time, *bm.level_multiplier.values(), *bm.flag_delta.values(),
+               bm.pair_delta[0].delta]
+    assert numbers == [100.0, 2.0, -2.0, 1.0] and {type(x) for x in numbers} == {float}
+    assert floats.benchmarks["b"].pair_delta == (PairDelta("f0", "f1", True, False, 0.5),)
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +592,138 @@ def test_bad_record_past_the_first_batch_names_its_line(tmp_path, bad):
     path.write_bytes(b"".join(lines))
     with pytest.raises(ValueError, match=rf"cache\.jsonl: line {number} is not a cache record"):
         EvalCache(path)
+
+
+# Every line of these caches is this long, so that a batch is 256 lines.
+_WIDTH = 256
+
+
+def _padded(text: bytes) -> bytes:
+    """A record's text as one line of ``_WIDTH`` bytes, blanks after its ``{``."""
+    assert text[:1] == b"{" and len(text) < _WIDTH
+    return b"{" + b" " * (_WIDTH - 1 - len(text)) + text[1:] + b"\n"
+
+
+def _good_record(kind: str, i: int, keys: int) -> bytes:
+    """One line of ``kind``, each kind one that the cache accepts."""
+    if kind == "blank":
+        return b" " * (_WIDTH - 1) + b"\n"
+    rec = {"benchmark": f"b{i % 3}", "key": f"cfg:fp:O3:{i % keys:012b}", "digest": None,
+           "status": "ok", "time": 1 + i / 7, "detail": ""}
+    if kind == "alias":  # one binary for every 5 keys
+        rec.update(digest=f"d{i % 5}", status="run_error", time=None, detail="exit 1")
+    elif kind == "failure":
+        rec.update(status="compile_error", time=None, detail="ld: no")
+    elif kind == "legacy":
+        rec.update(digest_algo="md5", config_bitstring=f"{i:012b}", base_level="O3")
+    elif kind == "int_time":
+        rec["time"] = i + 1
+    elif kind == "no_detail":
+        del rec["detail"]
+    elif kind == "null_detail":
+        rec["detail"] = None
+    elif kind == "brace_detail":
+        rec.update(status="run_error", time=None, detail="exit {1}")
+    elif kind == "reordered":
+        rec = dict(reversed(rec.items()))
+    return _padded(json.dumps(rec).encode())
+
+
+_GOOD_KINDS = ["plain", "alias", "failure", "legacy", "int_time", "no_detail", "null_detail",
+               "brace_detail", "reordered", "blank"]
+
+_RECORD_TEXT = b'{"benchmark": "b0", "key": "k", "digest": null, "status": "ok", "time": 1.5}'
+
+# What a bad record changes in _RECORD_TEXT, and the reason the per-field
+# read gives for it
+_BAD_RECORDS = {
+    "nan_time": (b'"time": 1.5', b'"time": NaN', "ValueError: time must be a number, got nan"),
+    "infinite_time": (b'"time": 1.5', b'"time": Infinity',
+                      "ValueError: time must be a number, got inf"),
+    "overflowing_time": (b'"time": 1.5', b'"time": 1e400',
+                         "ValueError: time must be a number, got inf"),
+    "listed_status": (b'"status": "ok"', b'"status": ["ok"]', "ValueError: bad status ['ok']"),
+    "numbered_status": (b'"status": "ok"', b'"status": 5', "ValueError: bad status 5"),
+    "numbered_benchmark": (b'"benchmark": "b0"', b'"benchmark": 5',
+                           "ValueError: benchmark must be a string, got 5"),
+}
+
+
+@pytest.mark.parametrize("where", [0, 128, 255])  # the first, a middle and the last line
+@pytest.mark.parametrize("bad", [None, *_BAD_RECORDS])
+@settings(max_examples=5, deadline=None)
+@given(kinds=st.lists(st.sampled_from(_GOOD_KINDS), min_size=1, max_size=12),
+       keys=st.integers(1, 800), batch=st.integers(0, 2), torn=st.booleans())
+def test_well_formed_records_load_as_the_per_field_read_loads_them(where, bad, kinds, keys,
+                                                                   batch, torn):
+    """Three 64 KB batches that mix every kind of line the cache accepts, a
+    key repeated with another time too. The cache holds what a line-by-line
+    read gives, having built one measurement per record, and cuts a torn
+    tail; a bad record at the first, a middle or the last line of a batch
+    raises the per-field read's error, naming its line."""
+    lines = [_good_record(kinds[i % len(kinds)], i, keys) for i in range(3 * 256)]
+    number = 256 * batch + where + 1
+    if bad is not None:
+        good, wrong, reason = _BAD_RECORDS[bad]
+        lines[number - 1] = _padded(_RECORD_TEXT.replace(good, wrong))
+    whole = b"".join(lines)
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args or kwargs)
+        return Measurement(*args, **kwargs)
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / "cache.jsonl"
+        path.write_bytes(whole + (b'{"benchmark": "b0", "key": "k", "dig' if torn else b""))
+        if bad is not None:
+            message = f"cache.jsonl: line {number} is not a cache record ({reason})"
+            with pytest.raises(ValueError, match=re.escape(message) + "$"):
+                EvalCache(path)
+            return
+        want = cache_read_line_by_line(path)
+        mp.setattr(evaluator, "Measurement", counted)
+        with EvalCache(path) as cache:
+            assert (cache.entries, cache.aliases) == (want.entries, want.aliases)
+        assert len(built) == sum(1 for line in lines if line.strip())
+        assert path.read_bytes() == whole
+
+
+def test_well_formed_cache_loads_one_json_parse_per_batch(tmp_path, monkeypatch):
+    """A well-formed cache of 5,000 records builds one measurement per record
+    from one ``json.loads`` per batch, and the records of one benchmark, or
+    of one status, hold one string object."""
+    path = tmp_path / "cache.jsonl"
+    with EvalCache(path) as cache:
+        for i in range(5000):
+            status = evaluator.STATUSES[i % 4]
+            meas = (Measurement(status, time=1 + i / 7) if status == "ok" else
+                    Measurement(status, digest=None if status == "compile_error" else f"d{i % 40}"))
+            cache.put(f"b{i % 3}", f"cfg:fp:O3:{i:013b}", meas)
+    with open(path, "rb") as fh:
+        batches = sum(1 for _ in iter(lambda: fh.readlines(evaluator._LOAD_BATCH), []))
+    assert batches > 1
+    built, parsed = [], []
+
+    def counted(*args, **kwargs):
+        built.append(args or kwargs)
+        return Measurement(*args, **kwargs)
+
+    def counted_loads(*args, **kwargs):
+        parsed.append(args)
+        return json_loads(*args, **kwargs)
+
+    json_loads = json.loads
+    monkeypatch.setattr(evaluator, "Measurement", counted)
+    monkeypatch.setattr(evaluator.json, "loads", counted_loads)
+    with EvalCache(path) as cache:
+        pass
+    monkeypatch.undo()
+    assert (len(built), len(parsed)) == (5000, batches)
+    names = [b for b, _ in [*cache.entries, *cache.aliases]]
+    assert len(set(names)) == len(set(map(id, names))) == 3
+    statuses = [m.status for m in cache.entries.values()]
+    assert len(set(statuses)) == len(set(map(id, statuses))) == 4
 
 
 def test_locked_cache_is_neither_read_nor_truncated(tmp_path):

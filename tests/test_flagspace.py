@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from flagtuner.flagspace import (
     Configuration,
@@ -149,6 +149,17 @@ def test_bitstring_round_trip():
     assert Configuration.from_bitstring("O2", "101") == config
     with pytest.raises(FlagSpaceError):
         Configuration.from_bitstring("O2", "10x")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(max_size=8), st.text(st.sampled_from("01١０¹x \n"), max_size=8)))
+def test_bitstring_holds_only_ascii_zeros_and_ones(bits):
+    """Any other character, a digit of another script too, is refused."""
+    if any(c not in "01" for c in bits):
+        with pytest.raises(FlagSpaceError, match="^bad bitstring"):
+            Configuration.from_bitstring("O3", bits)
+    else:
+        assert Configuration.from_bitstring("O3", bits).assignment == tuple(c == "1" for c in bits)
 
 
 @given(st.lists(st.booleans(), max_size=300))
