@@ -227,9 +227,9 @@ class EvalCache:
 
     The load parses many lines per ``json.loads`` and takes a record as
     ``put`` writes it after one type test (``_store_well_formed``); the
-    records of one benchmark share one name string, and those of one
-    status one status string. Any other line is read field by field, which
-    accepts older records and names a bad line.
+    records taken so share one string per benchmark name and per status.
+    Any other line is read field by field, which accepts older records and
+    names a bad line.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -262,7 +262,8 @@ class EvalCache:
             parsed = _parse_batch(records)
             done = 0 if parsed is None else self._store_well_formed(parsed, strings)
             if done < len(records):  # the rest field by field, which names a bad line
-                numbers = [n for n, line in enumerate(lines, number + 1) if not line.isspace()]
+                line_numbers = [n for n, line in enumerate(lines, number + 1)
+                                if not line.isspace()]
                 for i in range(done, len(records)):
                     try:
                         rec = json.loads(records[i]) if parsed is None else parsed[i]
@@ -274,8 +275,8 @@ class EvalCache:
                         self._store(json_field(rec, "benchmark", str),
                                     json_field(rec, "key", str), meas)
                     except (ValueError, KeyError, TypeError) as exc:
-                        raise ValueError(f"{self.path}: line {numbers[i]} is not a cache record "
-                                         f"({type(exc).__name__}: {exc})") from exc
+                        raise ValueError(f"{self.path}: line {line_numbers[i]} is not a cache "
+                                         f"record ({type(exc).__name__}: {exc})") from exc
             number += len(lines)
             complete += sum(map(len, lines))
             if torn:

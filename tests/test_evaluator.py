@@ -3,8 +3,8 @@ import hashlib
 import json
 import math
 import pickle
-import shlex
 import re
+import shlex
 import subprocess
 import tempfile
 import time
@@ -594,6 +594,14 @@ def test_bad_record_past_the_first_batch_names_its_line(tmp_path, bad):
         EvalCache(path)
 
 
+def _counting(calls: list, function):
+    """``function``, appending the arguments of each call to ``calls``."""
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return function(*args, **kwargs)
+    return counted
+
+
 # Every line of these caches is this long, so that a batch is 256 lines.
 _WIDTH = 256
 
@@ -668,11 +676,6 @@ def test_well_formed_records_load_as_the_per_field_read_loads_them(where, bad, k
         lines[number - 1] = _padded(_RECORD_TEXT.replace(good, wrong))
     whole = b"".join(lines)
     built = []
-
-    def counted(*args, **kwargs):
-        built.append(args or kwargs)
-        return Measurement(*args, **kwargs)
-
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         path = Path(tmp) / "cache.jsonl"
         path.write_bytes(whole + (b'{"benchmark": "b0", "key": "k", "dig' if torn else b""))
@@ -682,7 +685,7 @@ def test_well_formed_records_load_as_the_per_field_read_loads_them(where, bad, k
                 EvalCache(path)
             return
         want = cache_read_line_by_line(path)
-        mp.setattr(evaluator, "Measurement", counted)
+        mp.setattr(evaluator, "Measurement", _counting(built, Measurement))
         with EvalCache(path) as cache:
             assert (cache.entries, cache.aliases) == (want.entries, want.aliases)
         assert len(built) == sum(1 for line in lines if line.strip())
@@ -704,21 +707,10 @@ def test_well_formed_cache_loads_one_json_parse_per_batch(tmp_path, monkeypatch)
         batches = sum(1 for _ in iter(lambda: fh.readlines(evaluator._LOAD_BATCH), []))
     assert batches > 1
     built, parsed = [], []
-
-    def counted(*args, **kwargs):
-        built.append(args or kwargs)
-        return Measurement(*args, **kwargs)
-
-    def counted_loads(*args, **kwargs):
-        parsed.append(args)
-        return json_loads(*args, **kwargs)
-
-    json_loads = json.loads
-    monkeypatch.setattr(evaluator, "Measurement", counted)
-    monkeypatch.setattr(evaluator.json, "loads", counted_loads)
+    monkeypatch.setattr(evaluator, "Measurement", _counting(built, Measurement))
+    monkeypatch.setattr(evaluator.json, "loads", _counting(parsed, json.loads))
     with EvalCache(path) as cache:
         pass
-    monkeypatch.undo()
     assert (len(built), len(parsed)) == (5000, batches)
     names = [b for b, _ in [*cache.entries, *cache.aliases]]
     assert len(set(names)) == len(set(map(id, names))) == 3
