@@ -194,8 +194,8 @@ def _parse_batch(lines: list[bytes]) -> list | None:
     each line is one object of its own: it starts with ``{``, ends with
     ``}``, and the batch holds no other ``{``. A string cannot span a line,
     so the i-th object parsed is then the i-th line's. Otherwise, or when
-    the batch does not parse, None: the lines are parsed one by one, which
-    names a bad line."""
+    the batch does not parse, None: ``EvalCache`` then parses the lines one
+    by one, and reads each record by the same rule."""
     joined = b",".join(lines)
     # a newline ends each line and only there, so "}\n,{" is found only where
     # one line ends with } and the next starts with {
@@ -225,11 +225,12 @@ class EvalCache:
     backed by a file, an exclusive advisory lock is held, and taken before
     the file is read, so concurrent campaigns cannot share one cache file.
 
-    The load parses many lines per ``json.loads`` and takes a record as
-    ``put`` writes it after one type test (``_store_well_formed``); the
-    records taken so share one string per benchmark name and per status.
-    Any other line is read field by field, which accepts older records and
-    names a bad line.
+    The load reads every record by one rule, however its batch parsed
+    (``_parse_batch``): one with the six fields and types ``put`` writes
+    that ``Measurement`` takes is filed as it is, any other read field by
+    field, which accepts older records and names a bad line. Records share
+    one string per benchmark name, and those the type test takes one per
+    status.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -251,67 +252,53 @@ class EvalCache:
                 raise
 
     def _load(self) -> None:
+        entries, aliases = self.entries, self.aliases
+        strings = dict(zip(STATUSES, STATUSES))  # one object per benchmark name, status
+        number = 0  # the lines of the batches before
         self._handle.seek(0)
-        complete = number = 0
-        strings = dict(zip(STATUSES, STATUSES))  # see _store_well_formed
         while lines := self._handle.readlines(_LOAD_BATCH):
-            torn = not lines[-1].endswith(b"\n")  # only the file's last line can be
-            if torn:
-                lines.pop()
+            # only the file's last line can lack its newline: a torn append
+            tail = b"" if lines[-1].endswith(b"\n") else lines.pop()
             records = list(filterfalse(bytes.isspace, lines))  # a blank line is skipped
             parsed = _parse_batch(records)
-            done = 0 if parsed is None else self._store_well_formed(parsed, strings)
-            if done < len(records):  # the rest field by field, which names a bad line
-                line_numbers = [n for n, line in enumerate(lines, number + 1)
-                                if not line.isspace()]
-                for i in range(done, len(records)):
-                    try:
-                        rec = json.loads(records[i]) if parsed is None else parsed[i]
+            for i, rec in enumerate(records if parsed is None else parsed):
+                try:
+                    if parsed is None:
+                        rec = json.loads(rec)
+                    meas = None
+                    if (type(rec) is dict and rec.keys() == _RECORD_FIELDS
+                            and type(benchmark := rec["benchmark"]) is str
+                            and type(key := rec["key"]) is str
+                            and type(status := rec["status"]) is str
+                            and type(detail := rec["detail"]) is str
+                            and ((digest := rec["digest"]) is None or type(digest) is str)
+                            and ((time := rec["time"]) is None or type(time) is float)):
+                        try:
+                            meas = Measurement(strings.setdefault(status, status), time, digest,
+                                               True, detail)
+                        except ValueError:
+                            pass
+                    if meas is None:  # field by field, which names what is wrong
                         meas = Measurement(status=rec["status"],
                                            time=json_field(rec, "time", float, None),
                                            # a digest may be null, but not absent
                                            digest=json_field(rec, "digest", str, rec["digest"]),
                                            cached=True, detail=json_field(rec, "detail", str, ""))
-                        self._store(json_field(rec, "benchmark", str),
-                                    json_field(rec, "key", str), meas)
-                    except (ValueError, KeyError, TypeError) as exc:
-                        raise ValueError(f"{self.path}: line {line_numbers[i]} is not a cache "
-                                         f"record ({type(exc).__name__}: {exc})") from exc
+                        benchmark = json_field(rec, "benchmark", str)
+                        key, digest = json_field(rec, "key", str), meas.digest
+                except (ValueError, KeyError, TypeError) as exc:
+                    line = [n for n, text in enumerate(lines, number + 1) if not text.isspace()][i]
+                    raise ValueError(f"{self.path}: line {line} is not a cache record "
+                                     f"({type(exc).__name__}: {exc})") from exc
+                benchmark = strings.setdefault(benchmark, benchmark)
+                if digest is None or key == digest:  # as _store files it
+                    entries[benchmark, key] = meas
+                else:
+                    entries.setdefault((benchmark, digest), meas)
+                    aliases[benchmark, key] = digest
             number += len(lines)
-            complete += sum(map(len, lines))
-            if torn:
-                self._handle.truncate(complete)
-
-    def _store_well_formed(self, records: list, strings: dict[str, str]) -> int:
-        """Store the leading ``records`` that are well formed, each after one
-        test: the six fields of ``put``, with the types it writes. It stops at
-        the first other record, or at one its ``Measurement`` refuses, and
-        returns how many it stored; ``_load`` reads the rest field by field,
-        which names a bad line. Each benchmark name and status is stored as
-        the one object ``strings`` holds for it."""
-        entries, aliases = self.entries, self.aliases
-        stored = 0
-        for rec in records:
-            if not (type(rec) is dict and rec.keys() == _RECORD_FIELDS
-                    and type(benchmark := rec["benchmark"]) is str
-                    and type(key := rec["key"]) is str
-                    and type(status := rec["status"]) is str
-                    and type(detail := rec["detail"]) is str
-                    and ((digest := rec["digest"]) is None or type(digest) is str)
-                    and ((time := rec["time"]) is None or type(time) is float)):
-                break
-            try:
-                meas = Measurement(strings.setdefault(status, status), time, digest, True, detail)
-            except ValueError:
-                break
-            benchmark = strings.setdefault(benchmark, benchmark)
-            if digest is None or key == digest:  # as _store files it
-                entries[benchmark, key] = meas
-            else:
-                entries.setdefault((benchmark, digest), meas)
-                aliases[benchmark, key] = digest
-            stored += 1
-        return stored
+            if tail:  # cut once its batch has loaded, so a bad line raises first
+                self._handle.truncate(self._handle.tell() - len(tail))
 
     def _store(self, benchmark: str, key: str, measurement: Measurement) -> None:
         digest = measurement.digest

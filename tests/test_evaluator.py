@@ -675,14 +675,16 @@ def test_well_formed_records_load_as_the_per_field_read_loads_them(where, bad, k
         good, wrong, reason = _BAD_RECORDS[bad]
         lines[number - 1] = _padded(_RECORD_TEXT.replace(good, wrong))
     whole = b"".join(lines)
+    written = whole + (b'{"benchmark": "b0", "key": "k", "dig' if torn else b"")
     built = []
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         path = Path(tmp) / "cache.jsonl"
-        path.write_bytes(whole + (b'{"benchmark": "b0", "key": "k", "dig' if torn else b""))
+        path.write_bytes(written)
         if bad is not None:
             message = f"cache.jsonl: line {number} is not a cache record ({reason})"
             with pytest.raises(ValueError, match=re.escape(message) + "$"):
                 EvalCache(path)
+            assert path.read_bytes() == written  # a torn tail is cut only past every bad line
             return
         want = cache_read_line_by_line(path)
         mp.setattr(evaluator, "Measurement", _counting(built, Measurement))
@@ -692,16 +694,21 @@ def test_well_formed_records_load_as_the_per_field_read_loads_them(where, bad, k
         assert path.read_bytes() == whole
 
 
-def test_well_formed_cache_loads_one_json_parse_per_batch(tmp_path, monkeypatch):
+@pytest.mark.parametrize("brace", [False, True], ids=["brace_free", "brace_every_200"])
+def test_well_formed_cache_loads_one_json_parse_per_batch(tmp_path, monkeypatch, brace):
     """A well-formed cache of 5,000 records builds one measurement per record
     from one ``json.loads`` per batch, and the records of one benchmark, or
-    of one status, hold one string object."""
+    of one status, hold one string object. So they do when every 200th
+    record is a compile error whose detail holds a ``{``, which makes each
+    batch parse line by line."""
     path = tmp_path / "cache.jsonl"
     with EvalCache(path) as cache:
         for i in range(5000):
             status = evaluator.STATUSES[i % 4]
             meas = (Measurement(status, time=1 + i / 7) if status == "ok" else
                     Measurement(status, digest=None if status == "compile_error" else f"d{i % 40}"))
+            if brace and i % 200 == 0:
+                meas = Measurement("compile_error", detail="x.c:3: error: expected '{' before 'int'")
             cache.put(f"b{i % 3}", f"cfg:fp:O3:{i:013b}", meas)
     with open(path, "rb") as fh:
         batches = sum(1 for _ in iter(lambda: fh.readlines(evaluator._LOAD_BATCH), []))
@@ -711,7 +718,7 @@ def test_well_formed_cache_loads_one_json_parse_per_batch(tmp_path, monkeypatch)
     monkeypatch.setattr(evaluator.json, "loads", _counting(parsed, json.loads))
     with EvalCache(path) as cache:
         pass
-    assert (len(built), len(parsed)) == (5000, batches)
+    assert (len(built), len(parsed)) == (5000, 5000 if brace else batches)
     names = [b for b, _ in [*cache.entries, *cache.aliases]]
     assert len(set(names)) == len(set(map(id, names))) == 3
     statuses = [m.status for m in cache.entries.values()]
