@@ -73,16 +73,16 @@ class Benchmark:
 
     ``compile_command`` may use the placeholders ``{flags}`` (the rendered
     arguments) and ``{out}`` (output binary path); ``run_command`` may use
-    ``{bin}``. A template is split as a shell splits it, then filled in: an
-    argument that is exactly ``{flags}`` becomes one argument per flag, and
-    a placeholder inside an argument is filled in there (``{flags}``
-    space-joined), so no value is split again. Each template is filled in
-    once when the benchmark is made, so one that a campaign could not fill,
-    that splits into no argument or that holds a NUL or a lone surrogate is
-    rejected as the suite loads. With ``timing="reported"``
-    the run command must print a single floating-point time in seconds,
-    finite and above 0, on its last output line; with ``timing="external"``
-    the harness wall-clocks the process instead.
+    ``{bin}``. Each template is split once, as a shell splits it, when the
+    benchmark is made (``_words``, by field), and every compile and run
+    fills those words in: a word that is exactly ``{flags}`` becomes one
+    argument per flag, and a placeholder inside a word is filled in there
+    (``{flags}`` space-joined), so no value is split again. A template that
+    a campaign could not fill, that splits into no word or that holds a NUL
+    or a lone surrogate is rejected as the suite loads. With
+    ``timing="reported"`` the run command must print a single floating-point
+    time in seconds, finite and above 0, on its last output line; with
+    ``timing="external"`` the harness wall-clocks the process instead.
     """
 
     name: str
@@ -91,6 +91,7 @@ class Benchmark:
     timeout: float = 60.0
     repeat_runs: int = 1
     timing: str = TIMING_REPORTED
+    _words: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -103,12 +104,14 @@ class Benchmark:
         if self.timing not in (TIMING_REPORTED, TIMING_EXTERNAL):
             raise ValueError(f"benchmark {self.name}: bad timing {self.timing!r}")
         try:
-            argvs = {"compile_command": _fill(self.compile_command, ["-O3"], out=Path("x")),
-                     "run_command": _fill(self.run_command, bin=Path("x"))}
+            for key, values in (("compile_command", {"flags": ["-O3"], "out": Path("x")}),
+                                ("run_command", {"bin": Path("x")})):
+                self._words[key] = tuple(shlex.split(getattr(self, key)))
+                _fill(self._words[key], **values)
         except (KeyError, IndexError, ValueError, AttributeError, TypeError) as exc:
             raise ValueError(f"benchmark {self.name}: unfillable template: {exc!r}") from None
-        for key, argv in argvs.items():  # no exec takes an empty argv
-            if not argv:
+        for key, words in self._words.items():  # no exec takes an empty argv
+            if not words:
                 raise ValueError(f"benchmark {self.name}: {key} is empty")
             if nul_or_surrogate(getattr(self, key)):
                 held = "a NUL" if "\0" in getattr(self, key) else "a lone surrogate"
@@ -408,13 +411,12 @@ class _CachedEvaluator:
 # External compile-and-run pipeline
 # ---------------------------------------------------------------------------
 
-def _fill(template: str, flags: list[str] | None = None, **values) -> list[str]:
-    """The argv of a command template, split first and then filled in
-    argument by argument, as ``Benchmark`` describes."""
+def _fill(words: tuple[str, ...], flags: list[str] | None = None, **values) -> list[str]:
+    """The argv of a command template's ``words``, filled in as ``Benchmark`` describes."""
     if flags is not None:
         values["flags"] = " ".join(flags)
     argv = []
-    for arg in shlex.split(template):
+    for arg in words:
         argv += flags if arg == "{flags}" and flags is not None else [arg.format(**values)]
     return argv
 
@@ -480,8 +482,8 @@ def _toolchain_fingerprint(
     naming a file relative to ``workdir``. ``file_digests`` memoizes the
     content digests by path."""
     parts = [repr(bench)]
-    for template in (bench.compile_command, bench.run_command):
-        for i, token in enumerate(shlex.split(template)):
+    for words in bench._words.values():
+        for i, token in enumerate(words):
             path = _program_path(token, workdir) if i == 0 else os.path.join(workdir or ".", token)
             if path is None or not os.path.isfile(path):
                 continue
@@ -538,7 +540,8 @@ class CommandEvaluator(_CachedEvaluator):
         longest = [max((f"-{level}" for level in space.base_levels), key=size)]
         longest += (max(f.on, f.off, key=size) for f in space.flags)
         for b in suite:
-            over = max(map(size, _fill(b.compile_command, longest, out=self._out_path(b.name, ""))))
+            argv = _fill(b._words["compile_command"], longest, out=self._out_path(b.name, ""))
+            over = max(map(size, argv))
             if over > _MAX_ARG_STRLEN:  # every compile would fail with E2BIG
                 raise ValueError(f"benchmark {b.name}: a compile argument can take {over} bytes, "
                                  f"past the {_MAX_ARG_STRLEN} one argument may hold")
@@ -645,7 +648,7 @@ class CommandEvaluator(_CachedEvaluator):
         error. Runs on a pool thread of ``evaluate_many``, or in the thread
         of a direct ``evaluate``."""
         self.build_dir.mkdir(parents=True, exist_ok=True)
-        argv = _fill(bench.compile_command, render_args(self.space, config), out=out_path)
+        argv = _fill(bench._words["compile_command"], render_args(self.space, config), out=out_path)
         try:
             proc = _run_command(argv, bench.timeout, self.workdir, self._running)
         except subprocess.TimeoutExpired:
@@ -664,31 +667,26 @@ class CommandEvaluator(_CachedEvaluator):
         if hit is not None:
             return hit
 
-        argv = _fill(bench.run_command, bin=out_path)
+        argv = _fill(bench._words["run_command"], bin=out_path)
         times = []
         for _ in range(bench.repeat_runs):
             started = _time.perf_counter()
             try:
                 proc = _run_command(argv, bench.timeout, self.workdir, self._running)
             except subprocess.TimeoutExpired:
-                return Measurement(
-                    STATUS_TIMEOUT, digest=digest, detail=f"run timed out after {bench.timeout} s"
-                )
+                return Measurement(STATUS_TIMEOUT, digest=digest,
+                                   detail=f"run timed out after {bench.timeout} s")
             elapsed = _time.perf_counter() - started
             if proc.returncode != 0:
-                return Measurement(
-                    STATUS_RUN_ERROR, digest=digest, detail=f"exit status {proc.returncode}"
-                )
+                return Measurement(STATUS_RUN_ERROR, digest=digest,
+                                   detail=f"exit status {proc.returncode}")
             if bench.timing == TIMING_EXTERNAL:
                 times.append(elapsed)
                 continue
             reported = _parse_reported_time(proc.stdout)
             if reported is None:
-                return Measurement(
-                    STATUS_RUN_ERROR,
-                    digest=digest,
-                    detail="run command did not report a positive time",
-                )
+                return Measurement(STATUS_RUN_ERROR, digest=digest,
+                                   detail="run command did not report a positive time")
             times.append(reported)
         return Measurement(STATUS_OK, time=min(times), digest=digest)
 
@@ -896,22 +894,23 @@ class SyntheticEvaluator(_CachedEvaluator):
         return Measurement(STATUS_OK, time=self.model.time_for(self.space, config, bench_name))
 
 
+_SUITE_KINDS = get_type_hints(Benchmark)  # the JSON kind of each field, taken once
+
+
 def load_suite(path: str | Path) -> list[Benchmark]:
     """The suite in ``path``; a file of the wrong shape, or a command whose
     program (unless a placeholder names it) is no executable file, raises
     ``ValueError``."""
     with open(path, encoding="utf-8") as fh:
         data = json_value(json.load(fh), dict, "a suite")
-    kinds = get_type_hints(Benchmark)  # each field's JSON kind
     benches = []
     for i, rec in enumerate(json_field(data, "benchmarks", list)):
         rec = json_value(rec, dict, f"benchmarks[{i}]")
         benches.append(Benchmark(**{
-            f.name: json_field(rec, f.name, kinds[f.name], f.default, f"benchmarks[{i}]")
-            for f in fields(Benchmark)
+            f.name: json_field(rec, f.name, _SUITE_KINDS[f.name], f.default, f"benchmarks[{i}]")
+            for f in fields(Benchmark) if f.init
         }))
-        for key in ("compile_command", "run_command"):
-            program = shlex.split(getattr(benches[-1], key))[0]
+        for key, (program, *_) in benches[-1]._words.items():
             if "{" not in program and _program_path(program, Path(path).parent) is None:
                 raise ValueError(f"benchmarks[{i}].{key}: {program!r} is no executable file")
     return benches

@@ -6,12 +6,23 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
+import shlex
 from pathlib import Path
 
 from hypothesis import strategies as st
 
-from flagtuner.evaluator import BenchmarkModel, EvalCache, Measurement, PairDelta, SyntheticModel
+from flagtuner.evaluator import (
+    Benchmark,
+    BenchmarkModel,
+    EvalCache,
+    Measurement,
+    PairDelta,
+    SyntheticModel,
+    _digest_bytes,
+    _program_path,
+)
 from flagtuner.flagspace import Configuration, Flag, FlagSpace, _check_member, json_field
 
 
@@ -84,6 +95,33 @@ def time_for_reference(
         if state.get(p.flag_a) == p.state_a and state.get(p.flag_b) == p.state_b:
             t += p.delta
     return t
+
+
+def fill_reference(template: str, flags: list[str] | None = None, **values) -> list[str]:
+    """The argv of a command template, split with ``shlex.split`` at every
+    call and then filled in word by word: ``{flags}`` alone becomes one
+    argument per flag, and any other word is formatted with the flags
+    space-joined."""
+    if flags is not None:
+        values["flags"] = " ".join(flags)
+    argv = []
+    for arg in shlex.split(template):
+        argv += flags if arg == "{flags}" and flags is not None else [arg.format(**values)]
+    return argv
+
+
+def toolchain_fingerprint_reference(bench: Benchmark, workdir: Path) -> str:
+    """md5 of ``repr(bench)`` and of the content of each file its templates
+    name, each template split with ``shlex.split`` here: ``argv[0]`` as the
+    command resolves it, and any other word naming a file relative to
+    ``workdir``."""
+    parts = [repr(bench)]
+    for template in (bench.compile_command, bench.run_command):
+        for i, token in enumerate(shlex.split(template)):
+            path = _program_path(token, workdir) if i == 0 else os.path.join(workdir, token)
+            if path is not None and os.path.isfile(path):
+                parts.append(_digest_bytes(Path(path).read_bytes()))
+    return _digest_bytes(repr(parts).encode())
 
 
 def csv_reference(rows: list[list]) -> str:

@@ -1091,6 +1091,37 @@ def test_external_replay_compiles_nothing(tmp_path, demo_config, built_campaigns
     assert replay.cache_hits == first.cache_hits + first.executions
 
 
+@pytest.mark.parametrize("command", ["ric", "suite-ce"])
+def test_each_campaign_splits_its_templates_once(tmp_path, demo_config, monkeypatch, command):
+    """A campaign splits each command template of its suite once, as the
+    suite loads: the stub suite's 2 benchmarks make 4 splits, cold and
+    resumed, and every compile and run starts after them."""
+    from flagtuner import evaluator
+
+    split, run_command = evaluator.shlex.split, evaluator._run_command
+    splits = []  # one entry per split
+    at_command = []  # the splits made when each compile or run starts
+
+    def counting_split(*args, **kwargs):
+        splits.append(args)
+        return split(*args, **kwargs)
+
+    def counting_run_command(*args, **kwargs):
+        at_command.append(len(splits))
+        return run_command(*args, **kwargs)
+
+    monkeypatch.setattr(evaluator.shlex, "split", counting_split)
+    monkeypatch.setattr(evaluator, "_run_command", counting_run_command)
+    out = tmp_path / "o"
+    argv = [command, "--config", demo_config("stub"), "--out", str(out)]
+    for resume in ([], ["--resume", str(out / "checkpoint.json")]):
+        splits.clear()
+        at_command.clear()
+        assert main([*argv, *resume]) == 0
+        assert len(splits) == 4
+        assert set(at_command) == ({4} if not resume else set())
+
+
 def test_repeated_configuration_compiles_once(tmp_path, demo_config, built_campaigns):
     out = tmp_path / "o"
     assert main(["ric", "--config", demo_config("stub"), "--out", str(out)]) == 0

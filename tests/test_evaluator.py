@@ -9,6 +9,7 @@ import subprocess
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,17 +26,20 @@ from flagtuner.evaluator import (
     _config_key,
     load_suite,
     _run_command,
+    _toolchain_fingerprint,
     load_synthetic_model,
 )
 from flagtuner.flagspace import Configuration, FlagSpace, load_flag_space, render_args, toggle
 from helpers import (
     cache_read_line_by_line,
     config_of,
+    fill_reference,
     model_of,
     pair_dependency_model,
     quantised_models,
     space_of,
     time_for_reference,
+    toolchain_fingerprint_reference,
 )
 
 
@@ -1081,3 +1085,90 @@ def test_template_without_argv_or_with_nul_is_rejected_by_name(field, template, 
     templates = {"compile_command": "cc {flags} -o {out}", "run_command": "{bin}", field: template}
     with pytest.raises(ValueError, match=f"^benchmark x: {field} {problem}$"):
         Benchmark(name="x", **templates)
+
+
+@pytest.mark.parametrize("template, error", [
+    ("cc '{flags} -o {out}", "ValueError('No closing quotation')"),
+    ("cc {flags} -o {oops}", "KeyError('oops')"),
+    ("cc {flags} -o {}", "IndexError('Replacement index 0 out of range for positional args tuple')"),
+    ("cc {flags} -o {out.x}", "AttributeError(\"'PosixPath' object has no attribute 'x'\")"),
+    ("cc {flags} -o {out:d}",
+     "TypeError('unsupported format string passed to PosixPath.__format__')"),
+    ("cc {flags} -o {", "ValueError(\"Single '{' encountered in format string\")"),
+])
+def test_unfillable_template_is_rejected_with_its_error(template, error):
+    with pytest.raises(ValueError) as raised:
+        Benchmark("x", template, "{bin}")
+    assert str(raised.value) == f"benchmark x: unfillable template: {error}"
+
+
+# the pieces of a template word: quotes, backslash escapes and doubled braces
+_WORD_PIECES = ["a", "-o", "=", "'q r'", '"s t"', "\\ ", "\\'", '"\\""', "{{", "}}", "'{flags}'"]
+
+
+@st.composite
+def _templates(draw, placeholders: list[str]) -> str:
+    """A command template: a program, then words that are a file in the
+    toolchain directory, a placeholder alone, or pieces (placeholders
+    among them) run together; now and then it ends in a stray quote, brace
+    or backslash."""
+    program = draw(st.sampled_from(["./tool", "'./tool'", "sh", "no-such-tool", *placeholders]))
+    pieces = st.sampled_from(_WORD_PIECES + placeholders)
+    words = draw(st.lists(st.one_of(
+        st.sampled_from(["data.txt", "sub/data.txt", "'data.txt'", *placeholders]),
+        st.lists(pieces, min_size=1, max_size=4).map("".join),
+    ), max_size=6))
+    stray = draw(st.sampled_from(["", "", "", "", "'", '"', "{", "}", "\\"]))
+    return " ".join([program, *words]) + stray
+
+
+@pytest.fixture(scope="module")
+def toolchain_dir(tmp_path_factory):
+    """A workdir holding an executable ``tool`` and two data files."""
+    root = tmp_path_factory.mktemp("toolchain")
+    (root / "tool").write_text("#!/bin/sh\n")
+    (root / "tool").chmod(0o755)
+    (root / "sub").mkdir()
+    (root / "data.txt").write_text("data\n")
+    (root / "sub" / "data.txt").write_text("sub data\n")
+    return root
+
+
+@settings(max_examples=150, deadline=None)
+@given(compile_command=_templates(["{flags}", "{out}"]), run_command=_templates(["{bin}"]),
+       mask=st.integers(0, 7))
+def test_split_once_templates_fill_and_fingerprint_as_split_at_each_use(
+    toolchain_dir, compile_command, run_command, mask
+):
+    """A benchmark splits its templates once; the argv each compile and run
+    fills, and the toolchain fingerprint, equal those of splitting the
+    template string at every use, and an unfillable template is refused
+    with the error that splitting and filling it raises."""
+    try:
+        fill_reference(compile_command, ["-O3"], out=Path("x"))
+        fill_reference(run_command, bin=Path("x"))
+    except (KeyError, IndexError, ValueError, AttributeError, TypeError) as exc:
+        with pytest.raises(ValueError) as raised:
+            Benchmark("b", compile_command, run_command)
+        assert str(raised.value) == f"benchmark b: unfillable template: {exc!r}"
+        return
+    bench = Benchmark("b", compile_command, run_command)
+    space = space_of(3, levels=("O2", "O3"))
+    config = config_of("O2", mask, 3)
+    ev = CommandEvaluator(space, [bench], workdir=toolchain_dir,
+                          build_dir=toolchain_dir / "build")
+    fingerprint = toolchain_fingerprint_reference(bench, toolchain_dir)
+    assert ev._fingerprints["b"] == _toolchain_fingerprint(bench, toolchain_dir, {}) == fingerprint
+    out = toolchain_dir / "build" / "b.bin"
+    argvs = []
+
+    def run_command_stub(argv, timeout, cwd, running):
+        argvs.append(argv)
+        out.write_bytes(b"binary")
+        return subprocess.CompletedProcess(argv, 0, "1.0\n", "")
+
+    with mock.patch.object(evaluator, "_run_command", run_command_stub):
+        assert ev._compile(config, bench, out) is None
+        assert ev._run(bench, out).ok
+    assert argvs == [fill_reference(compile_command, render_args(space, config), out=out),
+                     fill_reference(run_command, bin=out)]
